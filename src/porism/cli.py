@@ -18,8 +18,8 @@ import sys
 import time
 
 from . import char2, ecurve
-from .errors import DegenerateInputError, FieldMismatchError, NeedsHintError, \
-    NotOnConicError
+from .errors import DegenerateInputError, ExtensionOverflowError, \
+    FieldMismatchError, NeedsHintError, NotOnConicError
 from .fields import parse_element, parse_field_spec
 from .process import PonceletConfig, porism_check, run, sample_starts
 from .projective import Conic, ProjPoint, normalize_tangent_pair, tangency_data
@@ -450,8 +450,8 @@ def main(argv=None):
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return EXIT_INPUT
-    except (DegenerateInputError, FieldMismatchError, NeedsHintError,
-            NotOnConicError, ValueError) as exc:
+    except (DegenerateInputError, ExtensionOverflowError, FieldMismatchError,
+            NeedsHintError, NotOnConicError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return EXIT_INPUT
 

@@ -299,6 +299,8 @@ class ExtensionField(Field):
         self._redux = tuple(base._neg(c.value) for c in modulus[:self.degree])
         if check and not self._is_irreducible():
             raise ValueError("modulus is reducible over the base field")
+        if self.degree == 2:
+            self._mul, self._inv = self._mul2, self._inv2
 
     def _is_irreducible(self):
         # Brute force: a reducible modulus has a monic factor of degree
@@ -425,6 +427,29 @@ class ExtensionField(Field):
             r0, r1, s0, s1 = r1, r0, s1, s0
         lead = r1[0].inv()
         return self._canon([c * lead for c in s1])
+
+    # Degree 2, with x^2 = r0 + r1 x: the Karatsuba product (five base
+    # products) and the inverse conj(a) / N(a), where
+    # conj(a0 + a1 x) = (a0 + r1 a1) - a1 x and N(a) = a0 (a0 + r1 a1) - r0 a1^2.
+
+    def _mul2(self, a, b):
+        add, mul, neg = self.base._add, self.base._mul, self.base._neg
+        (a0, a1), (b0, b1) = a, b
+        r0, r1 = self._redux
+        lo, hi = mul(a0, b0), mul(a1, b1)
+        mid = add(mul(add(a0, a1), add(b0, b1)), neg(add(lo, hi)))
+        return add(lo, mul(r0, hi)), add(mid, mul(r1, hi))
+
+    def _inv2(self, a):
+        add, mul, neg = self.base._add, self.base._mul, self.base._neg
+        r0, r1 = self._redux
+        a0, a1 = a
+        u = add(a0, mul(r1, a1))
+        n = add(mul(a0, u), neg(mul(r0, mul(a1, a1))))
+        if n == self.base.zero.value:
+            raise ZeroDivisionError("inverse of zero")
+        n = self.base._inv(n)
+        return mul(u, n), mul(neg(a1), n)
 
     def _sort_key(self, a):
         return tuple(self.base._sort_key(v) for v in a)

@@ -9,10 +9,15 @@ finding in a bounded extension tower, and exact polynomial square roots.
 """
 
 from dataclasses import dataclass
+from math import gcd as gcd_int, isqrt
 
 from .errors import ExtensionOverflowError, FieldMismatchError
 from .fields import (ExtensionField, FieldElement, PrimeField, QuadRationalField,
                      RationalField, lift_to_quadratic_extension)
+
+# Largest constant or leading term (after clearing denominators) whose
+# divisors the rational root search tries: at most 10^6 trial divisions.
+MAX_RATIONAL_ROOT_TERM = 10**12
 
 
 class Polynomial:
@@ -71,13 +76,18 @@ class Polynomial:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return Polynomial(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        field = self.field
+        add, mul = field._add, field._mul
+        bs = [b.value for b in other.coeffs]
+        zero = field.zero.value
+        out = [zero] * (len(self.coeffs) + len(bs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            a = a.value
+            if a == zero:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+            for j, b in enumerate(bs, start=i):
+                out[j] = add(out[j], mul(a, b))
+        return _from_values(field, out)
 
     __rmul__ = __mul__
 
@@ -94,19 +104,23 @@ class Polynomial:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [self.field.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = other.lc.inv()
-        while len(rem) >= len(other.coeffs):
-            c = rem[-1] * inv_lead
-            shift = len(rem) - len(other.coeffs)
+        field = self.field
+        add, mul, neg = field._add, field._mul, field._neg
+        zero = field.zero.value
+        rem = [c.value for c in self.coeffs]
+        div = [c.value for c in other.coeffs]
+        quot = [zero] * max(0, len(rem) - len(div) + 1)
+        inv_lead = field._inv(div[-1])
+        while len(rem) >= len(div):
+            c = mul(rem.pop(), inv_lead)
+            shift = len(rem) - len(div) + 1
             quot[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - c * oc
-            rem.pop()
-            while rem and rem[-1].is_zero():
+            c = neg(c)
+            for i, oc in enumerate(div[:-1], start=shift):
+                rem[i] = add(rem[i], mul(c, oc))
+            while rem and rem[-1] == zero:
                 rem.pop()
-        return Polynomial(self.field, quot), Polynomial(self.field, rem)
+        return _from_values(field, quot), _from_values(field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -148,6 +162,11 @@ class Polynomial:
             return "Poly[0]"
         terms = ", ".join(str(c) for c in self.coeffs)
         return f"Poly[{terms}]"
+
+
+def _from_values(field, values):
+    """The polynomial with the given raw coefficient values."""
+    return Polynomial(field, [FieldElement(field, v) for v in values])
 
 
 def gcd(f, g):
@@ -272,6 +291,8 @@ def factor(f, seed=0):
         raise ValueError("factor() requires a finite field")
     if f.degree < 1:
         return []
+    if f.degree == 2 and f.field.char != 2:
+        return _factor_quadratic(f.monic())
     rng = random.Random(seed)
     out = []
     for part, mult in squarefree_decomposition(f):
@@ -281,6 +302,20 @@ def factor(f, seed=0):
     out.sort(key=lambda gm: (gm[0].degree, [c.sort_key() for c in gm[0].coeffs]))
     assert sum(g.degree * m for g, m in out) == f.degree
     return out
+
+
+def _factor_quadratic(f):
+    """factor() of a monic quadratic in odd characteristic, from the
+    discriminant: the same factors, multiplicities and order."""
+    half_b = f[1] / 2
+    s = (half_b * half_b - f[0]).sqrt()
+    if s is None:
+        return [(f, 1)]
+    if s.is_zero():
+        return [(Polynomial(f.field, [half_b, 1]), 2)]
+    lines = [Polynomial(f.field, [half_b + r, 1]) for r in (s, -s)]
+    lines.sort(key=lambda g: g[0].sort_key())
+    return [(g, 1) for g in lines]
 
 
 @dataclass(frozen=True)
@@ -342,12 +377,16 @@ def _rational_root(g):
         fracs = [c.value for c in g.coeffs]
     lcm = 1
     for fr in fracs:
-        lcm = lcm * fr.denominator // _igcd(lcm, fr.denominator)
+        lcm = lcm * fr.denominator // gcd_int(lcm, fr.denominator)
     ints = [int(fr * lcm) for fr in fracs]
     if ints[0] == 0:
         return field.zero
+    if max(abs(ints[0]), abs(ints[-1])) > MAX_RATIONAL_ROOT_TERM:
+        raise ExtensionOverflowError(
+            f"coefficients of {g!r} are too large for a rational root search")
+    tops = _divisors(abs(ints[-1]))
     for a in _divisors(abs(ints[0])):
-        for b in _divisors(abs(ints[-1])):
+        for b in tops:
             for sign in (1, -1):
                 cand = field(Fraction(sign * a, b))
                 if g(cand).is_zero():
@@ -355,15 +394,10 @@ def _rational_root(g):
     return None
 
 
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """The positive divisors of n, ascending."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def roots_in_closure(f, max_total_extension_degree=4, seed=0):

@@ -5,17 +5,19 @@ the tangent of D at d.  One step takes the second intersection of the
 current tangent line with C, then the second contact point of D seen from
 the new c -- both by Vieta, so after the (possibly lifting) initial branch
 choice everything stays in one field.  The step map is invertible, so orbit
-closure is detected by first return to the initial state.
+closure is detected by first return to the initial state.  ``run`` iterates
+the step on raw field values; the geometric ``step`` and ``step_inverse``
+are its reference.
 """
 
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DegenerateInputError, NotOnConicError
-from .fields import lift_to_quadratic_extension
-from .projective import (P1Point, intersect_line_conic, multiplicity_structure,
-                         other_intersection, parametrize, polar, tangent_at,
-                         tangency_points, find_point)
+from .fields import FieldElement
+from .projective import (P1Point, ProjPoint, intersect_line_conic,
+                         multiplicity_structure, other_intersection, parametrize,
+                         polar, tangent_at, tangency_points, find_point)
 
 DEFAULT_MAX_STEPS_CHAR0 = 10000
 
@@ -130,27 +132,107 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=64):
     """Iterate the process from c1 until the initial state recurs.
 
     The step map is a bijection, so the orbit is a pure cycle and comparing
-    against the initial state alone detects the period.
+    against the initial state alone detects the period.  The orbit is
+    iterated on raw field values (``_orbit``); ``step`` is the reference it
+    reproduces, and states are built only for the kept prefix.
     """
     if max_steps is None:
         max_steps = cfg.default_max_steps()
     cfg, initial, lifted = start(cfg, c1, branch)
-    at_tangency = is_tangency_state(cfg, initial)
-    orbit = [initial]
-    state = initial
+    if is_tangency_state(cfg, initial):
+        period, kept = (1 if max_steps > 0 else 0), []  # fixed by the step
+    else:
+        period, kept = _orbit(cfg, initial, max_steps, keep_orbit)
+    orbit = [initial] + [
+        PonceletState(_point(cfg.field, c), _point(cfg.field, d), i)
+        for i, (c, d) in enumerate(kept, start=2)]
+    if period:
+        return ProcessResult("closed", period=period, steps=period,
+                             lifted=lifted, orbit=orbit[:keep_orbit])
+    return ProcessResult("open", period=0, steps=max_steps, lifted=lifted,
+                         orbit=orbit[:keep_orbit])
+
+
+def _orbit(cfg, initial, max_steps, keep):
+    """``step`` iterated from a non-tangency state on tuples of raw field
+    values, with the same incidence checks and tangency canary.  Returns
+    (period, or 0 if the orbit stays open, and the raw (c, d) pairs of the
+    states with index 2 .. keep)."""
+    field = cfg.field
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    zero, one = field.zero.value, field.one.value
+
+    def dot(u, v):
+        return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
+
+    def forms(conic):
+        a00, a11, a22, a01, a02, a12 = (c.value for c in conic.coeffs)
+        b00, b11, b22 = add(a00, a00), add(a11, a11), add(a22, a22)
+
+        def grad(p):
+            x, y, z = p
+            return (add(add(mul(b00, x), mul(a01, y)), mul(a02, z)),
+                    add(add(mul(a01, x), mul(b11, y)), mul(a12, z)),
+                    add(add(mul(a02, x), mul(a12, y)), mul(b22, z)))
+
+        def value(p):
+            x, y, z = p
+            return add(add(mul(x, add(add(mul(a00, x), mul(a01, y)), mul(a02, z))),
+                           mul(y, add(mul(a11, y), mul(a12, z)))),
+                       mul(z, mul(a22, z)))
+        return grad, value
+
+    def other(value, g, line, p):
+        # Second point of line /\ conic through the canonical point p, with
+        # g = grad(p): Vieta on p and o = line x e_k, where p_k = 1.
+        if dot(g, p) != zero or dot(line, p) != zero:
+            raise DegenerateInputError(
+                "known point must lie on both the line and the conic")
+        l0, l1, l2 = line
+        if p[0] == one:
+            o = (zero, l2, neg(l1))
+        elif p[1] == one:
+            o = (neg(l2), zero, l0)
+        else:
+            o = (l1, neg(l0), zero)
+        beta = dot(g, o)
+        if beta == zero:
+            return p
+        gamma = neg(value(o))
+        x = add(mul(gamma, p[0]), mul(beta, o[0]))
+        y = add(mul(gamma, p[1]), mul(beta, o[1]))
+        z = add(mul(gamma, p[2]), mul(beta, o[2]))
+        if x != zero:
+            s = inv(x)
+            return one, mul(y, s), mul(z, s)
+        if y != zero:
+            return zero, one, mul(z, inv(y))
+        return zero, zero, one
+
+    grad_c, value_c = forms(cfg.outer)
+    grad_d, value_d = forms(cfg.inner)
+    c0 = c = tuple(v.value for v in initial.c.coords)
+    d0 = d = tuple(v.value for v in initial.d.coords)
+    tangent = grad_d(d)
+    kept = []
     for i in range(1, max_steps + 1):
-        state = step(cfg, state)
-        if not at_tangency and is_tangency_state(cfg, state):
+        c = other(value_c, grad_c(c), tangent, c)
+        d = other(value_d, tangent, grad_d(c), d)
+        tangent = grad_d(d)
+        if c == d and is_tangency_state(
+                cfg, PonceletState(_point(field, c), _point(field, d))):
             raise RuntimeError(
                 "orbit of a non-tangency start hit a tangency point; "
                 "this contradicts invertibility of the step map")
-        if state.same_pair(initial):
-            return ProcessResult("closed", period=i, steps=i, lifted=lifted,
-                                 orbit=orbit[:keep_orbit])
-        if len(orbit) < keep_orbit:
-            orbit.append(state)
-    return ProcessResult("open", period=0, steps=max_steps, lifted=lifted,
-                         orbit=orbit[:keep_orbit])
+        if c == c0 and d == d0:
+            return i, kept
+        if i < keep:
+            kept.append((c, d))
+    return 0, kept
+
+
+def _point(field, raw):
+    return ProjPoint(field, [FieldElement(field, v) for v in raw])
 
 
 def sample_starts(cfg, num_starts, seed):

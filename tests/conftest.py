@@ -32,9 +32,11 @@ def Q():
 
 
 def random_smooth_conic(field, rng):
-    """A uniformly random smooth conic over a finite field."""
+    """A uniformly random smooth conic over a finite field: coefficients
+    are drawn from all its elements (over F_p, residue n is element n)."""
+    elems = list(field.elements())
     while True:
-        coeffs = [field(rng.randrange(field.size)) for _ in range(6)]
+        coeffs = [elems[rng.randrange(field.size)] for _ in range(6)]
         try:
             conic = Conic(field, coeffs)
         except ValueError:

@@ -176,3 +176,14 @@ def test_sweep_deterministic_across_jobs(tmp_path, capsys):
     for rec in recs2:
         rec.pop("elapsed_ms")
     assert recs2 == recs_seq
+
+
+def test_extension_overflow_is_an_input_error(tmp_path, capsys):
+    # the tangents from the start touch the inner circle only over a second
+    # quadratic extension of Q, beyond the supported tower
+    obj = {"outer": {"field": "Qsqrt:2", "coeffs": ["1", "1", "-16", "0", "0", "0"]},
+           "inner": {"field": "Qsqrt:2", "coeffs": ["1", "1", "-1", "0", "0", "0"]}}
+    path = write_json(tmp_path, "pair.json", obj)
+    code, out, err = run_cli(capsys, "run", path, "--json")
+    assert code == 1 and out == ""
+    assert "quadratic step" in json.loads(err)["error"]

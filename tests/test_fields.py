@@ -181,3 +181,38 @@ def test_element_render_parse_round_trip():
 def test_canonical_hash_equality(F7):
     assert hash(F7(3)) == hash(F7(10))
     assert len({F7(i) for i in range(70)}) == 7
+
+
+def _degree2_matches_reference(field, pairs):
+    # ExtensionField._mul / _inv are the schoolbook product and extended
+    # Euclid; a degree-2 field binds its closed forms over them.
+    assert field._mul.__func__ is ExtensionField._mul2
+    for a, b in pairs:
+        assert field._mul(a, b) == ExtensionField._mul(field, a, b)
+        if a != field.zero.value:
+            assert field._inv(a) == ExtensionField._inv(field, a)
+
+
+def test_degree2_mul_inv_match_schoolbook_and_euclid_f25():
+    F5 = PrimeField(5)
+    # x^2 + 2 (r1 = 0) and x^2 + x + 2 (r1 != 0), both irreducible over F5
+    for modulus in ([2, 0, 1], [2, 1, 1]):
+        F25 = ExtensionField(F5, modulus)
+        elems = [e.value for e in F25.elements()]
+        _degree2_matches_reference(F25, [(a, b) for a in elems for b in elems])
+
+
+def test_degree2_mul_inv_match_schoolbook_and_euclid_over_f27():
+    F27 = parse_field_spec("Fq:3^3:1,2,0,1")
+    rng = random.Random(27)
+    elems = list(F27.elements())
+    non_square = next(e for e in elems if not e.is_zero() and e.sqrt() is None)
+    lifted, _ = lift_to_quadratic_extension(non_square)
+    # and a modulus with a linear term: x^2 + x - non_square
+    other = ExtensionField(F27, [-non_square, F27.one, F27.one])
+    for big in (lifted, other):
+        pool = [e.value for e in big.elements()]
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(300)]
+        _degree2_matches_reference(big, pairs)
+    with pytest.raises(ZeroDivisionError):
+        lifted.zero.inv()

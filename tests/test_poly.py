@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from porism.fields import PrimeField, RationalField
+from porism.fields import PrimeField, RationalField, parse_field_spec
 from porism.poly import (Polynomial, binary_form_roots, factor, gcd,
                          is_square, roots_in_closure,
                          squarefree_decomposition)
@@ -119,3 +120,79 @@ def test_is_square_rejects_char2():
     F2 = PrimeField(2)
     with pytest.raises(ValueError):
         is_square(Polynomial.x(F2))
+
+
+def _factor_by_ddf_edf(f, seed=0):
+    """factor()'s general route: squarefree parts, DDF, then EDF."""
+    from porism.poly import _ddf, _edf
+    rng = random.Random(seed)
+    out = [(irr, mult) for part, mult in squarefree_decomposition(f)
+           for block, d in _ddf(part) for irr in _edf(block, d, rng)]
+    out.sort(key=lambda gm: (gm[0].degree, [c.sort_key() for c in gm[0].coeffs]))
+    return out
+
+
+def test_factor_quadratic_path_matches_general_route():
+    from porism.fields import ExtensionField
+    F9 = ExtensionField(PrimeField(3), [1, 0, 1])
+    for field in (PrimeField(7), F9):
+        elems = list(field.elements())
+        for c in elems:
+            for b in elems:
+                f = Polynomial(field, [c, b, 1])
+                want = _factor_by_ddf_edf(f)
+                assert factor(f) == want
+                assert factor(f * field(2)) == want  # not monic
+
+
+def test_divisors_pairs_below_the_square_root():
+    from porism.poly import _divisors
+    for n in range(1, 400):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_rational_root_search_is_capped(Q):
+    import time
+    from porism.errors import ExtensionOverflowError
+    from porism.poly import MAX_RATIONAL_ROOT_TERM, _rational_root
+    from porism.projective import Conic, intersect_conics
+    big = P(Q, MAX_RATIONAL_ROOT_TERM + 1, 0, 1, 1)
+    with pytest.raises(ExtensionOverflowError):
+        _rational_root(big)
+    t0 = time.monotonic()
+    with pytest.raises(ExtensionOverflowError):
+        intersect_conics(Conic(Q, [1, 1, -(10**9 + 7), 0, 0, 0]),
+                         Conic(Q, [1, 2, -1, 0, 0, 0]))
+    assert time.monotonic() - t0 < 10.0
+
+
+@pytest.mark.parametrize("spec", ["Fp:13", "Fq:3^2:1,0,1", "Q", "Qsqrt:2"])
+def test_mul_divmod_match_element_arithmetic(spec):
+    # product and long division on raw values against the same algorithms
+    # on field elements
+    field = parse_field_spec(spec)
+    rng = random.Random(spec)
+    if field.size:
+        pool = list(field.elements())
+    else:
+        pool = [field(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
+                for _ in range(12)]
+        if spec != "Q":
+            pool += [p * field.root + q for p, q in zip(pool, pool[1:])]
+    units = [c for c in pool if not c.is_zero()]
+
+    def rand(degree):
+        coeffs = [rng.choice(pool) for _ in range(degree)]
+        return Polynomial(field, coeffs + [rng.choice(units)])
+
+    for _ in range(60):
+        a, b = rand(rng.randrange(0, 7)), rand(rng.randrange(0, 4))
+        if b.is_zero():
+            continue
+        prod = [field.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, u in enumerate(a.coeffs):
+            for j, v in enumerate(b.coeffs):
+                prod[i + j] = prod[i + j] + u * v
+        assert a * b == Polynomial(field, prod)
+        quot, rem = divmod(a, b)
+        assert quot * b + rem == a and rem.degree < b.degree

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from porism.errors import NotOnConicError
-from porism.fields import PrimeField
-from porism.process import (PonceletConfig, is_tangency_state, porism_check,
-                            run, sample_starts, start, step, step_inverse)
+from porism.fields import (PrimeField, QuadRationalField, RationalField,
+                           parse_field_spec)
+from porism.process import (PonceletConfig, ProcessResult, is_tangency_state,
+                            porism_check, run, sample_starts, start, step,
+                            step_inverse)
 from porism.projective import Conic, ProjPoint, normal_form_conic
 
 from conftest import random_smooth_pair
@@ -146,3 +149,96 @@ def test_sample_starts_avoid_tangencies(F13):
     for c1 in starts:
         assert cfg.outer.contains(c1)
         assert c1 not in cfg.in_field_tangencies()
+
+
+def run_by_step(cfg, c1, branch="min", max_steps=None, keep_orbit=64):
+    """The reference run: iterate the geometric step."""
+    if max_steps is None:
+        max_steps = cfg.default_max_steps()
+    cfg, initial, lifted = start(cfg, c1, branch)
+    at_tangency = is_tangency_state(cfg, initial)
+    orbit, state = [initial], initial
+    for i in range(1, max_steps + 1):
+        state = step(cfg, state)
+        assert at_tangency or not is_tangency_state(cfg, state)
+        if state.same_pair(initial):
+            return ProcessResult("closed", i, i, lifted, orbit[:keep_orbit])
+        if len(orbit) < keep_orbit:
+            orbit.append(state)
+    return ProcessResult("open", 0, max_steps, lifted, orbit[:keep_orbit])
+
+
+def assert_run_matches_step(cfg, c1, **kw):
+    got, want = run(cfg, c1, **kw), run_by_step(cfg, c1, **kw)
+    assert (got.outcome, got.period, got.steps, got.lifted) == \
+        (want.outcome, want.period, want.steps, want.lifted)
+    assert [(s.c, s.d, s.index) for s in got.orbit] == \
+        [(s.c, s.d, s.index) for s in want.orbit]
+    return got
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:3^3:1,2,0,1"])
+def test_raw_orbit_matches_step_over_finite_fields(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random(spec)
+    configs = [PonceletConfig(*random_smooth_pair(field, rng)) for _ in range(8)]
+    configs += [make_config(field, *tab) for tab in ((0, 1, 1), (2, 7, 1), (1, 2, 5))]
+    lifted = set()  # over F_{3^3} one pair also stays open at the default budget
+    for cfg in configs:
+        for k, c1 in enumerate(sample_starts(cfg, 3, rng.randrange(100))):
+            branch = ("min", "max")[k % 2]
+            res = assert_run_matches_step(cfg, c1, branch=branch,
+                                          keep_orbit=rng.choice((0, 3, 64)))
+            lifted.add(res.lifted)
+    assert lifted == {False, True}  # lifted F_{q^2} starts are covered too
+    # a tangency start is a fixed point
+    res = assert_run_matches_step(make_config(field, 0, 1, 1),
+                                  ProjPoint(field, [0, 0, 1]))
+    assert res.period == 1
+
+
+def test_raw_orbit_matches_step_over_q_and_quadratic_fields(Q):
+    seen = set()
+    euler = (Conic(Q, [1, 1, -16, 0, 0, 0]),
+             Conic(Q, [1, 1, Q(Fraction(7, 4)), 0, -4, 0]))
+    circles = (Conic(Q, [1, 1, -16, 0, 0, 0]),
+               Conic(Q, [1, 1, -1, 0, -2, 0]))   # (x-1)^2 + y^2 = 2
+    osculating = [(normal_form_conic(Q(t), Q(a), Q(1)),
+                   Conic(Q, [1, 0, 0, 0, 0, -1]))
+                  for t, a in ((0, 1), (0, -1))]  # (0, -1) never lifts
+    for n, (outer, inner) in enumerate([euler, circles] + osculating):
+        cfg = PonceletConfig(outer, inner)
+        for c1 in sample_starts(cfg, 3, seed=n):
+            res = assert_run_matches_step(cfg, c1, max_steps=6 if n == 1 else 12)
+            seen.add(type(res.orbit[0].c.field))
+    assert seen == {RationalField, QuadRationalField}
+
+
+@pytest.mark.parametrize("spec", ["Fq:3^3:1,2,0,1", "Fq:7^2:3,1,1"])
+def test_extension_field_periods_fit_the_hasse_weil_bound(spec):
+    # Smooth pairs: the step is a translation on a genus-1 curve over F_q, so
+    # a period is at most q + 1 + floor(2 sqrt q), even when the start lifts.
+    # Tangent pairs: the group is additive (order p) or a torus (q - 1 or
+    # q + 1).  Over F_{3^3} some periods pass the default budget 10 * char.
+    field = parse_field_spec(spec)
+    bound = field.size + 1 + isqrt(4 * field.size)
+    rng = random.Random(17)
+    configs = [PonceletConfig(*random_smooth_pair(field, rng)) for _ in range(10)]
+    elems = list(field.elements())
+    tangent = {}
+    while len(tangent) < 4:  # one pair each of (2,1,1), (2,2), (3,1), (4)
+        try:
+            cfg = make_config(field, *(rng.choice(elems) for _ in range(3)))
+        except ValueError:
+            continue
+        tangent.setdefault(cfg.intersection_type, cfg)
+    longest = {}
+    for cfg in configs + list(tangent.values()):
+        for c1 in sample_starts(cfg, 2, rng.randrange(100)):
+            res = run(cfg, c1, max_steps=10 * field.size, keep_orbit=0)
+            assert res.outcome == "closed" and res.period <= bound
+            kind = cfg.intersection_type
+            longest[kind] = max(longest.get(kind, 0), res.period)
+    assert len(longest) == 5
+    # pairs drawn from all elements, not from F_p only
+    assert longest[(1, 1, 1, 1)] > 2 * field.char
