@@ -12,6 +12,7 @@ statements are proved, so 2 should never happen).
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -79,11 +80,6 @@ def conic_json(conic):
 
 
 def point_json(p):
-    return {"field": p.field.spec_string(),
-            "coords": [str(c) for c in p.coords]}
-
-
-def p1_json(p):
     return {"field": p.field.spec_string(),
             "coords": [str(c) for c in p.coords]}
 
@@ -222,7 +218,7 @@ def cmd_ecurve(args):
     data = {
         "h": [[str(c) for c in row] for row in shp.form.h],
         "shape": shp.tag,
-        "singular_points": [{"u": p1_json(u), "v": p1_json(v)}
+        "singular_points": [{"u": point_json(u), "v": point_json(v)}
                             for u, v in shp.singular],
         "reducible": shp.factors is not None,
     }
@@ -442,10 +438,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first call, not at import, and reused: parsing leaves
+    # the parser as it was
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

@@ -17,6 +17,7 @@ run reproducible.
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -279,11 +280,116 @@ class PrimeField(Field):
         return hash(("Fp", self.p))
 
 
+def _prime_kernel(p, modulus):
+    """add, neg, mul and inv of F_p[x]/(modulus), for a monic modulus of
+    degree k given as int residues, low degree first.  They work on tuples
+    of k residues and reduce each output coefficient with one % p."""
+    k = len(modulus) - 1
+    # rows[i] is x^(k+i) reduced modulo the modulus, for i = 0 .. k-2
+    rows = [tuple(-c % p for c in modulus[:k])]
+    for _ in range(k - 2):
+        *low, top = rows[-1]
+        rows.append(tuple((x + top * r) % p for x, r in zip([0, *low], rows[0])))
+    if k == 2:
+        (r0, r1), = rows
+
+        def add(a, b):
+            return (a[0] + b[0]) % p, (a[1] + b[1]) % p
+
+        def neg(a):
+            return -a[0] % p, -a[1] % p
+
+        def mul(a, b):
+            (a0, a1), (b0, b1) = a, b
+            hi = a1 * b1
+            return (a0 * b0 + r0 * hi) % p, (a0 * b1 + a1 * b0 + r1 * hi) % p
+
+        def inv(a):
+            # conj(a) / N(a): conj(a0 + a1 x) = (a0 + r1 a1) - a1 x
+            a0, a1 = a
+            u = a0 + r1 * a1
+            n = (a0 * u - r0 * a1 * a1) % p
+            if not n:
+                raise ZeroDivisionError("inverse of zero")
+            n = pow(n, -1, p)
+            return u * n % p, -a1 * n % p
+
+        return add, neg, mul, inv
+    if k == 3:
+        (r0, r1, r2), (s0, s1, s2) = rows
+
+        def add(a, b):
+            return (a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2]) % p
+
+        def neg(a):
+            return -a[0] % p, -a[1] % p, -a[2] % p
+
+        def mul(a, b):
+            (a0, a1, a2), (b0, b1, b2) = a, b
+            c3, c4 = a1 * b2 + a2 * b1, a2 * b2
+            return ((a0 * b0 + r0 * c3 + s0 * c4) % p,
+                    (a0 * b1 + a1 * b0 + r1 * c3 + s1 * c4) % p,
+                    (a0 * b2 + a1 * b1 + a2 * b0 + r2 * c3 + s2 * c4) % p)
+    else:
+        def add(a, b):
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+
+        def neg(a):
+            return tuple([-x % p for x in a])
+
+        def mul(a, b):
+            # schoolbook product; the high terms fold in through rows
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        prod[j] += x * y
+            out = prod[:k]
+            for c, row in zip(prod[k:], rows):
+                if c:
+                    for j, r in enumerate(row):
+                        out[j] += c * r
+            return tuple([v % p for v in out])
+
+    def submul(u, v, c, shift):
+        # u - c x^shift v, trimmed
+        out = u + [0] * (shift + len(v) - len(u))
+        for i, x in enumerate(v, shift):
+            out[i] = (out[i] - c * x) % p
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def inv(a):
+        # extended Euclid in F_p[x] against the modulus
+        r0, r1 = list(modulus), list(a)
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
+            raise ZeroDivisionError("inverse of zero")
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            lead = pow(r1[-1], -1, p)
+            while r0 and len(r0) >= len(r1):
+                c = r0[-1] * lead % p
+                shift = len(r0) - len(r1)
+                r0, s0 = submul(r0, r1, c, shift), submul(s0, s1, c, shift)
+            if not r0:
+                raise ZeroDivisionError("element shares a factor with the modulus")
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c = pow(r1[0], -1, p)
+        return tuple([x * c % p for x in s1] + [0] * (k - len(s1)))
+
+    return add, neg, mul, inv
+
+
 class ExtensionField(Field):
     """K[x]/(m) for a monic irreducible modulus m over a supported field K.
 
     Values are tuples of base-field values, low degree first, padded to the
-    extension degree.  ``gen`` is the residue class of x.
+    extension degree.  ``gen`` is the residue class of x.  Over a prime
+    field the arithmetic is ``_prime_kernel``'s, on tuples of ints; a tower
+    runs the methods below on its base's arithmetic.
     """
 
     def __init__(self, base, modulus, check=True):
@@ -299,7 +405,11 @@ class ExtensionField(Field):
         self._redux = tuple(base._neg(c.value) for c in modulus[:self.degree])
         if check and not self._is_irreducible():
             raise ValueError("modulus is reducible over the base field")
-        if self.degree == 2:
+        if isinstance(base, PrimeField):
+            self._add, self._neg, self._mul, self._inv = _prime_kernel(
+                base.p, [c.value for c in modulus])
+        elif self.degree == 2:
+            self._ops = base._add, base._mul, base._neg, base._inv
             self._mul, self._inv = self._mul2, self._inv2
 
     def _is_irreducible(self):
@@ -428,12 +538,14 @@ class ExtensionField(Field):
         lead = r1[0].inv()
         return self._canon([c * lead for c in s1])
 
-    # Degree 2, with x^2 = r0 + r1 x: the Karatsuba product (five base
-    # products) and the inverse conj(a) / N(a), where
-    # conj(a0 + a1 x) = (a0 + r1 a1) - a1 x and N(a) = a0 (a0 + r1 a1) - r0 a1^2.
+    # Degree 2 over a base that is not a prime field, with x^2 = r0 + r1 x:
+    # the Karatsuba product (five base products) and the inverse
+    # conj(a) / N(a), where conj(a0 + a1 x) = (a0 + r1 a1) - a1 x and
+    # N(a) = a0 (a0 + r1 a1) - r0 a1^2.  ``_ops`` holds the base's raw
+    # add, mul, neg and inv.
 
     def _mul2(self, a, b):
-        add, mul, neg = self.base._add, self.base._mul, self.base._neg
+        add, mul, neg, _ = self._ops
         (a0, a1), (b0, b1) = a, b
         r0, r1 = self._redux
         lo, hi = mul(a0, b0), mul(a1, b1)
@@ -441,14 +553,14 @@ class ExtensionField(Field):
         return add(lo, mul(r0, hi)), add(mid, mul(r1, hi))
 
     def _inv2(self, a):
-        add, mul, neg = self.base._add, self.base._mul, self.base._neg
+        add, mul, neg, inv = self._ops
         r0, r1 = self._redux
         a0, a1 = a
         u = add(a0, mul(r1, a1))
         n = add(mul(a0, u), neg(mul(r0, mul(a1, a1))))
         if n == self.base.zero.value:
             raise ZeroDivisionError("inverse of zero")
-        n = self.base._inv(n)
+        n = inv(n)
         return mul(u, n), mul(neg(a1), n)
 
     def _sort_key(self, a):
@@ -468,10 +580,6 @@ class ExtensionField(Field):
         for vec in product(base_elems, repeat=self.degree):
             # leftmost slowest => lexicographic on low-to-high coefficients
             yield FieldElement(self, tuple(v.value for v in vec))
-
-    def frobenius(self, elem):
-        """x -> x^q for q the base field size."""
-        return elem ** self.base.size
 
     def spec_string(self):
         mod = ",".join(self.base._render(c.value) for c in self.modulus)
@@ -615,6 +723,17 @@ class QuadRationalField(Field):
         return hash(("Qsqrt", self.d))
 
 
+@lru_cache(maxsize=256)
+def _non_residue(field):
+    """The raw value of the first quadratic non-residue of an odd finite
+    field, in element order.  Kept per field, for the last 256 fields:
+    equal fields hash alike, so the fields rebuilt for every lifted start
+    share one entry."""
+    half = (field.size - 1) // 2
+    return next(z.value for z in field.elements()
+                if not z.is_zero() and z ** half != field.one)
+
+
 def _finite_field_sqrt(field, elem):
     """Tonelli-Shanks over any odd finite field; returns the canonically
     smaller root or None for a non-residue."""
@@ -632,14 +751,7 @@ def _finite_field_sqrt(field, elem):
     if s == 1:
         r = elem ** ((q + 1) // 4)
     else:
-        z = None
-        for cand in field.elements():
-            if cand.is_zero():
-                continue
-            if cand ** ((q - 1) // 2) != field.one:
-                z = cand
-                break
-        c = z ** t
+        c = FieldElement(field, _non_residue(field)) ** t
         r = elem ** ((t + 1) // 2)
         u = elem ** t
         m = s
@@ -716,13 +828,6 @@ def parse_field_spec(s):
             raise ValueError("modulus degree does not match the field size")
         return ExtensionField(base, coeffs)
     raise ValueError(f"unrecognized field spec: {s!r}")
-
-
-def render_element(elem):
-    """Canonical string form of an element, matching what parse_element
-    accepts: decimal residues, comma-separated extension coefficients,
-    fractions, or r+s*sqrt(d)."""
-    return str(elem)
 
 
 def parse_element(field, value):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import porism
 from porism.cli import conic_json, main, read_conic
 from porism.projective import Conic
 
@@ -187,3 +191,23 @@ def test_extension_overflow_is_an_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", path, "--json")
     assert code == 1 and out == ""
     assert "quadratic step" in json.loads(err)["error"]
+
+
+def test_successive_calls_match_fresh_processes(tmp_path, capsys):
+    # main builds its parser once and reuses it: flags given to one call
+    # must not carry over to the next
+    pair = write_json(tmp_path, "pair.json", PAIR_F5_TYPE4)
+    triangle = write_json(tmp_path, "triangle.json", PAIR_Q_TRIANGLE)
+    calls = [["porism-check", pair, "--json", "--seed", "3"],
+             ["--seed", "5", "run", triangle, "--max-steps", "2", "--json"],
+             ["run", triangle],
+             ["classify", pair, "--json"],
+             ["no-such-command"],
+             ["ecurve", pair]]
+    src = os.path.dirname(os.path.dirname(porism.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        got = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "porism.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv

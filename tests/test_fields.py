@@ -183,11 +183,13 @@ def test_canonical_hash_equality(F7):
     assert len({F7(i) for i in range(70)}) == 7
 
 
-def _degree2_matches_reference(field, pairs):
-    # ExtensionField._mul / _inv are the schoolbook product and extended
-    # Euclid; a degree-2 field binds its closed forms over them.
-    assert field._mul.__func__ is ExtensionField._mul2
+def _matches_reference(field, pairs):
+    # ExtensionField._add / _neg / _mul / _inv are the coefficient-wise
+    # sum and negation, the schoolbook product and extended Euclid, all over
+    # the base field's own arithmetic; the field binds faster forms of them.
     for a, b in pairs:
+        assert field._add(a, b) == ExtensionField._add(field, a, b)
+        assert field._neg(a) == ExtensionField._neg(field, a)
         assert field._mul(a, b) == ExtensionField._mul(field, a, b)
         if a != field.zero.value:
             assert field._inv(a) == ExtensionField._inv(field, a)
@@ -199,7 +201,7 @@ def test_degree2_mul_inv_match_schoolbook_and_euclid_f25():
     for modulus in ([2, 0, 1], [2, 1, 1]):
         F25 = ExtensionField(F5, modulus)
         elems = [e.value for e in F25.elements()]
-        _degree2_matches_reference(F25, [(a, b) for a in elems for b in elems])
+        _matches_reference(F25, [(a, b) for a in elems for b in elems])
 
 
 def test_degree2_mul_inv_match_schoolbook_and_euclid_over_f27():
@@ -213,6 +215,50 @@ def test_degree2_mul_inv_match_schoolbook_and_euclid_over_f27():
     for big in (lifted, other):
         pool = [e.value for e in big.elements()]
         pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(300)]
-        _degree2_matches_reference(big, pairs)
+        _matches_reference(big, pairs)
     with pytest.raises(ZeroDivisionError):
         lifted.zero.inv()
+
+
+# Finite fields over a prime run on integer kernels: closed forms in degrees
+# 2 and 3, a folded schoolbook product and integer Euclid above.
+EXHAUSTIVE_KERNELS = ["Fq:3^3:1,2,0,1", "Fq:3^4:2,0,0,2,1", "F2k:4", "F2k:2"]
+SAMPLED_KERNELS = ["Fq:7^4:3,4,5,0,1", "Fq:13^3:11,2,0,1", "F2k:7"]
+
+
+@pytest.mark.parametrize("spec", EXHAUSTIVE_KERNELS)
+def test_prime_kernel_matches_reference_on_every_pair(spec):
+    field = parse_field_spec(spec)
+    elems = [e.value for e in field.elements()]
+    _matches_reference(field, [(a, b) for a in elems for b in elems])
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inv()
+
+
+@pytest.mark.parametrize("spec", SAMPLED_KERNELS)
+def test_prime_kernel_matches_reference_on_samples(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random(spec)
+    draw = lambda: tuple(rng.randrange(field.char) for _ in range(field.degree))
+    pairs = [(draw(), draw()) for _ in range(2000)]
+    # and the sparse values where the product folds in few terms
+    pairs += [(field.gen.value, field.gen.value), (field.one.value, draw()),
+              ((field.gen ** (2 * field.degree - 2)).value, draw())]
+    _matches_reference(field, pairs)
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inv()
+
+
+def test_sqrt_over_equal_fields_rebuilt_agrees():
+    # F_{13^2}: q - 1 = 8 * 21, so Tonelli-Shanks needs a non-residue; the
+    # second, equal field reuses the first one's
+    roots = []
+    for _ in range(2):
+        F169 = parse_field_spec("Fq:13^2:2,0,1")
+        found = [a.sqrt() for a in F169.elements()]
+        for a, r in zip(F169.elements(), found):
+            if r is not None:
+                assert r * r == a and r.sort_key() <= (-r).sort_key()
+        roots.append([None if r is None else r.value for r in found])
+    assert roots[0] == roots[1]
+    assert sum(r is not None for r in roots[0]) == 1 + 84

@@ -1,0 +1,75 @@
+"""Check that two porism source trees give byte-identical benchmark outputs.
+
+    python3 tools/same_output.py --before DIR --after DIR --seeds 401,402
+
+Each DIR is the root of a porism source tree with its ``benchmark/``.  For
+every seed, the ``check``, ``structure`` and ``orbit-q`` rounds are built
+by that tree's ``benchmark/workloads.py`` and run once, in a subprocess per
+tree, through the same entry points the benchmark calls.  Every operation's
+exit code and output must match byte for byte.  The first differing
+operation is printed by its label; the exit code is 1 on any difference and
+0 when every output matches.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+WORKLOADS = ("check", "structure", "orbit-q")
+
+# Run inside a tree: one JSON list of [workload, seed, label, code, output]
+# per operation, on standard output.
+CHILD = """
+import json, sys, types
+sys.path[:0] = ["benchmark", "src"]
+import workloads
+import porism.cli, porism.projective
+prog = types.SimpleNamespace(cli=porism.cli, projective=porism.projective)
+rows = []
+for name in sys.argv[1].split(","):
+    build = workloads.WORKLOADS[name][0]
+    for seed in map(int, sys.argv[2].split(",")):
+        for op in build(seed):
+            code, out = workloads.execute(op, prog)
+            rows.append([name, seed, op.label, code, out])
+json.dump(rows, sys.stdout)
+"""
+
+
+def outputs(tree, seeds):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, ",".join(WORKLOADS),
+         ",".join(map(str, seeds))],
+        cwd=tree, env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", required=True)
+    parser.add_argument("--after", required=True)
+    parser.add_argument("--seeds", required=True,
+                        help="comma-separated benchmark seeds")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    before, after = outputs(args.before, seeds), outputs(args.after, seeds)
+    if len(before) != len(after):
+        print(f"operation counts differ: {len(before)} before, {len(after)} after")
+        return 1
+    for b, a in zip(before, after):
+        if b != a:
+            name, seed, label = b[:3]
+            print(f"first difference: {name} seed {seed} {label!r}")
+            print(f"  before: exit {b[3]}: {b[4][:300]!r}")
+            print(f"  after:  exit {a[3]}: {a[4][:300]!r}")
+            return 1
+    print(f"{len(after)} operations byte-identical "
+          f"({', '.join(WORKLOADS)}; seeds {args.seeds})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
