@@ -17,6 +17,7 @@ import json
 import random
 import sys
 import time
+from itertools import chain
 
 from . import char2, ecurve
 from .errors import DegenerateInputError, ExtensionOverflowError, \
@@ -299,11 +300,11 @@ def cmd_char2_strange_point(args):
 def _char2_conic_points(conic, limit):
     field = conic.field
     out = []
-    elems = list(field.elements())
-    candidates = [ProjPoint(field, [x, y, field.one])
-                  for x in elems for y in elems]
-    candidates += [ProjPoint(field, [x, field.one, field.zero]) for x in elems]
-    candidates.append(ProjPoint(field, [field.one, field.zero, field.zero]))
+    candidates = chain(
+        (ProjPoint(field, [x, y, field.one])
+         for x in field.elements() for y in field.elements()),
+        (ProjPoint(field, [x, field.one, field.zero]) for x in field.elements()),
+        [ProjPoint(field, [field.one, field.zero, field.zero])])
     for pt in candidates:
         if conic.contains(pt):
             out.append(pt)
@@ -313,9 +314,8 @@ def _char2_conic_points(conic, limit):
 
 
 def _random_smooth_conic(field, rng):
-    elems = list(field.elements())
     while True:
-        coeffs = [rng.choice(elems) for _ in range(6)]
+        coeffs = [field.element(rng.randrange(field.size)) for _ in range(6)]
         try:
             conic = Conic(field, coeffs)
         except ValueError:

@@ -3,8 +3,10 @@
 Supported fields:
 
 * ``PrimeField(p)``        -- F_p for an odd (or 2, for the appendix tools) prime p
-* ``ExtensionField(K, m)`` -- K[x]/(m) for a monic irreducible m over K, so
-  finite fields F_{p^k} and one-step towers above them
+* ``ExtensionField(K, m)`` -- K[x]/(m) for a monic irreducible m over a
+  finite K, so finite fields F_{p^k} and towers above them; two kernels
+  (``_prime_kernel`` over F_p, ``_tower_kernel`` over an extension) do the
+  arithmetic, and each modulus is checked with Rabin's test on that kernel
 * ``RationalField()``      -- the rationals, with exact Fraction coordinates
 * ``QuadRationalField(d)`` -- Q(sqrt d) for a non-square rational d
 
@@ -18,7 +20,6 @@ run reproducible.
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import isqrt
 
 from .errors import ExtensionOverflowError, FieldMismatchError
@@ -219,9 +220,15 @@ class Field:
     def sqrt(self, elem):
         raise NotImplementedError
 
+    def element(self, i):
+        """The i-th element of ``elements()``, for 0 <= i < size."""
+        raise NotImplementedError(f"{self} is not finite")
+
     def elements(self):
         """All elements in canonical (sort_key) order; finite fields only."""
-        raise NotImplementedError(f"{self} is not finite")
+        if self.size is None:
+            raise NotImplementedError(f"{self} is not finite")
+        return map(self.element, range(self.size))
 
     def __repr__(self):
         return self.spec_string()
@@ -266,9 +273,8 @@ class PrimeField(Field):
             return elem  # squaring is the identity on F_2
         return _finite_field_sqrt(self, elem)
 
-    def elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, v)
+    def element(self, i):
+        return FieldElement(self, i)
 
     def spec_string(self):
         return f"Fp:{self.p}"
@@ -383,16 +389,110 @@ def _prime_kernel(p, modulus):
     return add, neg, mul, inv
 
 
+def _tower_kernel(base, modulus):
+    """add, neg, mul and inv of K[x]/(modulus) for a finite base K that is
+    itself an extension, on tuples of K's raw values, with the modulus given
+    as raw values, low degree first.  They run on K's own raw arithmetic."""
+    badd, bneg, bmul, binv = base._add, base._neg, base._mul, base._inv
+    zero = base.zero.value
+    k = len(modulus) - 1
+    # rows[i] is x^(k+i) reduced modulo the modulus, for i = 0 .. k-2
+    rows = [tuple(bneg(c) for c in modulus[:k])]
+    for _ in range(k - 2):
+        *low, top = rows[-1]
+        rows.append(tuple(badd(x, bmul(top, r))
+                          for x, r in zip([zero, *low], rows[0])))
+
+    def add(a, b):
+        return tuple([badd(x, y) for x, y in zip(a, b)])
+
+    def neg(a):
+        return tuple([bneg(x) for x in a])
+
+    if k == 2:
+        (r0, r1), = rows
+
+        def mul(a, b):
+            # Karatsuba: five base products
+            (a0, a1), (b0, b1) = a, b
+            lo, hi = bmul(a0, b0), bmul(a1, b1)
+            mid = badd(bmul(badd(a0, a1), badd(b0, b1)), bneg(badd(lo, hi)))
+            return badd(lo, bmul(r0, hi)), badd(mid, bmul(r1, hi))
+
+        def inv(a):
+            # conj(a) / N(a): conj(a0 + a1 x) = (a0 + r1 a1) - a1 x
+            a0, a1 = a
+            u = badd(a0, bmul(r1, a1))
+            n = badd(bmul(a0, u), bneg(bmul(r0, bmul(a1, a1))))
+            if n == zero:
+                raise ZeroDivisionError("inverse of zero")
+            n = binv(n)
+            return bmul(u, n), bmul(bneg(a1), n)
+
+        return add, neg, mul, inv
+
+    def mul(a, b):
+        # schoolbook product; the high terms fold in through rows
+        prod = [zero] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                for j, y in enumerate(b, i):
+                    prod[j] = badd(prod[j], bmul(x, y))
+        out = prod[:k]
+        for c, row in zip(prod[k:], rows):
+            if c != zero:
+                for j, r in enumerate(row):
+                    out[j] = badd(out[j], bmul(c, r))
+        return tuple(out)
+
+    def submul(u, v, c, shift):
+        # u - c x^shift v, trimmed
+        out = u + [zero] * (shift + len(v) - len(u))
+        for i, x in enumerate(v, shift):
+            out[i] = badd(out[i], bneg(bmul(c, x)))
+        while out and out[-1] == zero:
+            out.pop()
+        return out
+
+    def inv(a):
+        # extended Euclid in K[x] against the modulus
+        r0, r1 = list(modulus), list(a)
+        while r1 and r1[-1] == zero:
+            r1.pop()
+        if not r1:
+            raise ZeroDivisionError("inverse of zero")
+        s0, s1 = [], [base.one.value]
+        while len(r1) > 1:
+            lead = binv(r1[-1])
+            while r0 and len(r0) >= len(r1):
+                c = bmul(r0[-1], lead)
+                shift = len(r0) - len(r1)
+                r0, s0 = submul(r0, r1, c, shift), submul(s0, s1, c, shift)
+            if not r0:
+                raise ZeroDivisionError("element shares a factor with the modulus")
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c = binv(r1[0])
+        return tuple([bmul(x, c) for x in s1] + [zero] * (k - len(s1)))
+
+    return add, neg, mul, inv
+
+
 class ExtensionField(Field):
-    """K[x]/(m) for a monic irreducible modulus m over a supported field K.
+    """K[x]/(m) for a monic irreducible modulus m over a finite field K.
 
     Values are tuples of base-field values, low degree first, padded to the
-    extension degree.  ``gen`` is the residue class of x.  Over a prime
-    field the arithmetic is ``_prime_kernel``'s, on tuples of ints; a tower
-    runs the methods below on its base's arithmetic.
+    extension degree.  ``gen`` is the residue class of x.  The arithmetic is
+    one of two kernels, bound at construction: ``_prime_kernel``'s, on
+    tuples of ints, over a prime field, and ``_tower_kernel``'s, on the
+    base's raw values, over an extension.  The modulus is then checked with
+    Rabin's test, which needs nothing but that arithmetic.  Q(sqrt d) is
+    ``QuadRationalField``; an infinite base is refused.
     """
 
     def __init__(self, base, modulus, check=True):
+        if base.size is None:
+            raise ValueError(f"extensions of the infinite field {base} are "
+                             "not supported")
         modulus = tuple(base(c) for c in modulus)
         if len(modulus) < 3 or modulus[-1] != base.one:
             raise ValueError("modulus must be monic of degree >= 2")
@@ -400,54 +500,26 @@ class ExtensionField(Field):
         self.degree = len(modulus) - 1
         self.modulus = modulus
         self.char = base.char
-        self.size = None if base.size is None else base.size ** self.degree
-        # raw-value reduction row: x^degree = sum _redux[j] * x^j
-        self._redux = tuple(base._neg(c.value) for c in modulus[:self.degree])
+        self.size = base.size ** self.degree
+        raw = [c.value for c in modulus]
+        self._add, self._neg, self._mul, self._inv = (
+            _prime_kernel(base.p, raw) if isinstance(base, PrimeField)
+            else _tower_kernel(base, raw))
         if check and not self._is_irreducible():
             raise ValueError("modulus is reducible over the base field")
-        if isinstance(base, PrimeField):
-            self._add, self._neg, self._mul, self._inv = _prime_kernel(
-                base.p, [c.value for c in modulus])
-        elif self.degree == 2:
-            self._ops = base._add, base._mul, base._neg, base._inv
-            self._mul, self._inv = self._mul2, self._inv2
 
     def _is_irreducible(self):
-        # Brute force: a reducible modulus has a monic factor of degree
-        # <= degree/2.  Fine at desk scale; internal constructions skip it.
-        if self.base.size is None:
-            # Rational base: only quadratic moduli are used; irreducible iff
-            # the discriminant has no square root in the base field.
-            if self.degree != 2:
-                return True
-            c, b, _ = self.modulus
-            disc = b * b - 4 * c
-            return disc.sqrt() is None
-        if self.base.size ** (self.degree // 2) > 100000:
-            return True
-        for deg in range(1, self.degree // 2 + 1):
-            for tail in product(list(self.base.elements()), repeat=deg):
-                divisor = list(tail) + [self.base.one]
-                if not self._poly_rem(self.modulus, divisor):
-                    return False
+        # Rabin: a reducible modulus has an irreducible factor of degree
+        # d <= degree/2, and then shares it with x^(q^d) - x, q the base's
+        # size, which makes that residue a non-unit.
+        x = y = self.gen
+        for _ in range(self.degree // 2):
+            y = y ** self.base.size
+            try:
+                (y - x).inv()
+            except ZeroDivisionError:
+                return False
         return True
-
-    @staticmethod
-    def _poly_rem(num, den):
-        num = list(num)
-        while num and num[-1].is_zero():
-            num.pop()
-        dd = len(den) - 1
-        inv_lead = den[-1].inv()
-        while len(num) - 1 >= dd:
-            q = num[-1] * inv_lead
-            shift = len(num) - 1 - dd
-            for i, dc in enumerate(den):
-                num[shift + i] = num[shift + i] - q * dc
-            num.pop()
-            while num and num[-1].is_zero():
-                num.pop()
-        return num
 
     @property
     def gen(self):
@@ -474,95 +546,6 @@ class ExtensionField(Field):
     def contains(self, other):
         return self == other or self.base.contains(other)
 
-    def _lift(self, vec):
-        return [FieldElement(self.base, v) for v in vec]
-
-    def _add(self, a, b):
-        return tuple(self.base._add(x, y) for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple(self.base._neg(x) for x in a)
-
-    def _mul(self, a, b):
-        # schoolbook product on raw base values (canonical, so == is exact)
-        k = self.degree
-        base = self.base
-        badd, bmul = base._add, base._mul
-        zero = base.zero.value
-        prod = [zero] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = badd(prod[i + j], bmul(x, y))
-        red = self._redux
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c == zero:
-                continue
-            for j in range(k):
-                prod[i - k + j] = badd(prod[i - k + j], bmul(c, red[j]))
-        return tuple(prod[:k])
-
-    def _inv(self, a):
-        # extended Euclid in K[x] against the modulus
-        zero = self.base.zero
-
-        def trim(p):
-            while p and p[-1].is_zero():
-                p.pop()
-            return p
-
-        def submul(p, q, c, shift):
-            # p - c * x^shift * q, in place on a copy of p
-            out = list(p) + [zero] * max(0, shift + len(q) - len(p))
-            for i, qc in enumerate(q):
-                out[shift + i] = out[shift + i] - c * qc
-            return trim(out)
-
-        r0, s0 = trim(list(self.modulus)), []
-        r1, s1 = trim(self._lift(a)), [self.base.one]
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        while len(r1) > 1:
-            while len(r0) >= len(r1):
-                c = r0[-1] * r1[-1].inv()
-                shift = len(r0) - len(r1)
-                r0 = submul(r0, r1, c, shift)
-                s0 = submul(s0, s1, c, shift)
-                if not r0:
-                    break
-            if not r0:
-                raise ZeroDivisionError("element shares a factor with the modulus")
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        lead = r1[0].inv()
-        return self._canon([c * lead for c in s1])
-
-    # Degree 2 over a base that is not a prime field, with x^2 = r0 + r1 x:
-    # the Karatsuba product (five base products) and the inverse
-    # conj(a) / N(a), where conj(a0 + a1 x) = (a0 + r1 a1) - a1 x and
-    # N(a) = a0 (a0 + r1 a1) - r0 a1^2.  ``_ops`` holds the base's raw
-    # add, mul, neg and inv.
-
-    def _mul2(self, a, b):
-        add, mul, neg, _ = self._ops
-        (a0, a1), (b0, b1) = a, b
-        r0, r1 = self._redux
-        lo, hi = mul(a0, b0), mul(a1, b1)
-        mid = add(mul(add(a0, a1), add(b0, b1)), neg(add(lo, hi)))
-        return add(lo, mul(r0, hi)), add(mid, mul(r1, hi))
-
-    def _inv2(self, a):
-        add, mul, neg, inv = self._ops
-        r0, r1 = self._redux
-        a0, a1 = a
-        u = add(a0, mul(r1, a1))
-        n = add(mul(a0, u), neg(mul(r0, mul(a1, a1))))
-        if n == self.base.zero.value:
-            raise ZeroDivisionError("inverse of zero")
-        n = inv(n)
-        return mul(u, n), mul(neg(a1), n)
-
     def _sort_key(self, a):
         return tuple(self.base._sort_key(v) for v in a)
 
@@ -575,11 +558,14 @@ class ExtensionField(Field):
             return elem ** (self.size // 2)
         return _finite_field_sqrt(self, elem)
 
-    def elements(self):
-        base_elems = sorted(self.base.elements(), key=lambda e: e.sort_key())
-        for vec in product(base_elems, repeat=self.degree):
-            # leftmost slowest => lexicographic on low-to-high coefficients
-            yield FieldElement(self, tuple(v.value for v in vec))
+    def element(self, i):
+        # base-q digits of i, most significant first: lexicographic order
+        # on the low-to-high coefficients
+        digits = []
+        for _ in range(self.degree):
+            i, d = divmod(i, self.base.size)
+            digits.append(self.base.element(d).value)
+        return FieldElement(self, tuple(reversed(digits)))
 
     def spec_string(self):
         mod = ",".join(self.base._render(c.value) for c in self.modulus)
@@ -794,17 +780,16 @@ def binary_field(k):
     """GF(2^k) with a deterministic modulus: the lexicographically smallest
     irreducible monic binary polynomial of degree k (low coefficients first)."""
     base = PrimeField(2)
+    if not 1 <= k <= 20:
+        raise ValueError(f"binary field degree {k} is not between 1 and 20")
     if k == 1:
         return base
-    if k > 20:
-        raise ValueError("binary field degree too large")
     for mask in range(1, 2 ** k, 2):  # constant term 1, else x divides
         coeffs = [(mask >> i) & 1 for i in range(k)] + [1]
         try:
             return ExtensionField(base, coeffs)
         except ValueError:
             continue
-    raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 def parse_field_spec(s):

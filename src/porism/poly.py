@@ -253,8 +253,7 @@ def _polypow_mod(base, n, mod):
 
 
 def _random_poly(field, max_degree, rng):
-    elems = list(field.elements())
-    return Polynomial(field, [rng.choice(elems)
+    return Polynomial(field, [field.element(rng.randrange(field.size))
                               for _ in range(rng.randrange(1, max_degree + 1) + 1)])
 
 

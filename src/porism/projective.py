@@ -377,9 +377,9 @@ def find_point(conic, seed=0, hint=None):
             return ProjPoint(field, coords)
     if field.size is not None:
         rng = random.Random(seed)
-        elems = list(field.elements())
         while True:
-            y, z = rng.choice(elems), rng.choice(elems)
+            y = field.element(rng.randrange(field.size))
+            z = field.element(rng.randrange(field.size))
             if y.is_zero() and z.is_zero():
                 continue
             p = _solve_on_line(conic, y, z)

@@ -211,3 +211,24 @@ def test_successive_calls_match_fresh_processes(tmp_path, capsys):
         fresh = subprocess.run([sys.executable, "-m", "porism.cli", *argv],
                                env=env, capture_output=True, text=True)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_bad_binary_field_degree_exits_one(tmp_path, capsys):
+    for k in ("0", "-1"):
+        pair = {name: {"field": f"F2k:{k}", "coeffs": ["1", "1", "1", "0", "0", "0"]}
+                for name in ("outer", "inner")}
+        path = write_json(tmp_path, "pair.json", pair)
+        code, _, err = run_cli(capsys, "classify", path)
+        assert code == 1
+        assert "between 1 and 20" in json.loads(err)["error"]
+
+
+def test_char2_strange_point_stops_at_its_limit(tmp_path, capsys):
+    # 2^20 candidate points [x:y:1]; the first ten on the conic come early
+    obj = {"field": "F2k:10", "coeffs": ["0", "0", "1", "1", "0", "0"]}
+    path = write_json(tmp_path, "conic.json", obj)
+    code, out, _ = run_cli(capsys, "char2-strange-point", path, "--json")
+    assert code == 0
+    transcript = json.loads(out)["transcript"]
+    assert len(transcript) == 10
+    assert all(t["through_strange_point"] for t in transcript)

@@ -1,13 +1,17 @@
+import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from porism import char2, projective
 from porism.errors import ExtensionOverflowError, FieldMismatchError
 from porism.fields import (ExtensionField, PrimeField, QuadRationalField,
                            RationalField, binary_field,
                            lift_to_quadratic_extension, parse_element,
                            parse_field_spec)
+from porism.poly import Polynomial, factor
 
 
 def test_prime_field_basic_arithmetic(F13):
@@ -184,15 +188,25 @@ def test_canonical_hash_equality(F7):
 
 
 def _matches_reference(field, pairs):
-    # ExtensionField._add / _neg / _mul / _inv are the coefficient-wise
-    # sum and negation, the schoolbook product and extended Euclid, all over
-    # the base field's own arithmetic; the field binds faster forms of them.
+    # The reference is the package's one polynomial implementation: the
+    # coefficient-wise sum and negation of poly.Polynomial and its product
+    # reduced modulo the modulus, all over the base field's arithmetic.  An
+    # inverse in a field is unique, so its defining law pins it.
+    base = field.base
+    modulus = Polynomial(base, field.modulus)
+    zero, one = base.zero.value, field.one.value
+
+    def values(poly):
+        vals = [c.value for c in poly.coeffs]
+        return tuple(vals + [zero] * (field.degree - len(vals)))
+
     for a, b in pairs:
-        assert field._add(a, b) == ExtensionField._add(field, a, b)
-        assert field._neg(a) == ExtensionField._neg(field, a)
-        assert field._mul(a, b) == ExtensionField._mul(field, a, b)
+        pa, pb = Polynomial(base, a), Polynomial(base, b)
+        assert field._add(a, b) == values(pa + pb)
+        assert field._neg(a) == values(-pa)
+        assert field._mul(a, b) == values(pa * pb % modulus)
         if a != field.zero.value:
-            assert field._inv(a) == ExtensionField._inv(field, a)
+            assert field._mul(a, field._inv(a)) == one
 
 
 def test_degree2_mul_inv_match_schoolbook_and_euclid_f25():
@@ -262,3 +276,104 @@ def test_sqrt_over_equal_fields_rebuilt_agrees():
         roots.append([None if r is None else r.value for r in found])
     assert roots[0] == roots[1]
     assert sum(r is not None for r in roots[0]) == 1 + 84
+
+
+def _irreducible(base, degree):
+    """The first monic irreducible x^degree + x^(degree-1) + c over base, by
+    factor."""
+    for c in base.elements():
+        f = Polynomial(base, [c] + [0] * (degree - 2) + [1, 1])
+        if [g.degree for g, _ in factor(f)] == [degree]:
+            return f
+
+
+# Towers run on _tower_kernel: the Karatsuba product and conj/norm inverse in
+# degree 2, a folded schoolbook product and Euclid on raw values above.
+@pytest.mark.parametrize("degree", [3, 4])
+def test_tower_kernel_matches_reference_over_f27(degree):
+    F27 = parse_field_spec("Fq:3^3:1,2,0,1")
+    tower = ExtensionField(F27, _irreducible(F27, degree).coeffs)
+    rng = random.Random(degree)
+    draw = lambda: tower.element(rng.randrange(tower.size)).value
+    pairs = [(draw(), draw()) for _ in range(300)]
+    pairs += [(tower.gen.value, tower.gen.value),
+              ((tower.gen ** (2 * degree - 2)).value, draw())]
+    _matches_reference(tower, pairs)
+    with pytest.raises(ZeroDivisionError):
+        tower.zero.inv()
+
+
+def test_artin_schreier_tower_matches_reference_on_every_pair():
+    F8 = parse_field_spec("F2k:3")
+    # z^2 + z = c has no root in F8 for c of trace 1; the tower adjoins one
+    tower = next(field for field in (char2.solve_artin_schreier(c)[1]
+                                     for c in F8.elements()) if field != F8)
+    assert tower.size == 64
+    elems = [e.value for e in tower.elements()]
+    _matches_reference(tower, [(a, b) for a in elems for b in elems])
+    with pytest.raises(ZeroDivisionError):
+        tower.zero.inv()
+
+
+def _has_factor(base, modulus):
+    """Brute force: some monic divisor of degree <= degree/2 divides."""
+    f = Polynomial(base, modulus)
+    for d in range(1, f.degree // 2 + 1):
+        for tail in product(list(base.elements()), repeat=d):
+            if (f % Polynomial(base, list(tail) + [1])).is_zero():
+                return True
+    return False
+
+
+@pytest.mark.parametrize("spec,degrees", [("Fp:2", (2, 3, 4)), ("Fp:3", (2, 3, 4)),
+                                          ("Fp:5", (2, 3)), ("F2k:2", (2,))])
+def test_rabin_matches_brute_force_on_every_monic_modulus(spec, degrees):
+    base = parse_field_spec(spec)
+    for degree in degrees:
+        for tail in product(list(base.elements()), repeat=degree):
+            modulus = list(tail) + [base.one]
+            field = ExtensionField(base, modulus, check=False)
+            assert field._is_irreducible() != _has_factor(base, modulus), modulus
+
+
+def test_reducible_modulus_above_old_scan_cap_is_rejected(tmp_path, capsys):
+    from porism.cli import main
+    with pytest.raises(ValueError):
+        parse_field_spec("Fq:100003^2:0,0,1")  # x^2 = x * x
+    pair = {name: {"field": "Fq:100003^2:0,0,1",
+                   "coeffs": ["1", "1", "1", "0", "0", "0"]}
+            for name in ("outer", "inner")}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    assert main(["classify", str(path)]) == 1
+    assert "reducible" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_extension_of_an_infinite_field_is_refused(Q):
+    with pytest.raises(ValueError):
+        ExtensionField(Q, [-2, 0, 1])
+
+
+@pytest.mark.parametrize("spec", ["Fp:13", "Fq:3^3:1,2,0,1", "F2k:4", "tower"])
+def test_element_i_is_the_ith_element(spec):
+    if spec == "tower":
+        F27 = parse_field_spec("Fq:3^3:1,2,0,1")
+        field = ExtensionField(F27, _irreducible(F27, 2).coeffs)
+    else:
+        field = parse_field_spec(spec)
+    elems = list(field.elements())
+    assert elems == [field.element(i) for i in range(field.size)]
+    # distinct and strictly increasing: exactly the field in sort_key order
+    keys = [e.sort_key() for e in elems]
+    assert len(keys) == field.size and keys == sorted(set(keys))
+
+
+def test_find_point_draws_without_listing_the_field(monkeypatch):
+    F = parse_field_spec("Fp:1000003")
+
+    def refuse(self):
+        raise AssertionError("the field was listed")
+
+    monkeypatch.setattr(PrimeField, "elements", refuse)
+    conic = projective.Conic(F, [1, 1, 3, 0, 0, 0])  # x^2 + y^2 + 3z^2
+    assert conic.contains(projective.find_point(conic))
