@@ -17,12 +17,13 @@ import json
 import random
 import sys
 import time
-from itertools import chain
+from itertools import chain, islice
 
 from . import char2, ecurve
 from .errors import DegenerateInputError, ExtensionOverflowError, \
     FieldMismatchError, NeedsHintError, NotOnConicError
 from .fields import parse_element, parse_field_spec
+from .poly import Polynomial, factor
 from .process import PonceletConfig, porism_check, run, sample_starts
 from .projective import Conic, ProjPoint, normalize_tangent_pair, tangency_data
 from .svgfig import render_process
@@ -99,8 +100,8 @@ def _emit(args, data, human_lines):
         sys.stdout.write(text)
 
 
-def _normal_form(outer, inner, seed):
-    c_l, d_l, pts, _ = tangency_data(outer, inner, seed)
+def _normal_form(outer, inner, seed, points=None):
+    c_l, d_l, pts, _ = tangency_data(outer, inner, seed, points)
     if not pts:
         raise CliError("conics are nowhere tangent; nothing to normalize")
     return normalize_tangent_pair(c_l, d_l, pts[0])
@@ -113,7 +114,7 @@ def _classify_payload(outer, inner, seed):
         "tangency_points": [point_json(p) for p in cfg.tangencies],
     }
     if cfg.intersection_type[0] >= 2:
-        nf = _normal_form(outer, inner, seed)
+        nf = _normal_form(outer, inner, seed, cfg.tangencies)
         data["normal_form"] = {"t": str(nf.t), "a": str(nf.a),
                                "b": str(nf.b), "delta": str(nf.delta)}
     return cfg, data
@@ -298,19 +299,30 @@ def cmd_char2_strange_point(args):
 
 
 def _char2_conic_points(conic, limit):
+    """The first ``limit`` points of the conic in the order [x:y:1] (x, then
+    y, in element order), [x:1:0], [1:0:0]: on each line the points are the
+    roots of a quadratic, solved rather than searched for."""
     field = conic.field
-    out = []
+    one, zero = field.one, field.zero
+    a00, a11, a22, a01, a02, a12 = conic.coeffs
     candidates = chain(
-        (ProjPoint(field, [x, y, field.one])
-         for x in field.elements() for y in field.elements()),
-        (ProjPoint(field, [x, field.one, field.zero]) for x in field.elements()),
-        [ProjPoint(field, [field.one, field.zero, field.zero])])
-    for pt in candidates:
-        if conic.contains(pt):
-            out.append(pt)
-            if len(out) == limit:
-                break
-    return out
+        (ProjPoint(field, [x, y, one]) for x in field.elements()
+         for y in _roots(field, a11, a01 * x + a12, a00 * x * x + a02 * x + a22)),
+        (ProjPoint(field, [x, one, zero])
+         for x in _roots(field, a00, a01, a11)),
+        [ProjPoint(field, [one, zero, zero])] if a00.is_zero() else [])
+    return list(islice(candidates, limit))
+
+
+def _roots(field, a, b, c):
+    """The roots of a t^2 + b t + c in the field, in element order; every
+    element when the form is zero."""
+    if a.is_zero():
+        if not b.is_zero():
+            return [-c / b]
+        return field.elements() if c.is_zero() else []
+    return sorted((-g[0] for g, _ in factor(Polynomial(field, [c, b, a]))
+                   if g.degree == 1), key=lambda r: r.sort_key())
 
 
 def _random_smooth_conic(field, rng):

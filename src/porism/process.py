@@ -5,9 +5,10 @@ the tangent of D at d.  One step takes the second intersection of the
 current tangent line with C, then the second contact point of D seen from
 the new c -- both by Vieta, so after the (possibly lifting) initial branch
 choice everything stays in one field.  The step map is invertible, so orbit
-closure is detected by first return to the initial state.  ``run`` iterates
-the step on raw field values; the geometric ``step`` and ``step_inverse``
-are its reference.
+closure is detected by first return to the initial state.  ``start`` solves
+for the initial contact point and ``run`` iterates the step, both on raw
+field values; ``polar``/``intersect_line_conic`` and the geometric ``step``
+and ``step_inverse`` are their reference.
 """
 
 import random
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import DegenerateInputError, NotOnConicError
 from .fields import FieldElement
-from .projective import (P1Point, ProjPoint, intersect_line_conic,
-                         multiplicity_structure, other_intersection, parametrize,
-                         polar, tangent_at, tangency_points, find_point)
+from .poly import binary_form_roots
+from .projective import (P1Point, ProjPoint, _type_and_tangencies,
+                         other_intersection, parametrize, polar, tangent_at,
+                         find_point)
 
 DEFAULT_MAX_STEPS_CHAR0 = 10000
 
@@ -35,8 +37,8 @@ class PonceletConfig:
         self.outer = outer
         self.inner = inner
         self.field = outer.field
-        self.intersection_type = multiplicity_structure(outer, inner, seed)
-        self.tangencies = tangency_points(outer, inner, seed)
+        self.intersection_type, self.tangencies = _type_and_tangencies(
+            outer, inner, seed)
 
     def in_field_tangencies(self):
         return [p for p in self.tangencies if p.field == self.field]
@@ -81,25 +83,88 @@ def start(cfg, c1, branch="min"):
     inner conic.  If the two candidates are conjugate over the working field
     the whole configuration is lifted one quadratic step first.
 
+    The candidates are the roots of one binary quadratic, F restricted to
+    the polar of c1, solved on raw field values; ``polar`` and
+    ``intersect_line_conic`` are the reference this reproduces.
+
     Returns (possibly lifted config, state, lifted flag).
     """
     if branch not in ("min", "max"):
         raise ValueError("branch must be 'min' or 'max'")
     if not cfg.outer.contains(c1):
         raise NotOnConicError("initial point must lie on the outer conic")
-    pol = polar(cfg.inner, c1)
-    candidates = intersect_line_conic(cfg.inner, pol)
-    lifted = False
-    ext = next((p.field for p, _ in candidates if p.field != cfg.field), None)
-    if ext is not None:
+    field = cfg.field
+    add, mul = field._add, field._mul
+    grad, value = _forms(cfg.inner)
+    # the polar of c1 is its gradient line; span it as ProjLine.span does
+    line = _canonical(field, grad(tuple(v.value for v in c1.coords)))
+    p0, p1 = _span(field, line)
+    g = grad(p0)
+    beta = add(add(mul(g[0], p1[0]), mul(g[1], p1[1])), mul(g[2], p1[2]))
+    # F(t p0 + p1) = alpha t^2 + beta t + gamma; a drop in degree is p0
+    roots = binary_form_roots(field, [FieldElement(field, v) for v in
+                                      (value(p1), beta, value(p0))], 2)
+    ext = roots.entries[0][0].field if roots.entries else field
+    lifted = ext != field
+    if lifted:
+        # conjugate roots: both candidates already lie in ext
+        p0, p1 = (tuple(ext(FieldElement(field, v)).value for v in p)
+                  for p in (p0, p1))
         cfg = cfg.lift(ext)
         c1 = c1.lift(ext)
-        lifted = True
-        candidates = intersect_line_conic(cfg.inner, polar(cfg.inner, c1))
-        assert all(p.field == ext for p, _ in candidates)
-    pts = sorted((p for p, _ in candidates), key=lambda p: p.sort_key())
+    add, mul = ext._add, ext._mul
+    pts = [_canonical(ext, tuple(add(mul(t.value, a), b)
+                                 for a, b in zip(p0, p1)))
+           for t, _ in roots.entries]
+    if roots.at_infinity:
+        pts.append(p0)
+    pts.sort(key=lambda p: tuple(map(ext._sort_key, p)))
     d1 = pts[0] if branch == "min" else pts[-1]
-    return cfg, PonceletState(c1, d1, 1), lifted
+    return cfg, PonceletState(c1, _point(ext, d1), 1), lifted
+
+
+def _forms(conic):
+    """The gradient and the value of the conic's form on points given as
+    tuples of raw field values."""
+    field = conic.field
+    add, mul = field._add, field._mul
+    a00, a11, a22, a01, a02, a12 = (c.value for c in conic.coeffs)
+    b00, b11, b22 = add(a00, a00), add(a11, a11), add(a22, a22)
+
+    def grad(p):
+        x, y, z = p
+        return (add(add(mul(b00, x), mul(a01, y)), mul(a02, z)),
+                add(add(mul(a01, x), mul(b11, y)), mul(a12, z)),
+                add(add(mul(a02, x), mul(a12, y)), mul(b22, z)))
+
+    def value(p):
+        x, y, z = p
+        return add(add(mul(x, add(add(mul(a00, x), mul(a01, y)), mul(a02, z))),
+                       mul(y, add(mul(a11, y), mul(a12, z)))),
+                   mul(z, mul(a22, z)))
+    return grad, value
+
+
+def _canonical(field, raw):
+    """Raw homogeneous coordinates scaled to first nonzero entry one."""
+    zero = field.zero.value
+    pivot = next(v for v in raw if v != zero)
+    if pivot == field.one.value:
+        return raw
+    s = field._inv(pivot)
+    return tuple(field._mul(v, s) for v in raw)
+
+
+def _span(field, line):
+    """The two points ``ProjLine.span`` picks on a canonical line, raw: the
+    first two distinct nonzero crosses with e_0, e_1, e_2, canonicalized."""
+    zero, neg = field.zero.value, field._neg
+    l0, l1, l2 = line
+    pts = []
+    for v in ((zero, l2, neg(l1)), (neg(l2), zero, l0), (l1, neg(l0), zero)):
+        if v != (zero, zero, zero) and (p := _canonical(field, v)) not in pts:
+            pts.append(p)
+    return pts[:2]
 
 
 def is_tangency_state(cfg, state):
@@ -165,23 +230,6 @@ def _orbit(cfg, initial, max_steps, keep):
     def dot(u, v):
         return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
 
-    def forms(conic):
-        a00, a11, a22, a01, a02, a12 = (c.value for c in conic.coeffs)
-        b00, b11, b22 = add(a00, a00), add(a11, a11), add(a22, a22)
-
-        def grad(p):
-            x, y, z = p
-            return (add(add(mul(b00, x), mul(a01, y)), mul(a02, z)),
-                    add(add(mul(a01, x), mul(b11, y)), mul(a12, z)),
-                    add(add(mul(a02, x), mul(a12, y)), mul(b22, z)))
-
-        def value(p):
-            x, y, z = p
-            return add(add(mul(x, add(add(mul(a00, x), mul(a01, y)), mul(a02, z))),
-                           mul(y, add(mul(a11, y), mul(a12, z)))),
-                       mul(z, mul(a22, z)))
-        return grad, value
-
     def other(value, g, line, p):
         # Second point of line /\ conic through the canonical point p, with
         # g = grad(p): Vieta on p and o = line x e_k, where p_k = 1.
@@ -209,8 +257,8 @@ def _orbit(cfg, initial, max_steps, keep):
             return zero, one, mul(z, inv(y))
         return zero, zero, one
 
-    grad_c, value_c = forms(cfg.outer)
-    grad_d, value_d = forms(cfg.inner)
+    grad_c, value_c = _forms(cfg.outer)
+    grad_d, value_d = _forms(cfg.inner)
     c0 = c = tuple(v.value for v in initial.c.coords)
     d0 = d = tuple(v.value for v in initial.d.coords)
     tangent = grad_d(d)
@@ -243,12 +291,16 @@ def sample_starts(cfg, num_starts, seed):
     excluded = set()
     for p in cfg.in_field_tangencies():
         excluded.add(par.param_of(p))
-    params = [P1Point.infinity(cfg.field)]
-    if cfg.field.size is not None:
-        pool = [P1Point.affine(e) for e in cfg.field.elements()]
-        params.extend(pool)
-        rng.shuffle(params)
+    field = cfg.field
+    if field.size is not None:
+        # the shuffle of [infinity, affine(element(0)), ...] moves indices,
+        # so shuffle the indices and build only the points it reaches
+        order = list(range(field.size + 1))
+        rng.shuffle(order)
+        params = (P1Point.affine(field.element(i - 1)) if i
+                  else P1Point.infinity(field) for i in order)
     else:
+        params = [P1Point.infinity(field)]
         from fractions import Fraction
         seen = set()
         while len(seen) < 4 * num_starts + 8:

@@ -16,7 +16,8 @@ import random
 
 from .errors import DegenerateInputError, FieldMismatchError, NeedsHintError, NotOnConicError
 from .fields import FieldElement, RationalField, QuadRationalField
-from .poly import Polynomial, binary_form_roots, squarefree_decomposition
+from .poly import (Polynomial, binary_form_roots, roots_in_closure,
+                   squarefree_decomposition)
 
 
 def _canon_coords(field, coords):
@@ -598,23 +599,28 @@ def intersect_conics(c, d, seed=0):
 
 
 def _pullback(c, d, seed):
+    """One pullback of c along a parametrization of d: the parametrization,
+    the quartic's multiplicity at infinity and its squarefree
+    decomposition."""
+    _check_pair(c, d)
     par = parametrize(d, find_point(d, seed))
-    return par, Polynomial(c.field, pullback_quartic(c, par))
+    f = Polynomial(c.field, pullback_quartic(c, par))
+    return par, 4 - f.degree, squarefree_decomposition(f)
+
+
+def _multiplicities(at_inf, parts):
+    mults = [at_inf] if at_inf else []
+    for part, m in parts:
+        mults.extend([m] * part.degree)
+    return tuple(sorted(mults, reverse=True))
 
 
 def multiplicity_structure(c, d, seed=0):
     """The sorted multiset of intersection multiplicities, computed from the
     squarefree structure of the pullback quartic -- no root finding, so it
     works over Q even when the points are far outside the tower."""
-    _check_pair(c, d)
-    _, f = _pullback(c, d, seed)
-    mults = []
-    at_inf = 4 - f.degree
-    if at_inf:
-        mults.append(at_inf)
-    for part, m in squarefree_decomposition(f):
-        mults.extend([m] * part.degree)
-    return tuple(sorted(mults, reverse=True))
+    _, at_inf, parts = _pullback(c, d, seed)
+    return _multiplicities(at_inf, parts)
 
 
 def tangency_points(c, d, seed=0):
@@ -623,18 +629,22 @@ def tangency_points(c, d, seed=0):
 
     Only the repeated part of the pullback quartic is solved, so this works
     over Q even when the simple intersection points do not."""
-    _check_pair(c, d)
-    par, f = _pullback(c, d, seed)
+    return _type_and_tangencies(c, d, seed)[1]
+
+
+def _type_and_tangencies(c, d, seed):
+    """``multiplicity_structure`` and ``tangency_points`` of the pair from
+    one pullback."""
+    par, at_inf, parts = _pullback(c, d, seed)
     pts = []
-    if 4 - f.degree >= 2:
+    if at_inf >= 2:
         pts.append(par.point_at(P1Point.infinity(c.field)))
-    for part, m in squarefree_decomposition(f):
+    for part, m in parts:
         if m < 2:
             continue
-        from .poly import roots_in_closure
         for t, _ in roots_in_closure(part, max_total_extension_degree=2).entries:
             pts.append(par.point_at(P1Point.affine(t)))
-    return pts
+    return _multiplicities(at_inf, parts), pts
 
 
 class NormalizedPair:
@@ -740,10 +750,12 @@ def classify(c, d, seed=0):
     return mults
 
 
-def tangency_data(c, d, seed=0):
+def tangency_data(c, d, seed=0, points=None):
     """Tangency points together with the (possibly lifted) conics that see
-    them: returns (c, d, points, lifted) in the smallest usable field."""
-    pts = tangency_points(c, d, seed)
+    them: returns (c, d, points, lifted) in the smallest usable field.
+    ``points``, when given, are the pair's ``tangency_points`` (as
+    ``PonceletConfig.tangencies`` holds them) and are not solved again."""
+    pts = tangency_points(c, d, seed) if points is None else points
     if not pts:
         return c, d, [], False
     big = max((p.field for p in pts), key=lambda f: 0 if f == c.field else 1)

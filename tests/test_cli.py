@@ -232,3 +232,54 @@ def test_char2_strange_point_stops_at_its_limit(tmp_path, capsys):
     transcript = json.loads(out)["transcript"]
     assert len(transcript) == 10
     assert all(t["through_strange_point"] for t in transcript)
+
+
+def char2_points_by_enumeration(conic, limit):
+    """Every candidate [x:y:1], [x:1:0], [1:0:0] in order, tested on the conic."""
+    from itertools import chain, islice
+    from porism.projective import ProjPoint
+    field = conic.field
+    one, zero = field.one, field.zero
+    candidates = chain(
+        (ProjPoint(field, [x, y, one])
+         for x in field.elements() for y in field.elements()),
+        (ProjPoint(field, [x, one, zero]) for x in field.elements()),
+        [ProjPoint(field, [one, zero, zero])])
+    return list(islice((p for p in candidates if conic.contains(p)), limit))
+
+
+def test_char2_points_match_the_enumeration():
+    import random
+    from porism.cli import _char2_conic_points, point_json
+    from porism.fields import parse_field_spec
+    rng = random.Random(6)
+    for k in (3, 4, 5, 6):
+        field = parse_field_spec(f"F2k:{k}")
+        conics = [[0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0],
+                  [0, 1, 0, 0, 1, 0], [1, 1, 1, 1, 1, 1]]
+        for _ in range(6):
+            coeffs = [field.element(rng.randrange(field.size)) for _ in range(6)]
+            if rng.random() < 0.5:
+                coeffs[1] = field.zero    # a11 = 0: linear in y
+            conics.append(coeffs)
+        for coeffs in conics:
+            try:
+                conic = Conic(field, coeffs)
+            except ValueError:
+                continue
+            # every point of the conic on the smaller fields
+            for limit in (10, 2 * field.size + 3)[:1 if k > 4 else 2]:
+                got = [point_json(p) for p in _char2_conic_points(conic, limit)]
+                want = [point_json(p)
+                        for p in char2_points_by_enumeration(conic, limit)]
+                assert json.dumps(got) == json.dumps(want)
+
+
+def test_char2_strange_point_over_f2_20(tmp_path, capsys):
+    obj = {"field": "F2k:20", "coeffs": ["0", "0", "1", "1", "0", "0"]}
+    path = write_json(tmp_path, "conic.json", obj)
+    code, out, _ = run_cli(capsys, "char2-strange-point", path, "--json")
+    assert code == 0
+    transcript = json.loads(out)["transcript"]
+    assert len(transcript) == 10
+    assert all(t["through_strange_point"] for t in transcript)

@@ -4,13 +4,16 @@ from math import isqrt
 
 import pytest
 
-from porism.errors import NotOnConicError
+from porism.errors import ExtensionOverflowError, NotOnConicError
 from porism.fields import (PrimeField, QuadRationalField, RationalField,
                            parse_field_spec)
-from porism.process import (PonceletConfig, ProcessResult, is_tangency_state,
-                            porism_check, run, sample_starts, start, step,
-                            step_inverse)
-from porism.projective import Conic, ProjPoint, normal_form_conic
+from porism.process import (PonceletConfig, PonceletState, ProcessResult,
+                            is_tangency_state, porism_check, run, sample_starts,
+                            start, step, step_inverse)
+from porism.projective import (Conic, P1Point, ProjPoint, find_point,
+                               intersect_line_conic, multiplicity_structure,
+                               normal_form_conic, parametrize, polar,
+                               tangency_points)
 
 from conftest import random_smooth_pair
 
@@ -224,16 +227,8 @@ def test_extension_field_periods_fit_the_hasse_weil_bound(spec):
     bound = field.size + 1 + isqrt(4 * field.size)
     rng = random.Random(17)
     configs = [PonceletConfig(*random_smooth_pair(field, rng)) for _ in range(10)]
-    elems = list(field.elements())
-    tangent = {}
-    while len(tangent) < 4:  # one pair each of (2,1,1), (2,2), (3,1), (4)
-        try:
-            cfg = make_config(field, *(rng.choice(elems) for _ in range(3)))
-        except ValueError:
-            continue
-        tangent.setdefault(cfg.intersection_type, cfg)
     longest = {}
-    for cfg in configs + list(tangent.values()):
+    for cfg in configs + tangent_configs(field, rng):
         for c1 in sample_starts(cfg, 2, rng.randrange(100)):
             res = run(cfg, c1, max_steps=10 * field.size, keep_orbit=0)
             assert res.outcome == "closed" and res.period <= bound
@@ -242,3 +237,195 @@ def test_extension_field_periods_fit_the_hasse_weil_bound(spec):
     assert len(longest) == 5
     # pairs drawn from all elements, not from F_p only
     assert longest[(1, 1, 1, 1)] > 2 * field.char
+
+
+def start_reference(cfg, c1, branch="min"):
+    """The geometric start: the polar of c1 cut with the inner conic, and
+    over the lifted field again when the contact points are conjugate."""
+    candidates = intersect_line_conic(cfg.inner, polar(cfg.inner, c1))
+    lifted = False
+    ext = next((p.field for p, _ in candidates if p.field != cfg.field), None)
+    if ext is not None:
+        cfg, c1, lifted = cfg.lift(ext), c1.lift(ext), True
+        candidates = intersect_line_conic(cfg.inner, polar(cfg.inner, c1))
+        assert all(p.field == ext for p, _ in candidates)
+    pts = sorted((p for p, _ in candidates), key=lambda p: p.sort_key())
+    return cfg, PonceletState(c1, pts[0] if branch == "min" else pts[-1], 1), lifted
+
+
+def assert_start_matches_reference(cfg, c1, branch):
+    """start's result, or None when both it and the reference overflow."""
+    try:
+        want = start_reference(cfg, c1, branch)
+    except ExtensionOverflowError:
+        with pytest.raises(ExtensionOverflowError):
+            start(cfg, c1, branch)
+        return None
+    got = start(cfg, c1, branch)
+    assert got[0].field == want[0].field
+    assert got[0].field.spec_string() == want[0].field.spec_string()
+    assert (got[0].outer, got[0].inner) == (want[0].outer, want[0].inner)
+    assert (got[1].c, got[1].d, got[1].index, got[2]) == \
+        (want[1].c, want[1].d, want[1].index, want[2])
+    return got
+
+
+def char0_pair(field, rng):
+    """Smooth distinct conics over Q or Q(sqrt d) through [0:0:1], where
+    find_point looks first, with small coefficients."""
+    def conic():
+        while True:
+            coeffs = [field(rng.randint(-4, 4)) for _ in range(6)]
+            coeffs[2] = field.zero
+            if isinstance(field, QuadRationalField):
+                coeffs[3] = field((rng.randint(-3, 3), rng.randint(-2, 2)))
+            try:
+                c = Conic(field, coeffs)
+            except ValueError:
+                continue
+            if c.is_smooth():
+                return c
+    outer = conic()
+    inner = conic()
+    while inner == outer:
+        inner = conic()
+    return outer, inner
+
+
+def tangent_configs(field, rng):
+    """One config of each tangent type, from normal-form parameters."""
+    elems = (list(field.elements()) if field.size is not None
+             else [field(v) for v in range(-3, 4)])
+    found = {}
+    while len(found) < 4:
+        try:
+            cfg = make_config(field, *(rng.choice(elems) for _ in range(3)))
+        except ValueError:
+            continue
+        found.setdefault(cfg.intersection_type, cfg)
+    return [found[t] for t in ((2, 1, 1), (2, 2), (3, 1), (4,))]
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:5^2:2,0,1",
+                                  "Fq:3^3:1,2,0,1", "Q", "Qsqrt:2"])
+def test_start_matches_the_geometric_reference(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random(spec)
+    draw = random_smooth_pair if field.size is not None else char0_pair
+    configs = [PonceletConfig(*draw(field, rng)) for _ in range(8)]
+    configs += tangent_configs(field, rng)
+    outcomes = []
+    for cfg in configs:
+        for c1 in sample_starts(cfg, 4, rng.randrange(100)):
+            for branch in ("min", "max"):
+                got = assert_start_matches_reference(cfg, c1, branch)
+                outcomes.append("overflow" if got is None else got[2])
+    # over Q(sqrt 2) a start that needs a square root overflows instead
+    assert set(outcomes) == ({False, "overflow"} if spec == "Qsqrt:2"
+                             else {False, True})
+    assert len(outcomes) == 2 * 4 * len(configs)
+
+
+def test_start_at_a_common_point_is_a_double_contact(F11):
+    # [0:0:1] lies on both conics: its polar is the tangent of the inner one
+    outer = Conic(F11, [1, 1, 0, 8, 5, 3])
+    inner = Conic(F11, [1, 0, 0, 0, 0, -1])
+    cfg = PonceletConfig(outer, inner)
+    c1 = ProjPoint(F11, [0, 0, 1])
+    for branch in ("min", "max"):
+        _, st, lifted = assert_start_matches_reference(cfg, c1, branch)
+        assert st.d == c1 and not lifted
+
+
+def test_start_with_a_contact_point_at_infinity(F11):
+    # the polar of [1:0:1] for x^2 - yz is y = 2x, whose first spanning
+    # point [0:0:1] lies on the inner conic: the quadratic drops a degree
+    outer = Conic(F11, [1, 1, -1, 0, 0, 0])
+    inner = Conic(F11, [1, 0, 0, 0, 0, -1])
+    cfg = PonceletConfig(outer, inner)
+    c1 = ProjPoint(F11, [1, 0, 1])
+    p0 = ProjPoint(F11, [0, 0, 1])
+    assert polar(inner, c1).span()[0] == p0 and inner.contains(p0)
+    ds = {assert_start_matches_reference(cfg, c1, b)[1].d for b in ("min", "max")}
+    assert p0 in ds and len(ds) == 2
+
+
+def test_start_needing_a_second_square_root_overflows():
+    # over Q(sqrt 2) the contact points of [0:1:-3] need sqrt 3
+    field = QuadRationalField(2)
+    outer = Conic(field, [1, 3, field(Fraction(-1, 3)), 0, 0, 0])
+    inner = Conic(field, [1, 0, 0, 0, 0, -1])
+    cfg = PonceletConfig(outer, inner)
+    c1 = ProjPoint(field, [0, 1, -3])
+    for branch in ("min", "max"):
+        with pytest.raises(ExtensionOverflowError):
+            start_reference(cfg, c1, branch)
+        with pytest.raises(ExtensionOverflowError):
+            start(cfg, c1, branch)
+
+
+def test_config_type_and_tangencies_match_the_separate_solvers():
+    # the criterion-1/2 corpora (a prefix of each), char 3 included, and
+    # constructed pairs of every tangent type
+    corpus = []
+    for p in (3, 5, 7, 13):
+        field = PrimeField(p)
+        rng = random.Random(1000 + p)
+        corpus += [(random_smooth_pair(field, rng), i) for i in range(120)]
+        rng = random.Random(2)
+        corpus += [((cfg.outer, cfg.inner), i)
+                   for i, cfg in enumerate(tangent_configs(field, rng))]
+    kinds = set()
+    for (outer, inner), seed in corpus:
+        cfg = PonceletConfig(outer, inner, seed)
+        assert cfg.intersection_type == multiplicity_structure(outer, inner, seed)
+        assert cfg.tangencies == tangency_points(outer, inner, seed)
+        kinds.add(cfg.intersection_type)
+    assert kinds == {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
+
+
+def sample_starts_reference(cfg, num_starts, seed):
+    """Draw by shuffling the list of all parameters, as points."""
+    rng = random.Random(seed)
+    par = parametrize(cfg.outer, find_point(cfg.outer, seed))
+    excluded = {par.param_of(p) for p in cfg.in_field_tangencies()}
+    params = [P1Point.infinity(cfg.field)]
+    if cfg.field.size is not None:
+        params.extend(P1Point.affine(e) for e in cfg.field.elements())
+        rng.shuffle(params)
+    else:
+        seen = set()
+        while len(seen) < 4 * num_starts + 8:
+            seen.add(Fraction(rng.randrange(-50, 51), rng.randrange(1, 12)))
+        params.extend(P1Point.affine(cfg.field(v)) for v in sorted(seen))
+    out = [par.point_at(t) for t in params if t not in excluded]
+    return out[:num_starts]
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fq:3^3:1,2,0,1", "Q"])
+def test_sample_starts_match_the_list_reference(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random(spec)
+    draw = random_smooth_pair if field.size is not None else char0_pair
+    configs = [PonceletConfig(*draw(field, rng)) for _ in range(3)]
+    configs += tangent_configs(field, rng)
+    for cfg in configs:
+        for n, seed in ((1, 0), (5, 7), (12, 31)):
+            assert sample_starts(cfg, n, seed) == sample_starts_reference(cfg, n, seed)
+
+
+def test_sample_starts_builds_only_the_points_it_visits(monkeypatch):
+    field = PrimeField(10007)
+    cfg = make_config(field, 2, 7, 1)  # type (3, 1): one tangency excluded
+    excluded = cfg.in_field_tangencies()
+    assert len(excluded) == 1
+    calls = []
+    affine = P1Point.affine.__func__
+
+    def counted(cls, value):
+        calls.append(value)
+        return affine(cls, value)
+    monkeypatch.setattr(P1Point, "affine", classmethod(counted))
+    starts = sample_starts(cfg, 6, seed=5)
+    assert len(starts) == 6
+    assert len(calls) <= 6 + len(excluded)

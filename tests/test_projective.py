@@ -173,3 +173,24 @@ def test_transform_group_operations(F11):
     assert m.inverse()(moved) == conic
     p = find_point(conic, 4)
     assert moved.contains(m(p))
+
+
+def test_tangency_data_from_known_points_matches_solving_them():
+    # PonceletConfig.tangencies handed to tangency_data, as classify does
+    from porism.fields import PrimeField
+    lifted = set()
+    for p in (7, 13):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        found = 0
+        while found < 30:
+            c, d = random_smooth_pair(field, rng)
+            if multiplicity_structure(c, d)[0] < 2:
+                continue
+            found += 1
+            want = tangency_data(c, d, seed=found)
+            got = tangency_data(c, d, seed=found,
+                                points=tangency_points(c, d, seed=found))
+            assert got == want
+            lifted.add(want[3])
+    assert lifted == {False, True}

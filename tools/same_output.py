@@ -5,8 +5,11 @@
 Each DIR is the root of a porism source tree with its ``benchmark/``.  For
 every seed, the ``check``, ``structure`` and ``orbit-q`` rounds are built
 by that tree's ``benchmark/workloads.py`` and run once, in a subprocess per
-tree, through the same entry points the benchmark calls.  Every operation's
-exit code and output must match byte for byte.  The first differing
+tree, through the same entry points the benchmark calls.  Each
+``porism-check`` operation of the check round is also run as ``porism run``
+on the same pair and seed, once per branch (min and max), which puts a
+start's lifted field and orbit coordinates under the comparison.  Every
+operation's exit code and output must match byte for byte.  The first differing
 operation is printed by its label; the exit code is 1 on any difference and
 0 when every output matches.
 """
@@ -34,6 +37,13 @@ for name in sys.argv[1].split(","):
         for op in build(seed):
             code, out = workloads.execute(op, prog)
             rows.append([name, seed, op.label, code, out])
+            if op.kind != "cli" or op.argv[0] != "porism-check":
+                continue
+            for branch in ("min", "max"):
+                text = json.dumps(dict(op.obj, branch=branch))
+                code, out = workloads.call_cli(
+                    porism.cli.main, ["run", *op.argv[1:]], text)
+                rows.append([name, seed, op.label + " run " + branch, code, out])
 json.dump(rows, sys.stdout)
 """
 
