@@ -8,7 +8,8 @@ are {"field": "<spec>", "coeffs": [a00, a11, a22, a01, a02, a12]} in the
 monomial order x^2, y^2, z^2, xy, xz, yz, with each coefficient an integer
 or the field's canonical element string.  Exit codes: 0 success / PASS,
 1 usage or input error, 2 theorem violation (a bug canary: the underlying
-statements are proved, so 2 should never happen).
+statements are proved, so 2 should never happen).  Errors are reported as
+one JSON line {"error": ...} on standard error.
 """
 
 import argparse
@@ -20,8 +21,7 @@ import time
 from itertools import chain, islice
 
 from . import char2, ecurve
-from .errors import DegenerateInputError, ExtensionOverflowError, \
-    FieldMismatchError, NeedsHintError, NotOnConicError
+from .errors import DegenerateInputError, ExtensionOverflowError
 from .fields import parse_element, parse_field_spec
 from .poly import Polynomial, factor
 from .process import PonceletConfig, porism_check, run, sample_starts
@@ -45,11 +45,15 @@ class _Parser(argparse.ArgumentParser):
 def _read_json(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read input: {exc}")
+    if not isinstance(obj, dict):
+        raise CliError("input must be a JSON object")
+    return obj
 
 
 def read_conic(obj, field=None):
@@ -196,8 +200,12 @@ def cmd_run(args):
 def cmd_porism_check(args):
     obj = _read_json(args.input)
     outer, inner = read_pair(obj)
+    try:
+        num_starts = int(obj.get("num_starts", 10))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad num_starts: {exc}")
     cfg = PonceletConfig(outer, inner, seed=args.seed)
-    report = porism_check(cfg, num_starts=int(obj.get("num_starts", 10)),
+    report = porism_check(cfg, num_starts=num_starts,
                           max_steps=args.max_steps, seed=args.seed)
     data = {
         "type": type_string(report.intersection_type),
@@ -239,6 +247,8 @@ def _read_quadratic_form(obj):
     try:
         field = parse_field_spec(obj["field"])
         n = int(obj["n"])
+        if not isinstance(obj["coeffs"], dict):
+            raise TypeError("coeffs must be an object")
         coeffs = {}
         for key, val in obj["coeffs"].items():
             i, j = (int(part) for part in key.split(","))
@@ -461,13 +471,12 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return EXIT_INPUT
-    except (DegenerateInputError, ExtensionOverflowError, FieldMismatchError,
-            NeedsHintError, NotOnConicError, ValueError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return EXIT_INPUT
+    except (CliError, ExtensionOverflowError, ValueError) as exc:
+        code, message = EXIT_INPUT, str(exc)
+    except AssertionError as exc:  # a theorem canary, TheoremViolation or not
+        code, message = EXIT_VIOLATION, f"theorem violation: {exc}"
+    sys.stderr.write(json.dumps({"error": message}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

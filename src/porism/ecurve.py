@@ -15,7 +15,7 @@ from .errors import DegenerateInputError, FieldMismatchError, NotOnConicError
 from .fields import lift_to_quadratic_extension
 from .poly import Polynomial, roots_in_closure, squarefree_decomposition, is_square
 from .projective import P1Point, ProjPoint, ConicParametrization, find_point, \
-    parametrize, normal_form_conic, Conic
+    parametrize, normal_form_conic, Conic, _canonical_elements
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
@@ -35,13 +35,10 @@ class BiquadraticForm:
     def __init__(self, field, h, outer_par=None, inner_par=None):
         if len(h) != 3 or any(len(row) != 3 for row in h):
             raise ValueError("a biquadratic form needs a 3x3 coefficient array")
-        rows = [[field(c) for c in row] for row in h]
-        pivot = next((c for row in rows for c in row if not c.is_zero()), None)
-        if pivot is None:
-            raise ValueError("zero form is not a curve")
-        inv = pivot.inv()
         self.field = field
-        self.h = tuple(tuple(c * inv for c in row) for row in rows)
+        flat = _canonical_elements(field, [c for row in h for c in row],
+                                   "zero form is not a curve")
+        self.h = (flat[:3], flat[3:6], flat[6:])
         self.outer_par = outer_par
         self.inner_par = inner_par
 
@@ -120,10 +117,7 @@ class BiquadraticForm:
         return coeffs[:5]
 
     def lift(self, new_field):
-        h = [[new_field(c) for c in row] for row in self.h]
-        outer = self.outer_par
-        inner = self.inner_par
-        return BiquadraticForm(new_field, h, outer, inner)
+        return BiquadraticForm(new_field, self.h, self.outer_par, self.inner_par)
 
     def __eq__(self, other):
         return (isinstance(other, BiquadraticForm)
@@ -148,13 +142,9 @@ class BilinearFactor:
     __slots__ = ("field", "m")
 
     def __init__(self, field, m):
-        rows = [[field(c) for c in row] for row in m]
-        pivot = next((c for row in rows for c in row if not c.is_zero()), None)
-        if pivot is None:
-            raise ValueError("zero form")
-        inv = pivot.inv()
         self.field = field
-        self.m = tuple(tuple(c * inv for c in row) for row in rows)
+        flat = _canonical_elements(field, [c for row in m for c in row], "zero form")
+        self.m = (flat[:2], flat[2:])
 
     def evaluate(self, u, v):
         field = u.field

@@ -19,3 +19,7 @@ class DegenerateInputError(ValueError):
 
 class NotOnConicError(ValueError):
     """A point expected to lie on a conic does not."""
+
+
+class TheoremViolation(AssertionError):
+    """A proved statement failed: a bug canary, not an input error."""

@@ -795,12 +795,14 @@ def binary_field(k):
 def parse_field_spec(s):
     """Parse the CLI field-spec strings: Fp:13, Fq:5^2:3,0,1, F2k:3, Q,
     Qsqrt:2."""
+    if not isinstance(s, str):
+        raise ValueError(f"a field spec is a string, not {s!r}")
     if s == "Q":
         return RationalField()
     if s.startswith("F2k:"):
         return binary_field(int(s[len("F2k:"):]))
     if s.startswith("Qsqrt:"):
-        return QuadRationalField(Fraction(s[len("Qsqrt:"):]))
+        return QuadRationalField(_fraction(s[len("Qsqrt:"):]))
     if s.startswith("Fp:"):
         return PrimeField(int(s[len("Fp:"):]))
     if s.startswith("Fq:"):
@@ -813,6 +815,13 @@ def parse_field_spec(s):
             raise ValueError("modulus degree does not match the field size")
         return ExtensionField(base, coeffs)
     raise ValueError(f"unrecognized field spec: {s!r}")
+
+
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_element(field, value):
@@ -828,15 +837,15 @@ def parse_element(field, value):
     if isinstance(field, PrimeField):
         return field(int(text))
     if isinstance(field, RationalField):
-        return field(Fraction(text))
+        return field(_fraction(text))
     if isinstance(field, QuadRationalField):
         m = re.fullmatch(r"(-?\d+(?:/\d+)?)\+(-?\d+(?:/\d+)?)\*sqrt\((-?\d+(?:/\d+)?)\)",
                          text)
         if m is None:
-            return field(Fraction(text))
-        if Fraction(m.group(3)) != field.d:
+            return field(_fraction(text))
+        if _fraction(m.group(3)) != field.d:
             raise ValueError(f"radicand {m.group(3)} does not match the field")
-        return field((Fraction(m.group(1)), Fraction(m.group(2))))
+        return field((_fraction(m.group(1)), _fraction(m.group(2))))
     if isinstance(field, ExtensionField):
         if not isinstance(field.base, PrimeField):
             raise ValueError("element parsing supports single-step extensions only")

@@ -8,18 +8,20 @@ choice everything stays in one field.  The step map is invertible, so orbit
 closure is detected by first return to the initial state.  ``start`` solves
 for the initial contact point and ``run`` iterates the step, both on raw
 field values; ``polar``/``intersect_line_conic`` and the geometric ``step``
-and ``step_inverse`` are their reference.
+and ``step_inverse`` are their reference.  The raw geometry they use (the
+conic's gradient and value, the canonical scale, the span of a line) is
+``projective``'s own, so this module keeps none of its own.
 """
 
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DegenerateInputError, NotOnConicError
+from .errors import DegenerateInputError, NotOnConicError, TheoremViolation
 from .fields import FieldElement
 from .poly import binary_form_roots
-from .projective import (P1Point, ProjPoint, _type_and_tangencies,
-                         other_intersection, parametrize, polar, tangent_at,
-                         find_point)
+from .projective import (P1Point, _canonical, _point, _span,
+                         _type_and_tangencies, other_intersection, parametrize,
+                         polar, tangent_at, find_point)
 
 DEFAULT_MAX_STEPS_CHAR0 = 10000
 
@@ -95,10 +97,9 @@ def start(cfg, c1, branch="min"):
         raise NotOnConicError("initial point must lie on the outer conic")
     field = cfg.field
     add, mul = field._add, field._mul
-    grad, value = _forms(cfg.inner)
+    grad, value = cfg.inner._forms()
     # the polar of c1 is its gradient line; span it as ProjLine.span does
-    line = _canonical(field, grad(tuple(v.value for v in c1.coords)))
-    p0, p1 = _span(field, line)
+    p0, p1 = _span(field, grad([v.value for v in c1.coords]))
     g = grad(p0)
     beta = add(add(mul(g[0], p1[0]), mul(g[1], p1[1])), mul(g[2], p1[2]))
     # F(t p0 + p1) = alpha t^2 + beta t + gamma; a drop in degree is p0
@@ -113,58 +114,13 @@ def start(cfg, c1, branch="min"):
         cfg = cfg.lift(ext)
         c1 = c1.lift(ext)
     add, mul = ext._add, ext._mul
-    pts = [_canonical(ext, tuple(add(mul(t.value, a), b)
-                                 for a, b in zip(p0, p1)))
+    pts = [_canonical(ext, [add(mul(t.value, a), b) for a, b in zip(p0, p1)])
            for t, _ in roots.entries]
     if roots.at_infinity:
         pts.append(p0)
     pts.sort(key=lambda p: tuple(map(ext._sort_key, p)))
     d1 = pts[0] if branch == "min" else pts[-1]
     return cfg, PonceletState(c1, _point(ext, d1), 1), lifted
-
-
-def _forms(conic):
-    """The gradient and the value of the conic's form on points given as
-    tuples of raw field values."""
-    field = conic.field
-    add, mul = field._add, field._mul
-    a00, a11, a22, a01, a02, a12 = (c.value for c in conic.coeffs)
-    b00, b11, b22 = add(a00, a00), add(a11, a11), add(a22, a22)
-
-    def grad(p):
-        x, y, z = p
-        return (add(add(mul(b00, x), mul(a01, y)), mul(a02, z)),
-                add(add(mul(a01, x), mul(b11, y)), mul(a12, z)),
-                add(add(mul(a02, x), mul(a12, y)), mul(b22, z)))
-
-    def value(p):
-        x, y, z = p
-        return add(add(mul(x, add(add(mul(a00, x), mul(a01, y)), mul(a02, z))),
-                       mul(y, add(mul(a11, y), mul(a12, z)))),
-                   mul(z, mul(a22, z)))
-    return grad, value
-
-
-def _canonical(field, raw):
-    """Raw homogeneous coordinates scaled to first nonzero entry one."""
-    zero = field.zero.value
-    pivot = next(v for v in raw if v != zero)
-    if pivot == field.one.value:
-        return raw
-    s = field._inv(pivot)
-    return tuple(field._mul(v, s) for v in raw)
-
-
-def _span(field, line):
-    """The two points ``ProjLine.span`` picks on a canonical line, raw: the
-    first two distinct nonzero crosses with e_0, e_1, e_2, canonicalized."""
-    zero, neg = field.zero.value, field._neg
-    l0, l1, l2 = line
-    pts = []
-    for v in ((zero, l2, neg(l1)), (neg(l2), zero, l0), (l1, neg(l0), zero)):
-        if v != (zero, zero, zero) and (p := _canonical(field, v)) not in pts:
-            pts.append(p)
-    return pts[:2]
 
 
 def is_tangency_state(cfg, state):
@@ -203,11 +159,10 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=64):
     """
     if max_steps is None:
         max_steps = cfg.default_max_steps()
+    if max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
     cfg, initial, lifted = start(cfg, c1, branch)
-    if is_tangency_state(cfg, initial):
-        period, kept = (1 if max_steps > 0 else 0), []  # fixed by the step
-    else:
-        period, kept = _orbit(cfg, initial, max_steps, keep_orbit)
+    period, kept = _orbit(cfg, initial, max_steps, keep_orbit)
     orbit = [initial] + [
         PonceletState(_point(cfg.field, c), _point(cfg.field, d), i)
         for i, (c, d) in enumerate(kept, start=2)]
@@ -219,12 +174,13 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=64):
 
 
 def _orbit(cfg, initial, max_steps, keep):
-    """``step`` iterated from a non-tangency state on tuples of raw field
-    values, with the same incidence checks and tangency canary.  Returns
-    (period, or 0 if the orbit stays open, and the raw (c, d) pairs of the
-    states with index 2 .. keep)."""
+    """``step`` iterated on tuples of raw field values, with the same
+    incidence checks.  A tangency start is fixed by the step, so it closes
+    at step 1; any other orbit meeting a tangency state is a theorem
+    violation.  Returns (period, or 0 if the orbit stays open, and the raw
+    (c, d) pairs of the states with index 2 .. keep)."""
     field = cfg.field
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    add, mul, neg = field._add, field._mul, field._neg
     zero, one = field.zero.value, field.one.value
 
     def dot(u, v):
@@ -247,18 +203,11 @@ def _orbit(cfg, initial, max_steps, keep):
         if beta == zero:
             return p
         gamma = neg(value(o))
-        x = add(mul(gamma, p[0]), mul(beta, o[0]))
-        y = add(mul(gamma, p[1]), mul(beta, o[1]))
-        z = add(mul(gamma, p[2]), mul(beta, o[2]))
-        if x != zero:
-            s = inv(x)
-            return one, mul(y, s), mul(z, s)
-        if y != zero:
-            return zero, one, mul(z, inv(y))
-        return zero, zero, one
+        return _canonical(field, [add(mul(gamma, a), mul(beta, b))
+                                  for a, b in zip(p, o)])
 
-    grad_c, value_c = _forms(cfg.outer)
-    grad_d, value_d = _forms(cfg.inner)
+    grad_c, value_c = cfg.outer._forms()
+    grad_d, value_d = cfg.inner._forms()
     c0 = c = tuple(v.value for v in initial.c.coords)
     d0 = d = tuple(v.value for v in initial.d.coords)
     tangent = grad_d(d)
@@ -267,25 +216,26 @@ def _orbit(cfg, initial, max_steps, keep):
         c = other(value_c, grad_c(c), tangent, c)
         d = other(value_d, tangent, grad_d(c), d)
         tangent = grad_d(d)
-        if c == d and is_tangency_state(
-                cfg, PonceletState(_point(field, c), _point(field, d))):
-            raise RuntimeError(
-                "orbit of a non-tangency start hit a tangency point; "
-                "this contradicts invertibility of the step map")
         if c == c0 and d == d0:
             return i, kept
+        if c == d:
+            # the conics are tangent at c when their gradients are parallel
+            g = grad_c(c)
+            if all(mul(g[j], tangent[k]) == mul(g[k], tangent[j])
+                   for j, k in ((0, 1), (0, 2), (1, 2))):
+                raise TheoremViolation(
+                    "orbit of a non-tangency start hit a tangency point; "
+                    "this contradicts invertibility of the step map")
         if i < keep:
             kept.append((c, d))
     return 0, kept
 
 
-def _point(field, raw):
-    return ProjPoint(field, [FieldElement(field, v) for v in raw])
-
-
 def sample_starts(cfg, num_starts, seed):
     """Deterministic sample of points of the outer conic away from the
     tangency points, via the conic's parametrization."""
+    if num_starts < 1:
+        raise ValueError("num_starts must be at least 1")
     rng = random.Random(seed)
     par = parametrize(cfg.outer, find_point(cfg.outer, seed))
     excluded = set()

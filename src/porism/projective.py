@@ -20,13 +20,39 @@ from .poly import (Polynomial, binary_form_roots, roots_in_closure,
                    squarefree_decomposition)
 
 
-def _canon_coords(field, coords):
-    coords = [field(c) for c in coords]
-    pivot = next((c for c in coords if not c.is_zero()), None)
+def _canonical(field, raw, message="all coordinates are zero"):
+    """Raw field values scaled so that the first nonzero one is one, as a
+    tuple; ``message`` is the error for an all-zero input."""
+    zero = field.zero.value
+    pivot = next((v for v in raw if v != zero), None)
     if pivot is None:
-        raise ValueError("all coordinates are zero")
-    inv = pivot.inv()
-    return tuple(c * inv for c in coords)
+        raise ValueError(message)
+    if pivot == field.one.value:
+        return tuple(raw)
+    s, mul = field._inv(pivot), field._mul
+    return tuple([mul(v, s) for v in raw])
+
+
+def _canonical_elements(field, values, message="all coordinates are zero"):
+    """``values`` coerced into the field and scaled by ``_canonical``."""
+    raw = _canonical(field, [field(v).value for v in values], message)
+    return tuple(FieldElement(field, v) for v in raw)
+
+
+def _point(field, raw):
+    return ProjPoint(field, [FieldElement(field, v) for v in raw])
+
+
+def _span(field, line):
+    """Two distinct points spanning a line, as raw values: the first two
+    distinct nonzero crosses of the line with e_0, e_1, e_2, canonical."""
+    zero, neg = field.zero.value, field._neg
+    l0, l1, l2 = line
+    pts = []
+    for v in ((zero, l2, neg(l1)), (neg(l2), zero, l0), (l1, neg(l0), zero)):
+        if v != (zero, zero, zero) and (p := _canonical(field, v)) not in pts:
+            pts.append(p)
+    return pts[:2]
 
 
 class ProjPoint:
@@ -38,10 +64,10 @@ class ProjPoint:
         if len(coords) != 3:
             raise ValueError("a projective point needs three coordinates")
         self.field = field
-        self.coords = _canon_coords(field, coords)
+        self.coords = _canonical_elements(field, coords)
 
     def lift(self, new_field):
-        return ProjPoint(new_field, [new_field(c) for c in self.coords])
+        return ProjPoint(new_field, self.coords)
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
@@ -66,30 +92,20 @@ class ProjLine:
         if len(coeffs) != 3:
             raise ValueError("a projective line needs three coefficients")
         self.field = field
-        self.coeffs = _canon_coords(field, coeffs)
+        self.coeffs = _canonical_elements(field, coeffs)
 
     def contains(self, p):
         return sum((c * x for c, x in zip(self.coeffs, p.coords)),
                    start=self.field.zero).is_zero()
 
     def lift(self, new_field):
-        return ProjLine(new_field, [new_field(c) for c in self.coeffs])
+        return ProjLine(new_field, self.coeffs)
 
     def span(self):
         """Two distinct points spanning the line."""
         field = self.field
-        pts = []
-        for k in range(3):
-            e = [field.zero] * 3
-            e[k] = field.one
-            v = _cross(self.coeffs, e)
-            if any(not c.is_zero() for c in v):
-                p = ProjPoint(field, v)
-                if p not in pts:
-                    pts.append(p)
-            if len(pts) == 2:
-                return pts[0], pts[1]
-        raise DegenerateInputError("line has no two distinct points")  # unreachable
+        p0, p1 = _span(field, [c.value for c in self.coeffs])
+        return _point(field, p0), _point(field, p1)
 
     def __eq__(self, other):
         return (isinstance(other, ProjLine) and self.field == other.field
@@ -112,40 +128,62 @@ class Conic:
     """A plane conic given by six coefficients of
     a00 x^2 + a11 y^2 + a22 z^2 + a01 xy + a02 xz + a12 yz."""
 
-    __slots__ = ("field", "coeffs", "_matrix")
+    __slots__ = ("field", "coeffs", "_matrix", "_raw")
 
     def __init__(self, field, coeffs):
         if len(coeffs) != 6:
             raise ValueError("a conic needs six coefficients")
         self.field = field
-        self.coeffs = self._canon6(field, coeffs)
+        self.coeffs = _canonical_elements(field, coeffs,
+                                          "zero quadratic form is not a conic")
         self._matrix = None
+        self._raw = None
 
-    @staticmethod
-    def _canon6(field, coeffs):
-        coeffs = [field(c) for c in coeffs]
-        pivot = next((c for c in coeffs if not c.is_zero()), None)
-        if pivot is None:
-            raise ValueError("zero quadratic form is not a conic")
-        inv = pivot.inv()
-        return tuple(c * inv for c in coeffs)
+    def _forms(self):
+        """The gradient and the value of the form on points given as tuples
+        of raw field values; built once per conic."""
+        if self._raw is not None:
+            return self._raw
+        field = self.field
+        add, mul = field._add, field._mul
+        a00, a11, a22, a01, a02, a12 = (c.value for c in self.coeffs)
+        b00, b11, b22 = add(a00, a00), add(a11, a11), add(a22, a22)
+
+        def grad(p):
+            x, y, z = p
+            return (add(add(mul(b00, x), mul(a01, y)), mul(a02, z)),
+                    add(add(mul(a01, x), mul(b11, y)), mul(a12, z)),
+                    add(add(mul(a02, x), mul(a12, y)), mul(b22, z)))
+
+        def value(p):
+            x, y, z = p
+            return add(add(mul(x, add(add(mul(a00, x), mul(a01, y)), mul(a02, z))),
+                           mul(y, add(mul(a11, y), mul(a12, z)))),
+                       mul(z, mul(a22, z)))
+        self._raw = grad, value
+        return self._raw
+
+    def _raw_coords(self, coords):
+        """This conic, or its lift when the coordinates lie in an extension
+        of its field, and the coordinates as raw values of that field."""
+        try:
+            return self, [self.field(c).value for c in coords]
+        except FieldMismatchError:
+            big = next(c.field for c in coords if isinstance(c, FieldElement)
+                       and not self.field.contains(c.field))
+            return self.lift(big)._raw_coords(coords)
 
     def evaluate(self, coords):
-        a00, a11, a22, a01, a02, a12 = self.coeffs
-        x, y, z = coords
-        return (a00 * x * x + a11 * y * y + a22 * z * z
-                + a01 * x * y + a02 * x * z + a12 * y * z)
+        conic, raw = self._raw_coords(coords)
+        return FieldElement(conic.field, conic._forms()[1](raw))
 
     def contains(self, p):
         return self.evaluate(p.coords).is_zero()
 
     def gradient(self, coords):
         """Formal gradient of the six-coefficient form; valid in any char."""
-        a00, a11, a22, a01, a02, a12 = self.coeffs
-        x, y, z = coords
-        return [2 * a00 * x + a01 * y + a02 * z,
-                2 * a11 * y + a01 * x + a12 * z,
-                2 * a22 * z + a02 * x + a12 * y]
+        conic, raw = self._raw_coords(coords)
+        return [FieldElement(conic.field, v) for v in conic._forms()[0](raw)]
 
     def matrix(self):
         """Symmetric matrix A with F(v) = v^T A v; odd characteristic only."""
@@ -165,12 +203,13 @@ class Conic:
         return not _det3(self.matrix()).is_zero()
 
     def bilinear(self, u, v):
-        """2 u^T A v without halving: F(u+v) - F(u) - F(v)."""
-        s = [a + b for a, b in zip(u, v)]
-        return self.evaluate(s) - self.evaluate(u) - self.evaluate(v)
+        """2 u^T A v without halving: grad F(u) . v, which is the polynomial
+        F(u+v) - F(u) - F(v)."""
+        return sum((g * x for g, x in zip(self.gradient(u), v)),
+                   start=self.field.zero)
 
     def lift(self, new_field):
-        return Conic(new_field, [new_field(c) for c in self.coeffs])
+        return Conic(new_field, self.coeffs)
 
     def transform_by_matrix(self, n):
         """The conic with form F(N v); i.e. pull back along v -> N v."""
@@ -423,12 +462,8 @@ class P1Point:
 
     def __init__(self, field, coords):
         a, b = coords
-        a, b = field(a), field(b)
-        if a.is_zero() and b.is_zero():
-            raise ValueError("both coordinates are zero")
-        pivot = (a if not a.is_zero() else b).inv()
         self.field = field
-        self.coords = (a * pivot, b * pivot)
+        self.coords = _canonical_elements(field, (a, b), "both coordinates are zero")
 
     @classmethod
     def infinity(cls, field):
@@ -447,8 +482,7 @@ class P1Point:
         return self.coords[0] / self.coords[1]
 
     def lift(self, new_field):
-        return P1Point(new_field, (new_field(self.coords[0]),
-                                   new_field(self.coords[1])))
+        return P1Point(new_field, self.coords)
 
     def sort_key(self):
         return (self.coords[0].sort_key(), self.coords[1].sort_key())
@@ -742,9 +776,9 @@ def classify(c, d, seed=0):
     the pullback quartic; when the pair is tangent the result is
     cross-checked against the normal-form criteria.
     """
-    mults = multiplicity_structure(c, d, seed)
+    mults, pts = _type_and_tangencies(c, d, seed)
     if mults[0] >= 2:
-        c_l, d_l, pts, _ = tangency_data(c, d, seed)
+        c_l, d_l, pts, _ = tangency_data(c, d, seed, points=pts)
         norm = normalize_tangent_pair(c_l, d_l, pts[0])
         assert classify_normalized(norm.t, norm.a, norm.b) == mults
     return mults

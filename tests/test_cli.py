@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import porism
 from porism.cli import conic_json, main, read_conic
 from porism.projective import Conic
@@ -283,3 +285,56 @@ def test_char2_strange_point_over_f2_20(tmp_path, capsys):
     transcript = json.loads(out)["transcript"]
     assert len(transcript) == 10
     assert all(t["through_strange_point"] for t in transcript)
+
+
+def test_theorem_violation_is_the_json_error_line(tmp_path, capsys, monkeypatch):
+    import porism.process
+    from porism.errors import TheoremViolation
+
+    def broken(*args):
+        raise TheoremViolation("orbit hit a tangency point")
+    monkeypatch.setattr(porism.process, "_orbit", broken)
+    path = write_json(tmp_path, "pair.json", PAIR_Q_TRIANGLE)
+    code, out, err = run_cli(capsys, "run", path, "--json")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "orbit hit a tangency point" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("char2-normalize", {"field": "F2k:2", "n": 3, "coeffs": [1, 2]}),
+    ("porism-check", dict(PAIR_F5_TYPE4, num_starts=[1])),
+    ("porism-check", dict(PAIR_F5_TYPE4, num_starts=None)),
+    ("classify", [PAIR_F5_TYPE4]),
+    ("classify", dict(PAIR_F5_TYPE4, outer={"field": 5, "coeffs": [1] * 6})),
+    ("classify", {"outer": {"field": "Q", "coeffs": ["1/0", 1, 1, 0, 0, 0]},
+                  "inner": PAIR_Q_TRIANGLE["inner"]}),
+])
+def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj):
+    path = write_json(tmp_path, "input.json", obj)
+    code, out, err = run_cli(capsys, command, path, "--json")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"]
+
+
+def test_num_starts_below_one_is_an_input_error(tmp_path, capsys):
+    for n in (0, -1):
+        path = write_json(tmp_path, "pair.json", dict(PAIR_F5_TYPE4, num_starts=n))
+        code, out, err = run_cli(capsys, "porism-check", path, "--json")
+        assert code == 1 and out == ""
+        assert "num_starts" in json.loads(err)["error"]
+    code, out, err = run_cli(capsys, "sweep", "--field", "Fp:11", "--count", "1",
+                             "--num-starts", "0")
+    assert code == 1 and out == ""
+    assert "num_starts" in json.loads(err)["error"]
+
+
+def test_negative_max_steps_is_an_input_error(tmp_path, capsys):
+    path = write_json(tmp_path, "pair.json", PAIR_Q_TRIANGLE)
+    code, out, err = run_cli(capsys, "run", path, "--json", "--max-steps", "-5")
+    assert code == 1 and out == ""
+    assert "max_steps" in json.loads(err)["error"]
+    code, out, _ = run_cli(capsys, "run", path, "--json", "--max-steps", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["outcome"], data["steps"]) == ("open", 0)

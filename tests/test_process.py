@@ -429,3 +429,49 @@ def test_sample_starts_builds_only_the_points_it_visits(monkeypatch):
     starts = sample_starts(cfg, 6, seed=5)
     assert len(starts) == 6
     assert len(calls) <= 6 + len(excluded)
+
+
+def test_run_from_a_tangency_start_checks_no_wrapped_tangency(monkeypatch):
+    # the raw orbit closes a tangency start at step 1 on its own
+    import porism.process as process
+    calls = []
+    wrapped = process.is_tangency_state
+
+    def counted(cfg, state):
+        calls.append(state)
+        return wrapped(cfg, state)
+    for spec in ("Fp:13", "Fq:3^3:1,2,0,1"):
+        field = parse_field_spec(spec)
+        rng = random.Random(spec)
+        for cfg in tangent_configs(field, rng):
+            points = cfg.in_field_tangencies()
+            assert points
+            for c1 in points:
+                want = [run_by_step(cfg, c1, branch=b, max_steps=m)
+                        for b in ("min", "max") for m in (0, 1, None)]
+                monkeypatch.setattr(process, "is_tangency_state", counted)
+                got = [run(cfg, c1, branch=b, max_steps=m)
+                       for b in ("min", "max") for m in (0, 1, None)]
+                monkeypatch.setattr(process, "is_tangency_state", wrapped)
+                assert calls == []
+                assert got == want
+                assert [(r.outcome, r.steps) for r in got[:2]] == \
+                    [("open", 0), ("closed", 1)]
+
+
+def test_sample_starts_needs_at_least_one_start(F11):
+    cfg = make_config(F11, 1, 2, 3)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="num_starts"):
+            sample_starts(cfg, n, seed=0)
+        with pytest.raises(ValueError, match="num_starts"):
+            porism_check(cfg, num_starts=n)
+
+
+def test_run_needs_a_non_negative_step_budget(F11):
+    cfg = make_config(F11, 1, 2, 3)
+    c1 = sample_starts(cfg, 1, seed=0)[0]
+    with pytest.raises(ValueError, match="max_steps"):
+        run(cfg, c1, max_steps=-5)
+    res = run(cfg, c1, max_steps=0)
+    assert (res.outcome, res.steps, len(res.orbit)) == ("open", 0, 1)

@@ -99,6 +99,8 @@ def test_bezout_sum_is_four(F7):
         for p, _ in pts:
             assert c.lift(p.field).contains(p)
             assert d.lift(p.field).contains(p)
+            assert c.contains(p) and d.contains(p)
+            assert c.gradient(p.coords) == c.lift(p.field).gradient(p.coords)
 
 
 def test_classification_table(F13):
@@ -194,3 +196,70 @@ def test_tangency_data_from_known_points_matches_solving_them():
             assert got == want
             lifted.add(want[3])
     assert lifted == {False, True}
+
+
+def test_classify_pulls_back_once(F13, monkeypatch):
+    import porism.projective as projective
+    calls = []
+    pullback = projective._pullback
+
+    def counted(c, d, seed):
+        calls.append(seed)
+        return pullback(c, d, seed)
+    monkeypatch.setattr(projective, "_pullback", counted)
+    rng = random.Random(41)
+    kinds = set()
+    for t, a, b in [(3, 1, 5), (2, 7, 1), (0, 4, 1), (1, 2, 3)]:
+        c = normal_form_conic(F13(t), F13(a), F13(b))
+        d = Conic(F13, [1, 0, 0, 0, 0, -1])
+        for pair in ((c, d), random_smooth_pair(F13, rng)):
+            del calls[:]
+            kinds.add(classify(*pair, seed=3))
+            assert calls == [3]
+    assert {(2, 1, 1), (3, 1), (4,), (1, 1, 1, 1)} <= kinds
+
+
+def test_bilinear_is_the_polarization_in_every_characteristic():
+    from porism.fields import parse_field_spec
+    for spec in ("Fp:7", "F2k:3", "Fq:3^3:1,2,0,1", "Q"):
+        field = parse_field_spec(spec)
+        rng = random.Random(spec)
+        elems = ([field(v) for v in range(-4, 5)] if field.size is None
+                 else list(field.elements()))
+        for _ in range(20):
+            try:
+                conic = Conic(field, [rng.choice(elems) for _ in range(6)])
+            except ValueError:
+                continue
+            u, v = ([rng.choice(elems) for _ in range(3)] for _ in range(2))
+            s = [a + b for a, b in zip(u, v)]
+            assert conic.bilinear(u, v) == \
+                conic.evaluate(s) - conic.evaluate(u) - conic.evaluate(v)
+
+
+def test_span_is_the_first_two_crosses_with_the_axes(F5):
+    # every line of P^2(F_5) against the crosses built on wrapped elements
+    lines = {ProjLine(F5, [a, b, c]) for a in range(5) for b in range(5)
+             for c in range(5) if (a, b, c) != (0, 0, 0)}
+    assert len(lines) == 31
+    for line in lines:
+        l0, l1, l2 = line.coeffs
+        crosses = [[0 * l0, l2, -l1], [-l2, 0 * l0, l0], [l1, -l0, 0 * l0]]
+        want = []
+        for v in crosses:
+            if any(v) and ProjPoint(F5, v) not in want:
+                want.append(ProjPoint(F5, v))
+        assert line.span() == tuple(want[:2])
+
+
+def test_zero_inputs_keep_their_messages(F5):
+    from porism.ecurve import BilinearFactor, BiquadraticForm
+    for build, message in [
+            (lambda: ProjPoint(F5, [0, 0, 0]), "all coordinates are zero"),
+            (lambda: ProjLine(F5, [0, 0, 0]), "all coordinates are zero"),
+            (lambda: Conic(F5, [0] * 6), "zero quadratic form is not a conic"),
+            (lambda: P1Point(F5, (0, 0)), "both coordinates are zero"),
+            (lambda: BiquadraticForm(F5, [[0] * 3] * 3), "zero form is not a curve"),
+            (lambda: BilinearFactor(F5, [[0] * 2] * 2), "zero form")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()

@@ -8,7 +8,9 @@ by that tree's ``benchmark/workloads.py`` and run once, in a subprocess per
 tree, through the same entry points the benchmark calls.  Each
 ``porism-check`` operation of the check round is also run as ``porism run``
 on the same pair and seed, once per branch (min and max), which puts a
-start's lifted field and orbit coordinates under the comparison.  Every
+start's lifted field and orbit coordinates under the comparison; each
+``classify`` operation of the structure round is also run as ``porism
+normalize``, which puts the tangent-pair transform matrix under it.  Every
 operation's exit code and output must match byte for byte.  The first differing
 operation is printed by its label; the exit code is 1 on any difference and
 0 when every output matches.
@@ -37,7 +39,13 @@ for name in sys.argv[1].split(","):
         for op in build(seed):
             code, out = workloads.execute(op, prog)
             rows.append([name, seed, op.label, code, out])
-            if op.kind != "cli" or op.argv[0] != "porism-check":
+            if op.kind != "cli":
+                continue
+            if op.argv[0] == "classify":
+                code, out = workloads.call_cli(
+                    porism.cli.main, ["normalize", *op.argv[1:]], op.text)
+                rows.append([name, seed, op.label + " normalize", code, out])
+            if op.argv[0] != "porism-check":
                 continue
             for branch in ("min", "max"):
                 text = json.dumps(dict(op.obj, branch=branch))
