@@ -13,7 +13,7 @@ Square roots here are total: in F_{2^k} the Frobenius is a bijection and
 sqrt(a) = a^(2^(k-1)).
 """
 
-from .errors import DegenerateInputError, NotOnConicError
+from .errors import DegenerateInputError, NotOnConicError, TheoremViolation
 from .fields import ExtensionField
 from .projective import ProjLine, ProjPoint
 
@@ -62,15 +62,6 @@ class QuadraticForm2:
         w = [a + b for a, b in zip(u, v)]
         return self.evaluate(w) + self.evaluate(u) + self.evaluate(v)
 
-    def bilinear(self):
-        field = self.field
-        m = [[field.zero] * self.n for _ in range(self.n)]
-        for (i, j), a in self.coeffs.items():
-            if i != j:
-                m[i][j] = a
-                m[j][i] = a
-        return BilinearForm2(field, m)
-
     def transform(self, columns):
         """The form q(Pz) for the basis change with the given columns: the
         new diagonal entries are q on the columns, the cross entries the
@@ -108,41 +99,6 @@ class QuadraticForm2:
         return " + ".join(parts)
 
 
-class BilinearForm2:
-    """An alternating bilinear form as an n x n matrix (zero diagonal)."""
-
-    __slots__ = ("field", "n", "m")
-
-    def __init__(self, field, m):
-        n = len(m)
-        rows = [tuple(field(c) for c in row) for row in m]
-        for i in range(n):
-            if not rows[i][i].is_zero():
-                raise ValueError("alternating form needs a zero diagonal")
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("form is not symmetric")
-        self.field = field
-        self.n = n
-        self.m = tuple(rows)
-
-    def apply(self, u, v):
-        total = self.field.zero
-        for i in range(self.n):
-            ui = u[i]
-            if ui.is_zero():
-                continue
-            for j in range(self.n):
-                c = self.m[i][j]
-                if not c.is_zero():
-                    total = total + ui * c * v[j]
-        return total
-
-    def __repr__(self):
-        return "BilinearForm2(" + "; ".join(
-            ",".join(str(c) for c in row) for row in self.m) + ")"
-
-
 class CanonicalForm2:
     """Result of symplectic normalization: l hyperbolic coordinate pairs,
     an optional square term, and the basis-change columns realizing
@@ -174,10 +130,6 @@ class CanonicalForm2:
     def __repr__(self):
         sq = " + square term" if self.has_square_term else ""
         return f"CanonicalForm2(l={self.l}{sq}, lifted={self.lifted})"
-
-
-def bilinear_from_quadratic(q):
-    return q.bilinear()
 
 
 def solve_artin_schreier(c):
@@ -216,7 +168,7 @@ def _inv2(m, field):
     (p, q), (r, s) = m
     det = p * s + q * r  # char 2: the adjugate has no signs
     if det.is_zero():
-        raise AssertionError("linear factors are dependent")
+        raise TheoremViolation("linear factors are dependent")
     di = det.inv()
     return ((s * di, q * di), (r * di, p * di))
 
@@ -303,7 +255,8 @@ def symplectic_normalize(q):
     columns.extend(rest)
     result = CanonicalForm2(field, n, len(pairs), square_vec is not None,
                             tuple(tuple(c) for c in columns), lifted)
-    assert q.transform(result.columns) == result.canonical_form()
+    if q.transform(result.columns) != result.canonical_form():
+        raise TheoremViolation("basis does not give the canonical form")
     return result
 
 

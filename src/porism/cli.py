@@ -247,6 +247,8 @@ def _read_quadratic_form(obj):
     try:
         field = parse_field_spec(obj["field"])
         n = int(obj["n"])
+        if not 1 <= n <= 32:
+            raise ValueError(f"n must be between 1 and 32, got {n}")
         if not isinstance(obj["coeffs"], dict):
             raise TypeError("coeffs must be an object")
         coeffs = {}

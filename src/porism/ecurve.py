@@ -11,11 +11,12 @@ the discriminant of H in v is a square binary quartic in u.
 
 from math import comb
 
-from .errors import DegenerateInputError, FieldMismatchError, NotOnConicError
+from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
+                     TheoremViolation)
 from .fields import lift_to_quadratic_extension
-from .poly import Polynomial, roots_in_closure, squarefree_decomposition, is_square
+from .poly import Polynomial, squarefree_decomposition, is_square
 from .projective import P1Point, ProjPoint, ConicParametrization, find_point, \
-    parametrize, normal_form_conic, Conic, _canonical_elements
+    parametrize, normal_form_conic, Conic, _canonical_elements, _repeated_params
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
@@ -45,16 +46,8 @@ class BiquadraticForm:
     def evaluate(self, u, v):
         """Value at a pair of P^1 points (well defined up to the canonical
         scale of the arguments)."""
-        field = u.field
-        um = _monomials(u)
-        vm = _monomials(v)
-        total = field.zero
-        for i in range(3):
-            for j in range(3):
-                c = self.h[i][j]
-                if not c.is_zero():
-                    total = total + field(c) * um[i] * vm[j]
-        return total
+        return sum((q * m for q, m in zip(self.fiber_in_v(u), _monomials(v))),
+                   start=u.field.zero)
 
     def contains(self, u, v):
         return self.evaluate(u, v).is_zero()
@@ -62,26 +55,8 @@ class BiquadraticForm:
     def partials(self, u, v):
         """The four bihomogeneous partial derivatives at ((a:b),(c:d)),
         in the order d/da, d/db, d/dc, d/dd."""
-        field = u.field
-        a, b = u.coords
-        c, d = v.coords
-        um = _monomials(u)
-        vm = _monomials(v)
-        dua = (field.zero, b, a + a)   # d/da of (b^2, ab, a^2)
-        dub = (b + b, a, field.zero)
-        dvc = (field.zero, d, c + c)
-        dvd = (d + d, c, field.zero)
-        out = [field.zero] * 4
-        for i in range(3):
-            for j in range(3):
-                hij = field(self.h[i][j])
-                if hij.is_zero():
-                    continue
-                out[0] = out[0] + hij * dua[i] * vm[j]
-                out[1] = out[1] + hij * dub[i] * vm[j]
-                out[2] = out[2] + hij * um[i] * dvc[j]
-                out[3] = out[3] + hij * um[i] * dvd[j]
-        return tuple(out)
+        return (_binary_partials(self.fiber_in_u(v), u)
+                + _binary_partials(self.fiber_in_v(u), v))
 
     def is_singular_at(self, u, v):
         """Whether (u, v) is a singular point of the curve.  In odd
@@ -192,6 +167,13 @@ def _monomials(p):
     return (b * b, a * b, a * a)
 
 
+def _binary_partials(q, p):
+    """d/da and d/db of q0 b^2 + q1 ab + q2 a^2 at p = (a:b)."""
+    a, b = p.coords
+    q0, q1, q2 = q
+    return (q1 * b + (q2 + q2) * a, (q0 + q0) * b + q1 * a)
+
+
 def build_E(outer, inner, outer_par=None, inner_par=None, seed=0):
     """The incidence form H(u, v) whose zeros are the pairs (c(u), d(v))
     with c(u) on the tangent of the inner conic at d(v).  Coefficients are
@@ -229,7 +211,8 @@ def build_E_normalized(t, a, b):
     expected = ((field.zero, field.zero, field.one),
                 (field.zero, -(b + b), field(t)),
                 (field(b), field.zero, field(a)))
-    assert H.h == expected
+    if H.h != expected:
+        raise TheoremViolation(f"normal-form incidence form is {H!r}")
     return H
 
 
@@ -249,22 +232,16 @@ def singular_points(H, seed=0):
     """All singular points of the curve, over the base field or one
     quadratic extension.  Candidates are the multiple roots of the
     v-discriminant quartic; each candidate pair is confirmed against the
-    four bihomogeneous partials."""
+    four bihomogeneous partials.  The repeated parts of a quartic have
+    degree at most 2 and are solved without a random draw, so ``seed``
+    changes nothing."""
     field = H.field
-    coeffs = H.disc_v_coeffs()
-    f = Polynomial(field, coeffs)
+    f = Polynomial(field, H.disc_v_coeffs())
     if f.is_zero():
         raise DegenerateInputError("discriminant vanishes identically: "
                                    "the form is not reduced")
-    candidates = []
-    if 4 - f.degree >= 2:
-        candidates.append(P1Point.infinity(field))
-    for g, mult in squarefree_decomposition(f.monic()):
-        if mult < 2 or g.degree == 0:
-            continue
-        roots = roots_in_closure(g, max_total_extension_degree=2, seed=seed)
-        for r, _ in roots.entries:
-            candidates.append(P1Point.affine(r))
+    candidates = _repeated_params(field, 4 - f.degree,
+                                  squarefree_decomposition(f))
     out = []
     for u in candidates:
         Hl = H if u.field == field else H.lift(u.field)
@@ -331,7 +308,8 @@ def is_reducible(H, seed=0):
         content, inf = _binary_content(field, [p_v, p_w], 2)
         qv, rv = divmod(Polynomial(field, p_v), content)
         qw, rw = divmod(Polynomial(field, p_w), content)
-        assert rv.is_zero() and rw.is_zero()
+        if not (rv.is_zero() and rw.is_zero()):
+            raise TheoremViolation("content does not divide the factor forms")
         m = [[field.zero, field.zero], [field.zero, field.zero]]
         for k, c in enumerate(qv.coeffs):
             m[k][1] = c
@@ -383,8 +361,8 @@ def _local_quadratic_disc(H, u, v):
 
     h = shift_rows(h, u)
     h = [list(col) for col in zip(*shift_rows([list(r) for r in zip(*h)], v))]
-    assert h[0][0].is_zero() and h[1][0].is_zero() and h[0][1].is_zero(), \
-        "translated point is not a singular point"
+    if not (h[0][0].is_zero() and h[1][0].is_zero() and h[0][1].is_zero()):
+        raise TheoremViolation("translated point is not a singular point")
     q20, q11, q02 = h[2][0], h[1][1], h[0][2]
     if q20.is_zero() and q11.is_zero() and q02.is_zero():
         raise DegenerateInputError("singularity has vanishing quadratic part")

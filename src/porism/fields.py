@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import ExtensionOverflowError, FieldMismatchError
+from .errors import ExtensionOverflowError, FieldMismatchError, TheoremViolation
 
 # Residue cap for prime fields; desk-scale experiments never get close.
 MAX_PRIME = 2**31
@@ -696,7 +696,8 @@ class QuadRationalField(Field):
         cands = [FieldElement(self, v) for v in roots]
         cands += [-c for c in cands]
         best = min(cands, key=lambda c: c.sort_key())
-        assert best * best == elem
+        if best * best != elem:
+            raise TheoremViolation("Q(sqrt d) square root check failed")
         return best
 
     def spec_string(self):
@@ -751,7 +752,8 @@ def _finite_field_sqrt(field, elem):
             c = b * b
             u = u * c
             m = i
-    assert r * r == elem
+    if r * r != elem:
+        raise TheoremViolation("Tonelli-Shanks root check failed")
     return min(r, -r, key=lambda x: x.sort_key())
 
 

@@ -11,7 +11,7 @@ finding in a bounded extension tower, and exact polynomial square roots.
 from dataclasses import dataclass
 from math import gcd as gcd_int, isqrt
 
-from .errors import ExtensionOverflowError, FieldMismatchError
+from .errors import ExtensionOverflowError, FieldMismatchError, TheoremViolation
 from .fields import (ExtensionField, FieldElement, PrimeField, QuadRationalField,
                      RationalField, lift_to_quadratic_extension)
 
@@ -299,7 +299,8 @@ def factor(f, seed=0):
             for irr in _edf(block, d, rng):
                 out.append((irr, mult))
     out.sort(key=lambda gm: (gm[0].degree, [c.sort_key() for c in gm[0].coeffs]))
-    assert sum(g.degree * m for g, m in out) == f.degree
+    if sum(g.degree * m for g, m in out) != f.degree:
+        raise TheoremViolation("factor degrees do not add up")
     return out
 
 

@@ -250,6 +250,10 @@ def sample_starts(cfg, num_starts, seed):
         params = (P1Point.affine(field.element(i - 1)) if i
                   else P1Point.infinity(field) for i in order)
     else:
+        # 4 num_starts + 8 distinct draws n/d with |n| <= 50, 1 <= d <= 11,
+        # of which there are 719
+        if 4 * num_starts + 8 > 719:
+            raise ValueError("num_starts must be at most 177 over Q and Q(sqrt d)")
         params = [P1Point.infinity(field)]
         from fractions import Fraction
         seen = set()

@@ -14,7 +14,8 @@ characteristic other than two.
 
 import random
 
-from .errors import DegenerateInputError, FieldMismatchError, NeedsHintError, NotOnConicError
+from .errors import (DegenerateInputError, FieldMismatchError, NeedsHintError,
+                     NotOnConicError, TheoremViolation)
 from .fields import FieldElement, RationalField, QuadRationalField
 from .poly import (Polynomial, binary_form_roots, roots_in_closure,
                    squarefree_decomposition)
@@ -212,27 +213,13 @@ class Conic:
         return Conic(new_field, self.coeffs)
 
     def transform_by_matrix(self, n):
-        """The conic with form F(N v); i.e. pull back along v -> N v."""
-        field = self.field
-        # rows of N as linear forms; expand sum a_rs (row_r . v)(row_s . v)
-        out = {m: field.zero for m in
-               ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))}
-        pairs = [((0, 0), self.coeffs[0]), ((1, 1), self.coeffs[1]),
-                 ((2, 2), self.coeffs[2]), ((0, 1), self.coeffs[3]),
-                 ((0, 2), self.coeffs[4]), ((1, 2), self.coeffs[5])]
-        for (r, s), a in pairs:
-            if a.is_zero():
-                continue
-            for c1 in range(3):
-                if n[r][c1].is_zero():
-                    continue
-                for c2 in range(3):
-                    if n[s][c2].is_zero():
-                        continue
-                    key = (c1, c2) if c1 <= c2 else (c2, c1)
-                    out[key] = out[key] + a * n[r][c1] * n[s][c2]
-        return Conic(field, [out[(0, 0)], out[(1, 1)], out[(2, 2)],
-                             out[(0, 1)], out[(0, 2)], out[(1, 2)]])
+        """The conic with form F(N v); i.e. pull back along v -> N v.  With
+        w_k the columns of N, the coefficient of v_k^2 is F(w_k) and that of
+        v_k v_l is B(w_k, w_l)."""
+        f, b = self.evaluate, self.bilinear
+        w0, w1, w2 = ([row[k] for row in n] for k in range(3))
+        return Conic(self.field, [f(w0), f(w1), f(w2),
+                                  b(w0, w1), b(w0, w2), b(w1, w2)])
 
     def __eq__(self, other):
         return (isinstance(other, Conic) and self.field == other.field
@@ -438,12 +425,12 @@ def find_point(conic, seed=0, hint=None):
 
 def _solve_on_line(conic, y, z):
     """A conic point of the form [x : y : z] with the given y, z, if the
-    resulting quadratic in x has an in-field root."""
+    resulting quadratic in x has an in-field root: F(x e_0 + w) with
+    w = [0 : y : z] is a x^2 + b x + c with a = F(e_0), b = B(e_0, w) and
+    c = F(w)."""
     field = conic.field
-    a00, a11, a22, a01, a02, a12 = conic.coeffs
-    a = a00
-    b = a01 * y + a02 * z
-    c = a11 * y * y + a22 * z * z + a12 * y * z
+    e0, w = [field.one, field.zero, field.zero], [field.zero, y, z]
+    a, b, c = conic.evaluate(e0), conic.bilinear(e0, w), conic.evaluate(w)
     if a.is_zero():
         if b.is_zero():
             return None
@@ -579,30 +566,12 @@ def parametrize(conic, base):
 
 def pullback_quartic(conic, par):
     """Coefficients (low-to-high, length 5) of the binary quartic
-    F_conic(par(u)) in the affine parameter u."""
-    field = conic.field
-    rows = par.c
-    out = [field.zero] * 5
-
-    def addprod(a, p, q):
-        if a.is_zero():
-            return
-        for d1 in range(3):
-            if p[d1].is_zero():
-                continue
-            for d2 in range(3):
-                if q[d2].is_zero():
-                    continue
-                out[d1 + d2] = out[d1 + d2] + a * p[d1] * q[d2]
-
-    a00, a11, a22, a01, a02, a12 = conic.coeffs
-    addprod(a00, rows[0], rows[0])
-    addprod(a11, rows[1], rows[1])
-    addprod(a22, rows[2], rows[2])
-    addprod(a01, rows[0], rows[1])
-    addprod(a02, rows[0], rows[2])
-    addprod(a12, rows[1], rows[2])
-    return out
+    F_conic(par(u)) in the affine parameter u: with w_j the coefficient
+    columns, par(u) = w_0 + u w_1 + u^2 w_2 and the quartic is read off the
+    polarization of F."""
+    f, b = conic.evaluate, conic.bilinear
+    w0, w1, w2 = ([row[j] for row in par.c] for j in range(3))
+    return [f(w0), b(w0, w1), f(w1) + b(w0, w2), b(w1, w2), f(w2)]
 
 
 def _check_pair(c, d):
@@ -628,7 +597,8 @@ def intersect_conics(c, d, seed=0):
         out.append((pt, mult))
     if roots.at_infinity:
         out.append((par.point_at(P1Point.infinity(c.field)), roots.at_infinity))
-    assert sum(m for _, m in out) == 4
+    if sum(m for _, m in out) != 4:
+        raise TheoremViolation("intersection multiplicities do not sum to 4")
     return out
 
 
@@ -666,18 +636,23 @@ def tangency_points(c, d, seed=0):
     return _type_and_tangencies(c, d, seed)[1]
 
 
+def _repeated_params(field, at_inf, parts):
+    """The parameters of multiplicity >= 2 of a binary quartic given by its
+    multiplicity at infinity and squarefree decomposition, as P1Points in
+    the field or one quadratic extension."""
+    out = [P1Point.infinity(field)] if at_inf >= 2 else []
+    for part, m in parts:
+        if m >= 2:
+            out.extend(P1Point.affine(t) for t, _ in roots_in_closure(
+                part, max_total_extension_degree=2).entries)
+    return out
+
+
 def _type_and_tangencies(c, d, seed):
     """``multiplicity_structure`` and ``tangency_points`` of the pair from
     one pullback."""
     par, at_inf, parts = _pullback(c, d, seed)
-    pts = []
-    if at_inf >= 2:
-        pts.append(par.point_at(P1Point.infinity(c.field)))
-    for part, m in parts:
-        if m < 2:
-            continue
-        for t, _ in roots_in_closure(part, max_total_extension_degree=2).entries:
-            pts.append(par.point_at(P1Point.affine(t)))
+    pts = [par.point_at(t) for t in _repeated_params(c.field, at_inf, parts)]
     return _multiplicities(at_inf, parts), pts
 
 
@@ -736,7 +711,8 @@ def normalize_tangent_pair(c, d, p):
     # By the tangent-pair lemma the transformed D reads
     # x^2 + t2 xy + a2 y^2 - b2 yz (z^2 and xz coefficients vanish).
     a00, a11, a22, a01, a02, a12 = d1.coeffs
-    assert a22.is_zero() and a02.is_zero() and not a00.is_zero()
+    if not (a22.is_zero() and a02.is_zero() and not a00.is_zero()):
+        raise TheoremViolation(f"tangent-pair lemma failed: {d1!r}")
     t2, a2, b2 = a01, a11, -a12
     two_inv = field(2).inv()
     z, o = field.zero, field.one
@@ -747,9 +723,11 @@ def normalize_tangent_pair(c, d, p):
     m = m2.compose(m1)
     c_new = apply_transform(m, c)
     d_new = apply_transform(m, d)
-    assert d_new == Conic(field, [1, 0, 0, 0, 0, -1]), d_new
+    if d_new != Conic(field, [1, 0, 0, 0, 0, -1]):
+        raise TheoremViolation(f"inner conic not in normal form: {d_new!r}")
     a00, a11, a22, a01, a02, a12 = c_new.coeffs
-    assert a00 == field.one and a22.is_zero() and a02.is_zero()
+    if not (a00 == field.one and a22.is_zero() and a02.is_zero()):
+        raise TheoremViolation(f"outer conic not in normal form: {c_new!r}")
     t_, a_, b_ = a01, a11, -a12
     if b_.is_zero():
         raise DegenerateInputError("normalized pair has b = 0; conic is singular")
@@ -780,7 +758,9 @@ def classify(c, d, seed=0):
     if mults[0] >= 2:
         c_l, d_l, pts, _ = tangency_data(c, d, seed, points=pts)
         norm = normalize_tangent_pair(c_l, d_l, pts[0])
-        assert classify_normalized(norm.t, norm.a, norm.b) == mults
+        if classify_normalized(norm.t, norm.a, norm.b) != mults:
+            raise TheoremViolation(
+                f"normal form disagrees with the pullback type {mults}")
     return mults
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from porism.fields import PrimeField, RationalField
-from porism.projective import Conic
+from porism.projective import Conic, ProjPoint
 
 
 @pytest.fixture
@@ -51,3 +51,13 @@ def random_smooth_pair(field, rng):
     while inner == outer:
         inner = random_smooth_conic(field, rng)
     return outer, inner
+
+
+def plane_points(field):
+    """All points of the projective plane over a finite field."""
+    pts = [ProjPoint(field, [1, 0, 0])]
+    for y in field.elements():
+        pts.append(ProjPoint(field, [y, field.one, field.zero]))
+        for x in field.elements():
+            pts.append(ProjPoint(field, [x, y, field.one]))
+    return pts

@@ -1,0 +1,46 @@
+"""Theorem canaries raise TheoremViolation, which survives ``python -O``."""
+
+import ast
+import os
+import subprocess
+import sys
+
+import porism
+
+SRC = os.path.dirname(porism.__file__)
+
+
+def test_no_assert_statements_in_the_library():
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+CANARY = """
+import porism.projective as projective
+from porism.errors import TheoremViolation
+from porism.fields import PrimeField
+
+assert False, "asserts are stripped under -O"
+F5 = PrimeField(5)
+outer = projective.Conic(F5, [1, 1, 0, 0, 0, 4])   # x^2 + y^2 - yz
+inner = projective.Conic(F5, [1, 0, 0, 0, 0, 4])   # x^2 - yz, type (4,)
+projective.classify_normalized = lambda t, a, b: (1, 1, 1, 1)
+try:
+    projective.classify(outer, inner)
+except TheoremViolation as exc:
+    print("TheoremViolation:", exc)
+"""
+
+
+def test_a_canary_fires_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    got = subprocess.run([sys.executable, "-O", "-c", CANARY], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.startswith("TheoremViolation: normal form disagrees")

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from porism.char2 import (CanonicalForm2, QuadraticForm2,
-                          bilinear_from_quadratic, is_irreducible_conic,
+from porism.char2 import (CanonicalForm2, QuadraticForm2, is_irreducible_conic,
                           solve_artin_schreier, strange_point,
                           symplectic_normalize, tangent_at_char2)
 from porism.errors import DegenerateInputError
 from porism.fields import PrimeField, binary_field
-from porism.projective import Conic, ProjPoint
+from porism.projective import Conic
+
+from conftest import plane_points
 
 
 def random_form(field, n, rng):
@@ -18,16 +19,6 @@ def random_form(field, n, rng):
         for j in range(i, n):
             coeffs[(i, j)] = rng.choice(pool)
     return QuadraticForm2(field, n, coeffs)
-
-
-def _plane_points(field):
-    """All points of the projective plane over a finite field."""
-    pts = [ProjPoint(field, [1, 0, 0])]
-    for y in field.elements():
-        pts.append(ProjPoint(field, [y, field.one, field.zero]))
-        for x in field.elements():
-            pts.append(ProjPoint(field, [x, y, field.one]))
-    return pts
 
 
 def random_conic2(field, rng):
@@ -44,15 +35,16 @@ def test_polar_form_is_alternating():
     rng = random.Random(1)
     for _ in range(20):
         q = random_form(F8, 3, rng)
-        B = bilinear_from_quadratic(q)
         for _ in range(10):
-            u = [F8(rng.randrange(8)) for _ in range(3)]
-            v = [F8(rng.randrange(8)) for _ in range(3)]
-            assert B.apply(u, u).is_zero()
-            assert B.apply(u, v) == B.apply(v, u)
-            # polar identity
-            w = [a + b for a, b in zip(u, v)]
-            assert q.evaluate(w) == q.evaluate(u) + q.evaluate(v) + B.apply(u, v)
+            u = [F8.element(rng.randrange(8)) for _ in range(3)]
+            v = [F8.element(rng.randrange(8)) for _ in range(3)]
+            assert q.polar(u, u).is_zero()
+            assert q.polar(u, v) == q.polar(v, u)
+            # the alternating matrix: a_ij off the diagonal, zero on it
+            want = sum((q.coefficient(i, j) * (u[i] * v[j] + u[j] * v[i])
+                        for i in range(3) for j in range(i + 1, 3)),
+                       start=F8.zero)
+            assert q.polar(u, v) == want
 
 
 def test_artin_schreier_solutions():
@@ -142,7 +134,7 @@ def test_strange_point_collects_all_tangents():
             if not is_irreducible_conic(conic):
                 continue
             p = strange_point(conic)
-            points = {pt for pt in _plane_points(field) if conic.contains(pt)}
+            points = {pt for pt in plane_points(field) if conic.contains(pt)}
             assert points
             for pt in points:
                 assert tangent_at_char2(conic, pt).contains(p)
@@ -160,11 +152,11 @@ def test_exactly_one_tangent_through_external_point():
         p = strange_point(conic)
         # a random point q with q != p and q not on the conic
         while True:
-            q = rng.choice(_plane_points(field))
+            q = rng.choice(plane_points(field))
             if q != p and not conic.contains(q):
                 break
         tangents = {tangent_at_char2(conic, pt)
-                    for pt in _plane_points(field) if conic.contains(pt)}
+                    for pt in plane_points(field) if conic.contains(pt)}
         through_q = [line for line in tangents if line.contains(q)]
         assert len(through_q) == 1
         done += 1

@@ -338,3 +338,25 @@ def test_negative_max_steps_is_an_input_error(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert (data["outcome"], data["steps"]) == ("open", 0)
+
+
+def test_num_starts_over_q_is_bounded(tmp_path, capsys):
+    path = write_json(tmp_path, "pair.json", dict(PAIR_Q_TRIANGLE, num_starts=177))
+    code, out, _ = run_cli(capsys, "porism-check", path, "--json")
+    assert code == 0 and json.loads(out)["periods"] == [3] * 177
+    path = write_json(tmp_path, "pair.json", dict(PAIR_Q_TRIANGLE, num_starts=178))
+    code, out, err = run_cli(capsys, "porism-check", path, "--json")
+    assert code == 1 and out == ""
+    assert "at most 177" in json.loads(err)["error"]
+
+
+def test_char2_normalize_bounds_n(tmp_path, capsys):
+    for n, want in ((-1, 1), (0, 1), (33, 1), (32, 0)):
+        obj = {"field": "F2k:2", "n": n, "coeffs": {"0,1": "1"}}
+        path = write_json(tmp_path, "form.json", obj)
+        code, out, err = run_cli(capsys, "char2-normalize", path, "--json")
+        assert code == want, n
+        if want:
+            assert out == "" and "between 1 and 32" in json.loads(err)["error"]
+        else:
+            assert len(json.loads(out)["matrix"]) == 32

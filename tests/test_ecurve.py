@@ -9,6 +9,7 @@ from porism.ecurve import (SHAPE_CUSP, SHAPE_NODE, SHAPE_SMOOTH,
                            shape, sigma, singular_points, state_to_params,
                            tau)
 from porism.errors import NotOnConicError
+from porism.fields import parse_field_spec
 from porism.process import PonceletConfig, sample_starts, start, step
 from porism.projective import Conic, P1Point, normal_form_conic
 
@@ -184,3 +185,38 @@ def test_nu_has_period_p_in_osculating_case(F5):
         for _ in range(5):
             q = nu(H, q)
         assert q == p
+
+
+def _double_sum(H, u, v, da=0, db=0, dc=0, dd=0):
+    """sum h_ij a^i b^(2-i) c^j d^(2-j), or one first partial of it."""
+    def term(x, y, i, dx, dy):
+        # d/dx^dx d/dy^dy of x^i y^(2-i), at most one derivative
+        k = 2 - i
+        coef = (i if dx else 1) * (k if dy else 1)
+        if coef == 0:
+            return x.field.zero
+        return coef * x ** (i - dx) * y ** (k - dy)
+    (a, b), (c, d) = u.coords, v.coords
+    field = u.field
+    return sum((field(H.h[i][j]) * term(a, b, i, da, db) * term(c, d, j, dc, dd)
+                for i in range(3) for j in range(3)), start=field.zero)
+
+
+def test_evaluate_and_partials_are_the_double_sum(F13):
+    F169 = parse_field_spec("Fq:13^2:11,0,1")
+    rng = random.Random(13)
+    for field in (F13, F169):
+        for _ in range(6):
+            H = BiquadraticForm(F13, [[F13(rng.randrange(13)) for _ in range(3)]
+                                      for _ in range(3)])
+            if field != F13:
+                H = H.lift(field)
+            p1 = [P1Point.infinity(field)] + [
+                P1Point.affine(field.element(rng.randrange(field.size)))
+                for _ in range(5)]
+            for u in p1:
+                for v in p1:
+                    assert H.evaluate(u, v) == _double_sum(H, u, v)
+                    assert H.partials(u, v) == (
+                        _double_sum(H, u, v, da=1), _double_sum(H, u, v, db=1),
+                        _double_sum(H, u, v, dc=1), _double_sum(H, u, v, dd=1))

@@ -475,3 +475,16 @@ def test_run_needs_a_non_negative_step_budget(F11):
         run(cfg, c1, max_steps=-5)
     res = run(cfg, c1, max_steps=0)
     assert (res.outcome, res.steps, len(res.orbit)) == ("open", 0, 1)
+
+
+def test_sample_starts_over_q_stops_at_its_draw_pool(Q):
+    # 4 n + 8 distinct fractions n/d, |n| <= 50, 1 <= d <= 11: 719 of them
+    assert len({Fraction(n, d) for n in range(-50, 51)
+                for d in range(1, 12)}) == 719
+    outer = Conic(Q, [1, 1, -16, 0, 0, 0])
+    inner = Conic(Q, [1, 1, Fraction(7, 4), 0, -4, 0])
+    cfg = PonceletConfig(outer, inner)
+    starts = sample_starts(cfg, 177, seed=0)
+    assert len(set(starts)) == 177
+    with pytest.raises(ValueError, match="num_starts"):
+        sample_starts(cfg, 178, seed=0)

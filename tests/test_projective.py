@@ -3,15 +3,17 @@ import random
 import pytest
 
 from porism.errors import DegenerateInputError
+from porism.fields import parse_field_spec
 from porism.projective import (Conic, P1Point, ProjLine, ProjPoint,
-                               ProjTransform, classify, classify_normalized,
-                               find_point, intersect_conics,
-                               intersect_line_conic, multiplicity_structure,
-                               normal_form_conic, normalize_tangent_pair,
-                               other_intersection, parametrize, polar,
+                               ProjTransform, apply_transform, classify,
+                               classify_normalized, find_point,
+                               intersect_conics, intersect_line_conic,
+                               multiplicity_structure, normal_form_conic,
+                               normalize_tangent_pair, other_intersection,
+                               parametrize, polar, pullback_quartic,
                                tangency_data, tangency_points, tangent_at)
 
-from conftest import random_smooth_conic, random_smooth_pair
+from conftest import plane_points, random_smooth_conic, random_smooth_pair
 
 
 def test_point_canonicalization(F7):
@@ -263,3 +265,46 @@ def test_zero_inputs_keep_their_messages(F5):
             (lambda: BilinearFactor(F5, [[0] * 2] * 2), "zero form")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
+
+
+def test_pullback_quartic_is_the_form_on_the_unscaled_parametrization(Q):
+    cases = []
+    for spec in ("Fp:13", "Fq:3^3:1,2,0,1"):
+        field = parse_field_spec(spec)
+        rng = random.Random(spec)
+        for _ in range(4):
+            cases.append((random_smooth_pair(field, rng), list(field.elements())))
+    euler = (Conic(Q, [1, 1, -16, 0, 0, 0]),
+             Conic(Q, [1, 1, Q(7) / 4, 0, -4, 0]))
+    cases.append((euler, [Q(v) / 3 for v in range(-9, 10)]))
+    for (c, d), params in cases:
+        par = parametrize(d, find_point(d))
+        quartic = pullback_quartic(c, par)
+        w = [[row[j] for row in par.c] for j in range(3)]
+        for u in params:
+            point = [w[0][r] + u * w[1][r] + u * u * w[2][r] for r in range(3)]
+            assert sum((q * u ** k for k, q in enumerate(quartic)),
+                       start=u.field.zero) == c.evaluate(point)
+        # at u = infinity the quartic's top coefficient is F on w_2
+        assert quartic[4] == c.evaluate(w[2])
+
+
+def test_transformed_conic_contains_the_transformed_points():
+    for spec in ("Fp:7", "Fq:5^2:2,0,1"):
+        field = parse_field_spec(spec)
+        rng = random.Random(spec)
+        plane = plane_points(field)
+        elems = list(field.elements())
+        for _ in range(3):
+            conic = random_smooth_conic(field, rng)
+            while True:
+                try:
+                    m = ProjTransform(field, [[rng.choice(elems) for _ in range(3)]
+                                              for _ in range(3)])
+                    break
+                except DegenerateInputError:
+                    continue
+            image = apply_transform(m, conic)
+            on = [p for p in plane if conic.contains(p)]
+            assert len(on) == field.size + 1
+            assert all(image.contains(m(p)) for p in on)
