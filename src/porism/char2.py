@@ -132,18 +132,47 @@ class CanonicalForm2:
         return f"CanonicalForm2(l={self.l}{sq}, lifted={self.lifted})"
 
 
+def _index(field, value):
+    """The i with ``field.element(i).value == value``.  ``element`` reads
+    i digit by digit, so over F_2 and the extensions above it this map is
+    F_2-linear: a sum of values is the xor of their indices."""
+    if not isinstance(field, ExtensionField):
+        return value
+    i = 0
+    for v in value:
+        i = i * field.base.size + _index(field.base, v)
+    return i
+
+
 def solve_artin_schreier(c):
     """A root of z^2 + z = c, adjoining one Artin-Schreier extension when
     the trace obstruction blocks a root in the field.  Returns the root and
-    its field."""
+    its field; of the roots z and z + 1, the one first in ``elements()``.
+
+    z -> z^2 + z is F_2-linear, so the root comes from elimination over F_2
+    on the images of the basis element(2^b), written as index bit masks."""
     field = c.field
-    if field.size is None or field.size > 1 << 20:
-        raise ValueError("field too large for the root scan")
-    for z in field.elements():
-        if z * z + z == c:
-            return z, field
-    ext = ExtensionField(field, [c, field.one, field.one])
-    return ext.gen, ext
+    if field.char != 2 or field.size is None:
+        raise ValueError("Artin-Schreier roots need a finite field of "
+                         "characteristic two")
+    pivots = {}  # top bit -> (image, the basis elements summed into it)
+    for b in range(field.size.bit_length() - 1):
+        e = field.element(1 << b)
+        image, combo = _index(field, (e * e + e).value), 1 << b
+        while image:
+            top = image.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = image, combo
+                break
+            image, combo = image ^ pivots[top][0], combo ^ pivots[top][1]
+    target, root = _index(field, c.value), 0
+    while target:
+        top = target.bit_length() - 1
+        if top not in pivots:
+            ext = ExtensionField(field, [c, field.one, field.one])
+            return ext.gen, ext
+        target, root = target ^ pivots[top][0], root ^ pivots[top][1]
+    return field.element(min(root, root ^ _index(field, field.one.value))), field
 
 
 def _split_hyperbolic(alpha, beta):

@@ -21,11 +21,12 @@ import time
 from itertools import chain, islice
 
 from . import char2, ecurve
-from .errors import DegenerateInputError, ExtensionOverflowError
+from .errors import DegenerateInputError, ExtensionOverflowError, TheoremViolation
 from .fields import parse_element, parse_field_spec
 from .poly import Polynomial, factor
 from .process import PonceletConfig, porism_check, run, sample_starts
-from .projective import Conic, ProjPoint, normalize_tangent_pair, tangency_data
+from .projective import (Conic, ProjPoint, classify_normalized,
+                         normalize_tangent_pair, tangency_data)
 from .svgfig import render_process
 
 EXIT_OK = 0
@@ -119,6 +120,9 @@ def _classify_payload(outer, inner, seed):
     }
     if cfg.intersection_type[0] >= 2:
         nf = _normal_form(outer, inner, seed, cfg.tangencies)
+        if classify_normalized(nf.t, nf.a, nf.b) != cfg.intersection_type:
+            raise TheoremViolation("normal form disagrees with the pullback "
+                                   f"type {cfg.intersection_type}")
         data["normal_form"] = {"t": str(nf.t), "a": str(nf.a),
                                "b": str(nf.b), "delta": str(nf.delta)}
     return cfg, data

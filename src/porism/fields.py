@@ -10,6 +10,11 @@ Supported fields:
 * ``RationalField()``      -- the rationals, with exact Fraction coordinates
 * ``QuadRationalField(d)`` -- Q(sqrt d) for a non-square rational d
 
+Every field has ``_add``, ``_neg``, ``_mul``, ``_inv`` and ``_dot`` (the sum
+of u_i v_i) on raw values; ``_dot`` reduces once per output coefficient on
+F_p and in degrees 2 and 3 over it, and is built from the base's dots in
+a degree-2 tower.
+
 Elements are immutable and stored in canonical form (residues reduced,
 fractions in lowest terms, coefficient tuples padded to full length), so
 ``==`` and ``hash`` work structurally.  Where a square root has two choices
@@ -19,8 +24,9 @@ run reproducible.
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt
+from operator import mul as _imul
 
 from .errors import ExtensionOverflowError, FieldMismatchError, TheoremViolation
 
@@ -217,6 +223,12 @@ class Field:
     def contains(self, other):
         return self == other
 
+    def _dot(self, u, v):
+        """The sum of u_i v_i on raw values, for non-empty u and v of one
+        length: a fold of ``_add`` over ``_mul``, unless the field binds a
+        fused kernel."""
+        return reduce(self._add, map(self._mul, u, v))
+
     def sqrt(self, elem):
         raise NotImplementedError
 
@@ -256,6 +268,9 @@ class PrimeField(Field):
     def _mul(self, a, b):
         return (a * b) % self.p
 
+    def _dot(self, u, v):
+        return sum(map(_imul, u, v)) % self.p
+
     def _neg(self, a):
         return (-a) % self.p
 
@@ -287,9 +302,11 @@ class PrimeField(Field):
 
 
 def _prime_kernel(p, modulus):
-    """add, neg, mul and inv of F_p[x]/(modulus), for a monic modulus of
-    degree k given as int residues, low degree first.  They work on tuples
-    of k residues and reduce each output coefficient with one % p."""
+    """add, neg, mul, inv and dot of F_p[x]/(modulus), for a monic modulus
+    of degree k given as int residues, low degree first.  They work on
+    tuples of k residues and reduce each output coefficient with one % p;
+    dot sums its products unreduced and folds them through the reduction
+    rows once."""
     k = len(modulus) - 1
     # rows[i] is x^(k+i) reduced modulo the modulus, for i = 0 .. k-2
     rows = [tuple(-c % p for c in modulus[:k])]
@@ -310,6 +327,14 @@ def _prime_kernel(p, modulus):
             hi = a1 * b1
             return (a0 * b0 + r0 * hi) % p, (a0 * b1 + a1 * b0 + r1 * hi) % p
 
+        def dot(u, v):
+            lo = mid = hi = 0
+            for (a0, a1), (b0, b1) in zip(u, v):
+                lo += a0 * b0
+                mid += a0 * b1 + a1 * b0
+                hi += a1 * b1
+            return (lo + r0 * hi) % p, (mid + r1 * hi) % p
+
         def inv(a):
             # conj(a) / N(a): conj(a0 + a1 x) = (a0 + r1 a1) - a1 x
             a0, a1 = a
@@ -320,7 +345,7 @@ def _prime_kernel(p, modulus):
             n = pow(n, -1, p)
             return u * n % p, -a1 * n % p
 
-        return add, neg, mul, inv
+        return add, neg, mul, inv, dot
     if k == 3:
         (r0, r1, r2), (s0, s1, s2) = rows
 
@@ -336,6 +361,17 @@ def _prime_kernel(p, modulus):
             return ((a0 * b0 + r0 * c3 + s0 * c4) % p,
                     (a0 * b1 + a1 * b0 + r1 * c3 + s1 * c4) % p,
                     (a0 * b2 + a1 * b1 + a2 * b0 + r2 * c3 + s2 * c4) % p)
+
+        def dot(u, v):
+            c0 = c1 = c2 = c3 = c4 = 0
+            for (a0, a1, a2), (b0, b1, b2) in zip(u, v):
+                c0 += a0 * b0
+                c1 += a0 * b1 + a1 * b0
+                c2 += a0 * b2 + a1 * b1 + a2 * b0
+                c3 += a1 * b2 + a2 * b1
+                c4 += a2 * b2
+            return ((c0 + r0 * c3 + s0 * c4) % p, (c1 + r1 * c3 + s1 * c4) % p,
+                    (c2 + r2 * c3 + s2 * c4) % p)
     else:
         def add(a, b):
             return tuple([(x + y) % p for x, y in zip(a, b)])
@@ -343,19 +379,23 @@ def _prime_kernel(p, modulus):
         def neg(a):
             return tuple([-x % p for x in a])
 
-        def mul(a, b):
-            # schoolbook product; the high terms fold in through rows
+        def dot(u, v):
+            # schoolbook products, summed; the high terms fold in through rows
             prod = [0] * (2 * k - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        prod[j] += x * y
+            for a, b in zip(u, v):
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b, i):
+                            prod[j] += x * y
             out = prod[:k]
             for c, row in zip(prod[k:], rows):
                 if c:
                     for j, r in enumerate(row):
                         out[j] += c * r
             return tuple([v % p for v in out])
+
+        def mul(a, b):
+            return dot((a,), (b,))
 
     def submul(u, v, c, shift):
         # u - c x^shift v, trimmed
@@ -386,14 +426,16 @@ def _prime_kernel(p, modulus):
         c = pow(r1[0], -1, p)
         return tuple([x * c % p for x in s1] + [0] * (k - len(s1)))
 
-    return add, neg, mul, inv
+    return add, neg, mul, inv, dot
 
 
 def _tower_kernel(base, modulus):
-    """add, neg, mul and inv of K[x]/(modulus) for a finite base K that is
-    itself an extension, on tuples of K's raw values, with the modulus given
-    as raw values, low degree first.  They run on K's own raw arithmetic."""
+    """add, neg, mul, inv and dot of K[x]/(modulus) for a finite base K that
+    is itself an extension, on tuples of K's raw values, with the modulus
+    given as raw values, low degree first.  They run on K's own raw
+    arithmetic; dot sums each coefficient with one of K's dots."""
     badd, bneg, bmul, binv = base._add, base._neg, base._mul, base._inv
+    bdot = base._dot
     zero = base.zero.value
     k = len(modulus) - 1
     # rows[i] is x^(k+i) reduced modulo the modulus, for i = 0 .. k-2
@@ -419,6 +461,12 @@ def _tower_kernel(base, modulus):
             mid = badd(bmul(badd(a0, a1), badd(b0, b1)), bneg(badd(lo, hi)))
             return badd(lo, bmul(r0, hi)), badd(mid, bmul(r1, hi))
 
+        def dot(u, v):
+            (a0, a1), (b0, b1) = zip(*u), zip(*v)
+            lo, hi = bdot(a0, b0), bdot(a1, b1)
+            mid = bdot(a0 + a1, b1 + b0)
+            return badd(lo, bmul(r0, hi)), badd(mid, bmul(r1, hi))
+
         def inv(a):
             # conj(a) / N(a): conj(a0 + a1 x) = (a0 + r1 a1) - a1 x
             a0, a1 = a
@@ -429,21 +477,25 @@ def _tower_kernel(base, modulus):
             n = binv(n)
             return bmul(u, n), bmul(bneg(a1), n)
 
-        return add, neg, mul, inv
+        return add, neg, mul, inv, dot
 
-    def mul(a, b):
-        # schoolbook product; the high terms fold in through rows
+    def dot(u, v):
+        # schoolbook products, summed; the high terms fold in through rows
         prod = [zero] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x != zero:
-                for j, y in enumerate(b, i):
-                    prod[j] = badd(prod[j], bmul(x, y))
+        for a, b in zip(u, v):
+            for i, x in enumerate(a):
+                if x != zero:
+                    for j, y in enumerate(b, i):
+                        prod[j] = badd(prod[j], bmul(x, y))
         out = prod[:k]
         for c, row in zip(prod[k:], rows):
             if c != zero:
                 for j, r in enumerate(row):
                     out[j] = badd(out[j], bmul(c, r))
         return tuple(out)
+
+    def mul(a, b):
+        return dot((a,), (b,))
 
     def submul(u, v, c, shift):
         # u - c x^shift v, trimmed
@@ -474,7 +526,7 @@ def _tower_kernel(base, modulus):
         c = binv(r1[0])
         return tuple([bmul(x, c) for x in s1] + [zero] * (k - len(s1)))
 
-    return add, neg, mul, inv
+    return add, neg, mul, inv, dot
 
 
 class ExtensionField(Field):
@@ -502,7 +554,7 @@ class ExtensionField(Field):
         self.char = base.char
         self.size = base.size ** self.degree
         raw = [c.value for c in modulus]
-        self._add, self._neg, self._mul, self._inv = (
+        self._add, self._neg, self._mul, self._inv, self._dot = (
             _prime_kernel(base.p, raw) if isinstance(base, PrimeField)
             else _tower_kernel(base, raw))
         if check and not self._is_irreducible():

@@ -10,7 +10,8 @@ for the initial contact point and ``run`` iterates the step, both on raw
 field values; ``polar``/``intersect_line_conic`` and the geometric ``step``
 and ``step_inverse`` are their reference.  The raw geometry they use (the
 conic's gradient and value, the canonical scale, the span of a line) is
-``projective``'s own, so this module keeps none of its own.
+``projective``'s own, so this module keeps none of its own.  ``porism_check``
+walks each closed cycle once, however many of its starts lie on it.
 """
 
 import random
@@ -96,12 +97,10 @@ def start(cfg, c1, branch="min"):
     if not cfg.outer.contains(c1):
         raise NotOnConicError("initial point must lie on the outer conic")
     field = cfg.field
-    add, mul = field._add, field._mul
     grad, value = cfg.inner._forms()
     # the polar of c1 is its gradient line; span it as ProjLine.span does
     p0, p1 = _span(field, grad([v.value for v in c1.coords]))
-    g = grad(p0)
-    beta = add(add(mul(g[0], p1[0]), mul(g[1], p1[1])), mul(g[2], p1[2]))
+    beta = field._dot(grad(p0), p1)
     # F(t p0 + p1) = alpha t^2 + beta t + gamma; a drop in degree is p0
     roots = binary_form_roots(field, [FieldElement(field, v) for v in
                                       (value(p1), beta, value(p0))], 2)
@@ -157,12 +156,9 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=64):
     iterated on raw field values (``_orbit``); ``step`` is the reference it
     reproduces, and states are built only for the kept prefix.
     """
-    if max_steps is None:
-        max_steps = cfg.default_max_steps()
-    if max_steps < 0:
-        raise ValueError("max_steps must be at least 0")
+    max_steps = _step_budget(cfg, max_steps)
     cfg, initial, lifted = start(cfg, c1, branch)
-    period, kept = _orbit(cfg, initial, max_steps, keep_orbit)
+    period, kept, _ = _orbit(cfg, initial, max_steps, keep_orbit)
     orbit = [initial] + [
         PonceletState(_point(cfg.field, c), _point(cfg.field, d), i)
         for i, (c, d) in enumerate(kept, start=2)]
@@ -173,18 +169,29 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=64):
                          orbit=orbit[:keep_orbit])
 
 
-def _orbit(cfg, initial, max_steps, keep):
+def _step_budget(cfg, max_steps):
+    if max_steps is None:
+        return cfg.default_max_steps()
+    if max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
+    return max_steps
+
+
+def _raw_state(state):
+    return (tuple(v.value for v in state.c.coords),
+            tuple(v.value for v in state.d.coords))
+
+
+def _orbit(cfg, initial, max_steps, keep, watch=()):
     """``step`` iterated on tuples of raw field values, with the same
     incidence checks.  A tangency start is fixed by the step, so it closes
     at step 1; any other orbit meeting a tangency state is a theorem
-    violation.  Returns (period, or 0 if the orbit stays open, and the raw
-    (c, d) pairs of the states with index 2 .. keep)."""
+    violation.  Returns (period, or 0 if the orbit stays open, the raw
+    (c, d) pairs of the states with index 2 .. keep, and the raw states of
+    ``watch`` that the walk met, in the order met)."""
     field = cfg.field
-    add, mul, neg = field._add, field._mul, field._neg
+    mul, neg, dot = field._mul, field._neg, field._dot
     zero, one = field.zero.value, field.one.value
-
-    def dot(u, v):
-        return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
 
     def other(value, g, line, p):
         # Second point of line /\ conic through the canonical point p, with
@@ -202,22 +209,22 @@ def _orbit(cfg, initial, max_steps, keep):
         beta = dot(g, o)
         if beta == zero:
             return p
-        gamma = neg(value(o))
-        return _canonical(field, [add(mul(gamma, a), mul(beta, b))
-                                  for a, b in zip(p, o)])
+        w = (neg(value(o)), beta)
+        return _canonical(field, [dot(w, ab) for ab in zip(p, o)])
 
     grad_c, value_c = cfg.outer._forms()
     grad_d, value_d = cfg.inner._forms()
-    c0 = c = tuple(v.value for v in initial.c.coords)
-    d0 = d = tuple(v.value for v in initial.d.coords)
+    c0, d0 = c, d = _raw_state(initial)
     tangent = grad_d(d)
-    kept = []
+    kept, met = [], []
     for i in range(1, max_steps + 1):
         c = other(value_c, grad_c(c), tangent, c)
         d = other(value_d, tangent, grad_d(c), d)
         tangent = grad_d(d)
         if c == c0 and d == d0:
-            return i, kept
+            return i, kept, met
+        if watch and (c, d) in watch:
+            met.append((c, d))
         if c == d:
             # the conics are tangent at c when their gradients are parallel
             g = grad_c(c)
@@ -228,7 +235,7 @@ def _orbit(cfg, initial, max_steps, keep):
                     "this contradicts invertibility of the step map")
         if i < keep:
             kept.append((c, d))
-    return 0, kept
+    return 0, kept, met
 
 
 def sample_starts(cfg, num_starts, seed):
@@ -285,12 +292,27 @@ class PorismReport:
 def porism_check(cfg, num_starts=10, max_steps=None, seed=0, branch="min"):
     """Run the process from several non-tangency starts and check the
     all-or-nothing law: every closed run shares one period, and runs either
-    all close or all stay open."""
+    all close or all stay open.
+
+    Every start is solved first.  A closed walk is the whole cycle, so each
+    later start it meets over an equal field has its period and is not
+    walked; an open walk is a prefix and settles only its own start."""
     starts = sample_starts(cfg, num_starts, seed)
-    periods = []
-    for c1 in starts:
-        res = run(cfg, c1, branch=branch, max_steps=max_steps, keep_orbit=0)
-        periods.append(res.period if res.outcome == "closed" else 0)
+    max_steps = _step_budget(cfg, max_steps)
+    solved = [start(cfg, c1, branch)[:2] for c1 in starts]
+    pending = {}  # field -> {raw initial state: index} of the unsettled starts
+    for i, (start_cfg, initial) in enumerate(solved):
+        pending.setdefault(start_cfg.field, {})[_raw_state(initial)] = i
+    periods = [None] * len(solved)
+    for i, (start_cfg, initial) in enumerate(solved):
+        if periods[i] is not None:
+            continue
+        watch = pending[start_cfg.field]
+        del watch[_raw_state(initial)]
+        periods[i], _, met = _orbit(start_cfg, initial, max_steps, 0, watch)
+        if periods[i]:
+            for state in met:
+                periods[watch.pop(state)] = periods[i]
     closed = [p for p in periods if p]
     opened = [p for p in periods if not p]
     passed = len(set(closed)) <= 1 and (not closed or not opened)

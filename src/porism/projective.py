@@ -146,21 +146,18 @@ class Conic:
         if self._raw is not None:
             return self._raw
         field = self.field
-        add, mul = field._add, field._mul
+        add, mul, dot = field._add, field._mul, field._dot
         a00, a11, a22, a01, a02, a12 = (c.value for c in self.coeffs)
-        b00, b11, b22 = add(a00, a00), add(a11, a11), add(a22, a22)
+        r0, r1, r2 = ((add(a00, a00), a01, a02), (a01, add(a11, a11), a12),
+                      (a02, a12, add(a22, a22)))
+        # F(p) = p . (U p) for the upper triangle U of the coefficients
+        u0, u1 = (a00, a01, a02), (field.zero.value, a11, a12)
 
         def grad(p):
-            x, y, z = p
-            return (add(add(mul(b00, x), mul(a01, y)), mul(a02, z)),
-                    add(add(mul(a01, x), mul(b11, y)), mul(a12, z)),
-                    add(add(mul(a02, x), mul(a12, y)), mul(b22, z)))
+            return dot(r0, p), dot(r1, p), dot(r2, p)
 
         def value(p):
-            x, y, z = p
-            return add(add(mul(x, add(add(mul(a00, x), mul(a01, y)), mul(a02, z))),
-                           mul(y, add(mul(a11, y), mul(a12, z)))),
-                       mul(z, mul(a22, z)))
+            return dot(p, (dot(u0, p), dot(u1, p), mul(a22, p[2])))
         self._raw = grad, value
         return self._raw
 

@@ -1,11 +1,13 @@
 """Theorem canaries raise TheoremViolation, which survives ``python -O``."""
 
 import ast
+import io
 import os
 import subprocess
 import sys
 
 import porism
+from porism import cli
 
 SRC = os.path.dirname(porism.__file__)
 
@@ -44,3 +46,34 @@ def test_a_canary_fires_under_python_O():
                          capture_output=True, text=True, timeout=60)
     assert got.returncode == 0, got.stderr
     assert got.stdout.startswith("TheoremViolation: normal form disagrees")
+
+
+PAIR = ('{"outer": {"field": "Fp:5", "coeffs": [1, 1, 0, 0, 0, 4]}, '
+        '"inner": {"field": "Fp:5", "coeffs": [1, 0, 0, 0, 0, 4]}}')
+
+CLI_CANARY = """
+import io, sys
+import porism.cli as cli
+
+assert False, "asserts are stripped under -O"
+cli.classify_normalized = lambda t, a, b: (1, 1, 1, 1)
+sys.stdin = io.StringIO(sys.argv[1])
+sys.exit(cli.main(["classify", "-", "--json"]))
+"""
+
+
+def test_classify_through_the_cli_fires_its_canary(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "classify_normalized", lambda t, a, b: (1, 1, 1, 1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(PAIR))
+    assert cli.main(["classify", "-", "--json"]) == cli.EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert "theorem violation: normal form disagrees" in err
+
+
+def test_classify_through_the_cli_fires_its_canary_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    got = subprocess.run([sys.executable, "-O", "-c", CLI_CANARY, PAIR],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert got.returncode == 2, got.stderr
+    assert "theorem violation: normal form disagrees" in got.stderr
+    assert got.stdout == ""

@@ -6,7 +6,7 @@ from porism.char2 import (CanonicalForm2, QuadraticForm2, is_irreducible_conic,
                           solve_artin_schreier, strange_point,
                           symplectic_normalize, tangent_at_char2)
 from porism.errors import DegenerateInputError
-from porism.fields import PrimeField, binary_field
+from porism.fields import ExtensionField, PrimeField, binary_field
 from porism.projective import Conic
 
 from conftest import plane_points
@@ -166,3 +166,40 @@ def test_strange_point_requires_irreducible():
     F4 = binary_field(2)
     with pytest.raises(DegenerateInputError):
         strange_point(Conic(F4, [0, 0, 0, 1, 0, 0]))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_artin_schreier_root_is_the_first_root_of_the_scan(k):
+    F = binary_field(k)
+    first = {}
+    for z in F.elements():
+        first.setdefault(z * z + z, z)
+    for c in F.elements():
+        z, K = solve_artin_schreier(c)
+        if c in first:
+            assert (z, K) == (first[c], F)
+        else:
+            assert K == ExtensionField(F, [c, F.one, F.one])
+            assert z == K.gen and z * z + z == K(c)
+
+
+def test_normalize_binary_form_over_f2k20_solves_without_a_scan():
+    # x0^2 + x0 x1 + c x1^2 splits over F_{2^20} iff c has trace zero; the
+    # trace-one case once scanned all 2^20 elements for a root
+    F = binary_field(20)
+
+    def trace(c):
+        t = c
+        for _ in range(19):
+            c = c * c
+            t = t + c
+        return t
+    by_trace = {}
+    for i in range(1, 64):
+        by_trace.setdefault(trace(F.element(i)), F.element(i))
+    for tr, lifted in ((F.zero, False), (F.one, True)):
+        q = QuadraticForm2(F, 2, {(0, 0): 1, (0, 1): 1, (1, 1): by_trace[tr]})
+        can = symplectic_normalize(q)
+        assert (can.l, can.has_square_term, can.lifted) == (1, False, lifted)
+        moved = q.map_field(can.field) if lifted else q
+        assert moved.transform(can.columns) == can.canonical_form()

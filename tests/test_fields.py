@@ -377,3 +377,39 @@ def test_find_point_draws_without_listing_the_field(monkeypatch):
     monkeypatch.setattr(PrimeField, "elements", refuse)
     conic = projective.Conic(F, [1, 1, 3, 0, 0, 0])  # x^2 + y^2 + 3z^2
     assert conic.contains(projective.find_point(conic))
+
+
+def _dot_field(name):
+    """The field named, and a draw of its raw values."""
+    if name == "F_{27^2}":
+        F27 = parse_field_spec("Fq:3^3:1,2,0,1")
+        field = ExtensionField(F27, _irreducible(F27, 2).coeffs)
+    elif name == "F_{16^2}":
+        F16 = parse_field_spec("F2k:4")
+        field = ExtensionField(F16, _irreducible(F16, 2).coeffs)
+    else:
+        field = parse_field_spec(name)
+    if field.size is not None:
+        return field, lambda rng: field.element(rng.randrange(field.size)).value
+    frac = lambda rng: Fraction(rng.randrange(-50, 51), rng.randrange(1, 12))
+    if field == RationalField():
+        return field, frac
+    return field, lambda rng: (frac(rng), frac(rng))
+
+
+# _dot is fused over F_p, in degrees 2 and 3 over F_p, in degree-2 towers and
+# in the folded schoolbook kernels above them; Q and Q(sqrt d) fold.
+@pytest.mark.parametrize("name", ["Fp:13", "Fq:13^2:2,0,1", "Fq:3^3:1,2,0,1",
+                                  "Fq:7^4:3,4,5,0,1", "F_{27^2}", "F_{16^2}",
+                                  "Q", "Qsqrt:-3"])
+def test_dot_is_the_fold_of_add_over_mul(name):
+    field, draw = _dot_field(name)
+    rng = random.Random(name)
+    for n in range(1, 7):
+        for _ in range(40):
+            u = tuple(draw(rng) for _ in range(n))
+            v = tuple(draw(rng) for _ in range(n))
+            want = field._mul(u[0], v[0])
+            for a, b in zip(u[1:], v[1:]):
+                want = field._add(want, field._mul(a, b))
+            assert field._dot(u, v) == want

@@ -488,3 +488,96 @@ def test_sample_starts_over_q_stops_at_its_draw_pool(Q):
     assert len(set(starts)) == 177
     with pytest.raises(ValueError, match="num_starts"):
         sample_starts(cfg, 178, seed=0)
+
+
+def sharing_configs(spec):
+    """8 random pairs over the field and one pair of each tangent type."""
+    field = parse_field_spec(spec)
+    rng = random.Random("share:" + spec)
+    configs = [PonceletConfig(*random_smooth_pair(field, rng)) for _ in range(8)]
+    return configs + tangent_configs(field, rng), rng
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:3^3:1,2,0,1"])
+def test_porism_check_periods_are_the_periods_of_run(spec):
+    configs, rng = sharing_configs(spec)
+    for cfg in configs:
+        seed = rng.randrange(100)
+        report = porism_check(cfg, num_starts=10, seed=seed)
+        want = [run(cfg, c1, keep_orbit=0).period
+                for c1 in sample_starts(cfg, 10, seed)]
+        assert report.periods == want
+
+
+def test_porism_check_below_the_period_leaves_every_start_open(F13, monkeypatch):
+    import porism.process as process
+    walks = []
+    wrapped = process._orbit
+
+    def counted(*args):
+        walks.append(args[1])
+        return wrapped(*args)
+    monkeypatch.setattr(process, "_orbit", counted)
+    cfg = make_config(F13, 0, 1, 1)  # type (4): every orbit has period 13
+    report = porism_check(cfg, num_starts=10, max_steps=12, seed=3)
+    assert report.periods == [0] * 10
+    assert (report.num_closed, report.num_open) == (0, 10)
+    # an open walk settles only its own start
+    assert len(walks) == 10
+    walks.clear()
+    report = porism_check(cfg, num_starts=10, max_steps=13, seed=3)
+    assert report.periods == [13] * 10
+    assert len(walks) < 10
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fq:3^3:1,2,0,1"])
+def test_porism_check_walks_no_start_on_an_earlier_closed_cycle(spec, monkeypatch):
+    import porism.process as process
+    walked = []
+    wrapped = process._orbit
+
+    def counted(cfg, initial, *args):
+        walked.append((cfg.field, initial.c, initial.d))
+        return wrapped(cfg, initial, *args)
+    configs, rng = sharing_configs(spec)
+    shared = 0
+    for cfg in configs:
+        seed = rng.randrange(100)
+        budget = cfg.default_max_steps()
+        # the reference: walk a start unless an earlier closed cycle holds it
+        covered, want = set(), []
+        for c1 in sample_starts(cfg, 10, seed):
+            lifted, initial, _ = start(cfg, c1)
+            state = (lifted.field, initial.c, initial.d)
+            if state in covered:
+                shared += 1
+                continue
+            want.append(state)
+            res = run(cfg, c1, keep_orbit=budget + 1)
+            if res.outcome == "closed":
+                covered.update((lifted.field, s.c, s.d) for s in res.orbit)
+        walked.clear()
+        monkeypatch.setattr(process, "_orbit", counted)
+        porism_check(cfg, num_starts=10, seed=seed)
+        monkeypatch.setattr(process, "_orbit", wrapped)
+        assert walked == want
+    assert shared >= 10
+
+
+def test_porism_check_solves_every_start_before_it_walks(monkeypatch):
+    # over Q(sqrt 2) the first start solves and the second needs a second
+    # square root; its error comes before any orbit is walked
+    import porism.process as process
+    field = QuadRationalField(2)
+    outer = Conic(field, [1, 2, 0, field((-3, -1)), 2, 3])
+    inner = Conic(field, [1, -1, 0, field((3, 1)), 1, 0])
+    cfg = PonceletConfig(outer, inner)
+    first, second = sample_starts(cfg, 2, seed=0)
+    start(cfg, first)
+    with pytest.raises(ExtensionOverflowError):
+        start(cfg, second)
+    walks = []
+    monkeypatch.setattr(process, "_orbit", lambda *args: walks.append(args))
+    with pytest.raises(ExtensionOverflowError):
+        porism_check(cfg, num_starts=4, seed=0)
+    assert walks == []
