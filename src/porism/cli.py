@@ -21,12 +21,11 @@ import time
 from itertools import chain, islice
 
 from . import char2, ecurve
-from .errors import DegenerateInputError, ExtensionOverflowError, TheoremViolation
+from .errors import DegenerateInputError, ExtensionOverflowError
 from .fields import parse_element, parse_field_spec
 from .poly import Polynomial, factor
 from .process import PonceletConfig, porism_check, run, sample_starts
-from .projective import (Conic, ProjPoint, classify_normalized,
-                         normalize_tangent_pair, tangency_data)
+from .projective import Conic, ProjPoint, normal_form
 from .svgfig import render_process
 
 EXIT_OK = 0
@@ -105,13 +104,6 @@ def _emit(args, data, human_lines):
         sys.stdout.write(text)
 
 
-def _normal_form(outer, inner, seed, points=None):
-    c_l, d_l, pts, _ = tangency_data(outer, inner, seed, points)
-    if not pts:
-        raise CliError("conics are nowhere tangent; nothing to normalize")
-    return normalize_tangent_pair(c_l, d_l, pts[0])
-
-
 def _classify_payload(outer, inner, seed):
     cfg = PonceletConfig(outer, inner, seed=seed)
     data = {
@@ -119,10 +111,8 @@ def _classify_payload(outer, inner, seed):
         "tangency_points": [point_json(p) for p in cfg.tangencies],
     }
     if cfg.intersection_type[0] >= 2:
-        nf = _normal_form(outer, inner, seed, cfg.tangencies)
-        if classify_normalized(nf.t, nf.a, nf.b) != cfg.intersection_type:
-            raise TheoremViolation("normal form disagrees with the pullback "
-                                   f"type {cfg.intersection_type}")
+        nf = normal_form(outer, inner, seed, cfg.intersection_type,
+                         cfg.tangencies)
         data["normal_form"] = {"t": str(nf.t), "a": str(nf.a),
                                "b": str(nf.b), "delta": str(nf.delta)}
     return cfg, data
@@ -144,7 +134,7 @@ def cmd_classify(args):
 
 def cmd_normalize(args):
     outer, inner = read_pair(_read_json(args.input))
-    nf = _normal_form(outer, inner, args.seed)
+    nf = normal_form(outer, inner, args.seed)
     newc, newd = nf.conics()
     data = {
         "t": str(nf.t), "a": str(nf.a), "b": str(nf.b),

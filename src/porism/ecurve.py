@@ -1,28 +1,42 @@
 """The incidence curve of a conic pair as a biquadratic form on P^1 x P^1.
 
 Pulling the tangency condition "c lies on the tangent of D at d" back along
-degree-1 parametrizations of C and D gives a bidegree-(2,2) form H(u, v).
-Its zero set E carries the whole Poncelet process: the two other-root
-involutions sigma (fixing u) and tau (fixing v) compose to the step map
-nu = sigma o tau, the singular points of E are exactly the tangency
-parameters, and E splits into two bidegree-(1,1) components precisely when
-the discriminant of H in v is a square binary quartic in u.
-"""
+degree-1 parametrizations of C and D gives a bidegree-(2,2) form
+H(u, v) = A(u) v^2 + B(u) v + C(u).  Its zero set E carries the whole
+Poncelet process: the two other-root involutions sigma (fixing u) and tau
+(fixing v) compose to the step map nu = sigma o tau.
 
-from math import comb
+Completing the square in v (odd characteristic) with w = 2A v + B gives
+w^2 = 4A H + disc_v, so E is locally the double cover w^2 = disc_v(u) of the
+u-line, branched over the roots of the binary quartic disc_v = B^2 - 4AC:
+the intersection points of the pair, with their multiplicities.  That
+multiplicity pattern is the pair's intersection type and fixes E's shape.
+Simple roots only give a smooth curve; a double root is a node and a triple
+root a cusp; E splits into the two bidegree-(1,1) components w = +-g(u)
+exactly when every multiplicity is even, that is when disc_v = g^2 -- two
+transversal components for (2,2), two in double contact for (4).  The
+singular points are the tangency parameters, over the multiple roots.
+"""
 
 from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
                      TheoremViolation)
 from .fields import lift_to_quadratic_extension
-from .poly import Polynomial, squarefree_decomposition, is_square
+from .poly import Polynomial, gcd, squarefree_decomposition
 from .projective import P1Point, ProjPoint, ConicParametrization, find_point, \
-    parametrize, normal_form_conic, Conic, _canonical_elements, _repeated_params
+    parametrize, normal_form_conic, Conic, _canonical_elements, \
+    _multiplicities, _repeated_params
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
 SHAPE_CUSP = "cusp"
 SHAPE_SPLIT_TRANSVERSAL = "two components, transversal"
 SHAPE_SPLIT_DOUBLE = "two components, double contact"
+
+# the tag and the number of singular points for each multiplicity pattern
+# of the branch quartic
+_SHAPES = {(1, 1, 1, 1): (SHAPE_SMOOTH, 0), (2, 1, 1): (SHAPE_NODE, 1),
+           (3, 1): (SHAPE_CUSP, 1), (2, 2): (SHAPE_SPLIT_TRANSVERSAL, 2),
+           (4,): (SHAPE_SPLIT_DOUBLE, 1)}
 
 
 class BiquadraticForm:
@@ -79,17 +93,6 @@ class BiquadraticForm:
         return tuple(
             field(self.h[i][0]) * vm[0] + field(self.h[i][1]) * vm[1]
             + field(self.h[i][2]) * vm[2] for i in range(3))
-
-    def disc_v_coeffs(self):
-        """The discriminant of H in v as a binary quartic in u: five
-        coefficients of u^k u'^(4-k), k = 0..4."""
-        A = Polynomial(self.field, [self.h[0][2], self.h[1][2], self.h[2][2]])
-        B = Polynomial(self.field, [self.h[0][1], self.h[1][1], self.h[2][1]])
-        C = Polynomial(self.field, [self.h[0][0], self.h[1][0], self.h[2][0]])
-        four = self.field(4)
-        disc = B * B - Polynomial(self.field, [four]) * A * C
-        coeffs = list(disc.coeffs) + [self.field.zero] * (5 - len(disc.coeffs))
-        return coeffs[:5]
 
     def lift(self, new_field):
         return BiquadraticForm(new_field, self.h, self.outer_par, self.inner_par)
@@ -228,22 +231,28 @@ def _double_root_of_fiber(field, q):
     return P1Point.infinity(field)
 
 
-def singular_points(H, seed=0):
-    """All singular points of the curve, over the base field or one
-    quadratic extension.  Candidates are the multiple roots of the
-    v-discriminant quartic; each candidate pair is confirmed against the
-    four bihomogeneous partials.  The repeated parts of a quartic have
-    degree at most 2 and are solved without a random draw, so ``seed``
-    changes nothing."""
-    field = H.field
-    f = Polynomial(field, H.disc_v_coeffs())
+def _branch_quartic(H):
+    """The discriminant disc_v = B^2 - 4AC of H in v, a binary quartic in u,
+    as (leading coefficient, multiplicity at infinity, squarefree
+    decomposition)."""
+    A, B, C = (Polynomial(H.field, [row[j] for row in H.h]) for j in (2, 1, 0))
+    f = B * B - A * C * 4
     if f.is_zero():
         raise DegenerateInputError("discriminant vanishes identically: "
                                    "the form is not reduced")
-    candidates = _repeated_params(field, 4 - f.degree,
-                                  squarefree_decomposition(f))
+    return f.lc, 4 - f.degree, squarefree_decomposition(f)
+
+
+def singular_points(H, branch=None):
+    """All singular points of the curve, over the base field or one
+    quadratic extension.  Candidates lie over the multiple roots of the
+    branch quartic (``branch``, computed when not given), at the double
+    root of the fiber; each is confirmed against the four bihomogeneous
+    partials."""
+    field = H.field
+    _, at_inf, parts = branch or _branch_quartic(H)
     out = []
-    for u in candidates:
+    for u in _repeated_params(field, at_inf, parts):
         Hl = H if u.field == field else H.lift(u.field)
         v = _double_root_of_fiber(u.field, Hl.fiber_in_v(u))
         if Hl.is_singular_at(u, v):
@@ -253,37 +262,22 @@ def singular_points(H, seed=0):
     return out
 
 
-def _binary_content(field, forms, form_degree):
-    """gcd of a family of binary forms of a common degree, as a pair
-    (poly gcd, multiplicity of the common root at infinity)."""
-    polys = [Polynomial(field, list(c)) for c in forms]
-    inf = min(form_degree - p.degree for p in polys if not p.is_zero())
-    g = Polynomial(field, [])
-    from .poly import gcd as poly_gcd
-    for p in polys:
-        g = poly_gcd(g, p)
-    return g, inf
-
-
-def is_reducible(H, seed=0):
+def is_reducible(H, branch=None):
     """The two bidegree-(1,1) components when the curve splits, else None.
 
-    The curve splits exactly when the v-discriminant is a square binary
-    quartic in u.  When the monic part is a square but its leading constant
-    is not, the split happens over one declared quadratic extension and the
-    factors are returned there.  Returns (factor, factor, lifted flag)."""
+    The curve splits exactly when every multiplicity of the branch quartic
+    lc * prod part^m (``branch``, computed when not given) is even; its
+    components are then 2A v + B = +-g(u) with g = sqrt(lc) prod
+    part^(m/2).  When lc is not a square the split happens over one
+    declared quadratic extension and the factors are returned there.
+    Returns (factor, factor, lifted flag)."""
     field = H.field
-    coeffs = H.disc_v_coeffs()
-    f = Polynomial(field, coeffs)
-    if f.is_zero():
-        raise DegenerateInputError("discriminant vanishes identically")
-    inf_mult = 4 - f.degree
-    if inf_mult % 2:
+    lc, at_inf, parts = branch or _branch_quartic(H)
+    if at_inf % 2 or any(m % 2 for _, m in parts):
         return None
-    lc = f.lc
-    root = is_square(f.monic())
-    if root is None:
-        return None
+    root = Polynomial(field, [field.one.sqrt()])
+    for part, m in parts:
+        root = root * part ** (m // 2)
     lifted = False
     sq = lc.sqrt()
     if sq is None:
@@ -293,7 +287,7 @@ def is_reducible(H, seed=0):
         lifted = True
         sq = lc_image.sqrt()
         root = root.map_field(field)
-    g_poly = Polynomial(field, [sq * field(c) for c in root.coeffs])
+    g_poly = root * sq
     # g as a binary quadratic: pad to form degree 2
     g2 = list(g_poly.coeffs) + [field.zero] * (3 - len(g_poly.coeffs))
     A = [field(H.h[i][2]) for i in range(3)]
@@ -303,11 +297,12 @@ def is_reducible(H, seed=0):
     two = field(2)
     raw = []
     for sign in (field.one, -field.one):
-        p_v = [two * c for c in A]                  # coefficient forms of v
-        p_w = [b + sign * g for b, g in zip(B, g2)]  # and of v'
-        content, inf = _binary_content(field, [p_v, p_w], 2)
-        qv, rv = divmod(Polynomial(field, p_v), content)
-        qw, rw = divmod(Polynomial(field, p_w), content)
+        # the component 2A v + (B +- g) v' = 0, divided by its content
+        p_v = Polynomial(field, [two * c for c in A])
+        p_w = Polynomial(field, [b + sign * g for b, g in zip(B, g2)])
+        content = gcd(p_v, p_w)
+        qv, rv = divmod(p_v, content)
+        qw, rw = divmod(p_w, content)
         if not (rv.is_zero() and rw.is_zero()):
             raise TheoremViolation("content does not divide the factor forms")
         m = [[field.zero, field.zero], [field.zero, field.zero]]
@@ -317,9 +312,9 @@ def is_reducible(H, seed=0):
             m[k][0] = c
         raw.append(BilinearFactor(field, m))
     f1, f2 = raw
-    check = BiquadraticForm(field, f1.product(f2))
-    if check.h != H.h:
-        return None
+    if BiquadraticForm(field, f1.product(f2)).h != H.h:
+        raise TheoremViolation("the split factors do not multiply back to "
+                               "the incidence form")
     return f1, f2, lifted
 
 
@@ -340,57 +335,21 @@ class ECurveShape:
         return f"ECurveShape({self.tag!r}, {len(self.singular)} singular)"
 
 
-def _local_quadratic_disc(H, u, v):
-    """Discriminant of the degree-2 part of H translated so the given
-    point sits at the origin of an affine chart."""
-    field = u.field
-    h = [[field(c) for c in row] for row in (H.h if H.field == field
-                                             else H.lift(field).h)]
-
-    def shift_rows(h, p):
-        if p.is_infinity():
-            return [h[2 - i] for i in range(3)]
-        alpha = p.value()
-        out = [[field.zero] * 3 for _ in range(3)]
-        for i in range(3):
-            for k in range(i, 3):
-                c = field(comb(k, i)) * alpha ** (k - i)
-                for j in range(3):
-                    out[i][j] = out[i][j] + c * h[k][j]
-        return out
-
-    h = shift_rows(h, u)
-    h = [list(col) for col in zip(*shift_rows([list(r) for r in zip(*h)], v))]
-    if not (h[0][0].is_zero() and h[1][0].is_zero() and h[0][1].is_zero()):
-        raise TheoremViolation("translated point is not a singular point")
-    q20, q11, q02 = h[2][0], h[1][1], h[0][2]
-    if q20.is_zero() and q11.is_zero() and q02.is_zero():
-        raise DegenerateInputError("singularity has vanishing quadratic part")
-    return q11 * q11 - field(4) * q20 * q02
-
-
 def shape(outer, inner, seed=0):
-    """Classify the incidence curve of a smooth conic pair."""
+    """Classify the incidence curve of a smooth conic pair: the multiplicity
+    pattern of its branch quartic fixes the tag and the number of singular
+    points, and the split components when every multiplicity is even."""
     H = build_E(outer, inner, seed=seed)
-    singular = singular_points(H, seed=seed)
-    split = is_reducible(H, seed=seed)
-    if split is not None:
-        f1, f2, lifted = split
-        tag = (SHAPE_SPLIT_TRANSVERSAL if len(singular) == 2
-               else SHAPE_SPLIT_DOUBLE)
-        if len(singular) not in (1, 2):
-            raise DegenerateInputError(
-                "split curve with unexpected singular locus")
-        return ECurveShape(tag, H, singular, (f1, f2), lifted)
-    if not singular:
-        return ECurveShape(SHAPE_SMOOTH, H, [])
-    if len(singular) != 1:
-        raise DegenerateInputError("irreducible biquadratic with more than "
-                                   "one singular point")
-    u, v = singular[0]
-    disc = _local_quadratic_disc(H, u, v)
-    tag = SHAPE_NODE if not disc.is_zero() else SHAPE_CUSP
-    return ECurveShape(tag, H, singular)
+    branch = _branch_quartic(H)
+    tag, count = _SHAPES[_multiplicities(*branch[1:])]
+    singular = singular_points(H, branch)
+    if len(singular) != count:
+        raise TheoremViolation(f"{tag} curve with {len(singular)} "
+                               "singular points")
+    split = is_reducible(H, branch)
+    if split is None:
+        return ECurveShape(tag, H, singular)
+    return ECurveShape(tag, H, singular, split[:2], split[2])
 
 
 def _other_root(field, q, known):

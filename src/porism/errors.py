@@ -9,10 +9,6 @@ class ExtensionOverflowError(ArithmeticError):
     """A computation would require a field extension beyond the allowed tower."""
 
 
-class NeedsHintError(ValueError):
-    """A characteristic-0 search needs a caller-supplied rational point."""
-
-
 class DegenerateInputError(ValueError):
     """Geometric input is degenerate (coincident points, singular conic, ...)."""
 

@@ -4,8 +4,8 @@ Coefficients are stored low degree first with a nonzero leading coefficient;
 the zero polynomial has an empty coefficient tuple.  On top of the ring
 arithmetic this module provides monic gcd, squarefree decomposition (with the
 inseparable char-p cases handled by p-th-root extraction), full factorization
-over finite fields (distinct-degree plus seeded Cantor-Zassenhaus), root
-finding in a bounded extension tower, and exact polynomial square roots.
+over finite fields (distinct-degree plus seeded Cantor-Zassenhaus) and root
+finding in a bounded extension tower.
 """
 
 from dataclasses import dataclass
@@ -323,7 +323,6 @@ class RootsWithMultiplicity:
     """Roots of a binary form of fixed degree; roots may live in extensions."""
     entries: tuple  # of (FieldElement, multiplicity)
     at_infinity: int
-    form_degree: int
 
     def total(self):
         return sum(m for _, m in self.entries) + self.at_infinity
@@ -428,7 +427,7 @@ def roots_in_closure(f, max_total_extension_degree=4, seed=0):
     # roots from different factors may live in different extensions; group by
     # field first so sort keys stay comparable
     entries.sort(key=lambda rm: (rm[0].field.spec_string(), rm[0].sort_key()))
-    return RootsWithMultiplicity(tuple(entries), 0, f.degree)
+    return RootsWithMultiplicity(tuple(entries), 0)
 
 
 def binary_form_roots(field, coeffs, form_degree, max_total_extension_degree=4,
@@ -441,33 +440,6 @@ def binary_form_roots(field, coeffs, form_degree, max_total_extension_degree=4,
         raise ValueError("zero form")
     at_inf = form_degree - f.degree
     if f.degree == 0:
-        return RootsWithMultiplicity((), at_inf, form_degree)
+        return RootsWithMultiplicity((), at_inf)
     inner = roots_in_closure(f, max_total_extension_degree, seed)
-    return RootsWithMultiplicity(inner.entries, at_inf, form_degree)
-
-
-def is_square(f):
-    """g with g*g = f exactly, or None.  Characteristic != 2."""
-    if f.field.char == 2:
-        raise ValueError("odd characteristic only")
-    if f.is_zero():
-        return Polynomial(f.field, [])
-    if f.degree % 2 != 0:
-        return None
-    s = f.lc.sqrt()
-    if s is None:
-        return None
-    m = f.degree // 2
-    g = [f.field.zero] * (m + 1)
-    g[m] = s
-    # match coefficients from the top; each new one appears linearly via 2*s
-    inv2s = (s + s).inv()
-    for k in range(1, m + 1):
-        acc = f[2 * m - k]
-        for i in range(1, k):
-            acc = acc - g[m - i] * g[m - k + i]
-        g[m - k] = acc * inv2s
-    cand = Polynomial(f.field, g)
-    if cand * cand == f:
-        return cand
-    return None
+    return RootsWithMultiplicity(inner.entries, at_inf)

@@ -14,8 +14,8 @@ characteristic other than two.
 
 import random
 
-from .errors import (DegenerateInputError, FieldMismatchError, NeedsHintError,
-                     NotOnConicError, TheoremViolation)
+from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
+                     TheoremViolation)
 from .fields import FieldElement, RationalField, QuadRationalField
 from .poly import (Polynomial, binary_form_roots, roots_in_closure,
                    squarefree_decomposition)
@@ -386,13 +386,11 @@ def other_intersection(conic, line, known):
     return ProjPoint(known.field, coords)
 
 
-def find_point(conic, seed=0, hint=None):
-    """A deterministic point of the conic over its own field."""
+def find_point(conic, seed=0):
+    """A deterministic point of the conic over its own field; in
+    characteristic 0 one of the bounded search [x : y : 1] with
+    y = n/d, |n| <= 12, 1 <= d <= 4."""
     field = conic.field
-    if hint is not None:
-        if not conic.contains(hint):
-            raise NotOnConicError("hint does not lie on the conic")
-        return hint
     one, zero = field.one, field.zero
     for coords in ([zero, zero, one], [zero, one, zero], [one, zero, zero],
                    [one, one, one], [one, one, zero], [one, zero, one],
@@ -417,7 +415,8 @@ def find_point(conic, seed=0, hint=None):
         p = _solve_on_line(conic, y, field.one)
         if p is not None:
             return p
-    raise NeedsHintError("no small rational point found; pass a hint")
+    raise ValueError("no rational point [x : y : 1] with y = n/d, |n| <= 12, "
+                     "1 <= d <= 4 on the conic")
 
 
 def _solve_on_line(conic, y, z):
@@ -543,14 +542,6 @@ class ConicParametrization:
         x = _cross(list(line.coeffs), axis)
         i, j = self.span_idx
         return P1Point(field, (x[j], x[i]))
-
-    def lift(self, new_field):
-        return ConicParametrization(self.conic.lift(new_field),
-                                    self.base.lift(new_field))
-
-    def forms(self):
-        """The three coefficient triples (low-to-high in the affine parameter)."""
-        return [list(row) for row in self.c]
 
 
 def parametrize(conic, base):
@@ -753,12 +744,26 @@ def classify(c, d, seed=0):
     """
     mults, pts = _type_and_tangencies(c, d, seed)
     if mults[0] >= 2:
-        c_l, d_l, pts, _ = tangency_data(c, d, seed, points=pts)
-        norm = normalize_tangent_pair(c_l, d_l, pts[0])
-        if classify_normalized(norm.t, norm.a, norm.b) != mults:
-            raise TheoremViolation(
-                f"normal form disagrees with the pullback type {mults}")
+        normal_form(c, d, seed, mults, pts)
     return mults
+
+
+def normal_form(c, d, seed=0, mults=None, points=None):
+    """The tangent-pair normal form of a pair, at its first tangency point,
+    checked against the pullback type.  ``mults`` and ``points``, when
+    given, are the pair's type and tangency points (as ``PonceletConfig``
+    holds them) and are not computed again."""
+    if mults is None:
+        mults, points = _type_and_tangencies(c, d, seed)
+    if mults[0] < 2:
+        raise DegenerateInputError("conics are nowhere tangent; "
+                                   "nothing to normalize")
+    c_l, d_l, pts, _ = tangency_data(c, d, seed, points=points)
+    norm = normalize_tangent_pair(c_l, d_l, pts[0])
+    if classify_normalized(norm.t, norm.a, norm.b) != mults:
+        raise TheoremViolation(
+            f"normal form disagrees with the pullback type {mults}")
+    return norm
 
 
 def tangency_data(c, d, seed=0, points=None):

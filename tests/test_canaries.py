@@ -2,12 +2,13 @@
 
 import ast
 import io
+import json
 import os
 import subprocess
 import sys
 
 import porism
-from porism import cli
+from porism import cli, ecurve, projective
 
 SRC = os.path.dirname(porism.__file__)
 
@@ -54,18 +55,29 @@ PAIR = ('{"outer": {"field": "Fp:5", "coeffs": [1, 1, 0, 0, 0, 4]}, '
 CLI_CANARY = """
 import io, sys
 import porism.cli as cli
+import porism.projective as projective
 
 assert False, "asserts are stripped under -O"
-cli.classify_normalized = lambda t, a, b: (1, 1, 1, 1)
+projective.classify_normalized = lambda t, a, b: (1, 1, 1, 1)
 sys.stdin = io.StringIO(sys.argv[1])
 sys.exit(cli.main(["classify", "-", "--json"]))
 """
 
 
 def test_classify_through_the_cli_fires_its_canary(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "classify_normalized", lambda t, a, b: (1, 1, 1, 1))
+    monkeypatch.setattr(projective, "classify_normalized",
+                        lambda t, a, b: (1, 1, 1, 1))
     monkeypatch.setattr("sys.stdin", io.StringIO(PAIR))
     assert cli.main(["classify", "-", "--json"]) == cli.EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert "theorem violation: normal form disagrees" in err
+
+
+def test_normalize_through_the_cli_fires_its_canary(monkeypatch, capsys):
+    monkeypatch.setattr(projective, "classify_normalized",
+                        lambda t, a, b: (1, 1, 1, 1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(PAIR))
+    assert cli.main(["normalize", "-", "--json"]) == cli.EXIT_VIOLATION
     err = capsys.readouterr().err
     assert "theorem violation: normal form disagrees" in err
 
@@ -76,4 +88,42 @@ def test_classify_through_the_cli_fires_its_canary_under_python_O():
                          env=env, capture_output=True, text=True, timeout=60)
     assert got.returncode == 2, got.stderr
     assert "theorem violation: normal form disagrees" in got.stderr
+    assert got.stdout == ""
+
+
+# x^2 + 3xy + y^2 - 5yz and x^2 - yz over F_13: type (2,1,1), so E has a node
+NODE_PAIR = ('{"outer": {"field": "Fp:13", "coeffs": [1, 1, 0, 3, 0, 8]}, '
+             '"inner": {"field": "Fp:13", "coeffs": [1, 0, 0, 0, 0, 12]}}')
+
+ECURVE_CANARY = """
+import io, sys
+import porism.cli as cli
+import porism.ecurve as ecurve
+
+assert False, "asserts are stripped under -O"
+ecurve._repeated_params = lambda field, at_inf, parts: []
+sys.stdin = io.StringIO(sys.argv[1])
+sys.exit(cli.main(["ecurve", "-", "--json"]))
+"""
+
+
+def test_ecurve_singular_count_canary_fires(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(NODE_PAIR))
+    assert cli.main(["ecurve", "-", "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["shape"] == ecurve.SHAPE_NODE
+    monkeypatch.setattr(ecurve, "_repeated_params",
+                        lambda field, at_inf, parts: [])
+    monkeypatch.setattr("sys.stdin", io.StringIO(NODE_PAIR))
+    assert cli.main(["ecurve", "-", "--json"]) == cli.EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert "theorem violation: node curve with 0 singular points" in err
+
+
+def test_ecurve_singular_count_canary_fires_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    got = subprocess.run(
+        [sys.executable, "-O", "-c", ECURVE_CANARY, NODE_PAIR],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert got.returncode == 2, got.stderr
+    assert "theorem violation: node curve with 0 singular points" in got.stderr
     assert got.stdout == ""

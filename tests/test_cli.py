@@ -360,3 +360,17 @@ def test_char2_normalize_bounds_n(tmp_path, capsys):
             assert out == "" and "between 1 and 32" in json.loads(err)["error"]
         else:
             assert len(json.loads(out)["matrix"]) == 32
+
+
+def test_classify_without_a_small_rational_point_is_an_input_error(tmp_path,
+                                                                   capsys):
+    # x^2 + y^2 - 1009 z^2 has the point (28:15:1), but none with
+    # y = n/d, |n| <= 12, d <= 4, which is as far as the search goes
+    obj = {"outer": {"field": "Q", "coeffs": [1, 1, -16, 0, 0, 0]},
+           "inner": {"field": "Q", "coeffs": [1, 1, -1009, 0, 0, 0]}}
+    path = write_json(tmp_path, "pair.json", obj)
+    code, out, err = run_cli(capsys, "classify", path, "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == (
+        "no rational point [x : y : 1] with y = n/d, |n| <= 12, 1 <= d <= 4 "
+        "on the conic")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -11,9 +12,10 @@ from porism.ecurve import (SHAPE_CUSP, SHAPE_NODE, SHAPE_SMOOTH,
 from porism.errors import NotOnConicError
 from porism.fields import parse_field_spec
 from porism.process import PonceletConfig, sample_starts, start, step
-from porism.projective import Conic, P1Point, normal_form_conic
+from porism.projective import (Conic, P1Point, classify, normal_form_conic,
+                               tangency_points)
 
-from conftest import random_smooth_pair
+from conftest import random_smooth_conic, random_smooth_pair
 
 
 def normal_pair(field, t, a, b):
@@ -220,3 +222,54 @@ def test_evaluate_and_partials_are_the_double_sum(F13):
                     assert H.partials(u, v) == (
                         _double_sum(H, u, v, da=1), _double_sum(H, u, v, db=1),
                         _double_sum(H, u, v, dc=1), _double_sum(H, u, v, dd=1))
+
+
+SHAPE_OF_TYPE = {(1, 1, 1, 1): SHAPE_SMOOTH, (2, 1, 1): SHAPE_NODE,
+                 (3, 1): SHAPE_CUSP, (2, 2): SHAPE_SPLIT_TRANSVERSAL,
+                 (4,): SHAPE_SPLIT_DOUBLE}
+
+
+def _check_type_and_shape(C, inners):
+    for D in inners:
+        mults = classify(C, D)
+        sh = shape(C, D)
+        assert sh.tag == SHAPE_OF_TYPE[mults], D
+        assert len(sh.singular) == len(tangency_points(C, D)), D
+        assert (sh.factors is not None) == (mults in ((2, 2), (4,))), D
+
+
+def test_type_fixes_shape_for_every_conic_over_f3():
+    # C = x^2 - yz against every other smooth conic over F_3
+    F3 = parse_field_spec("Fp:3")
+    C = Conic(F3, [1, 0, 0, 0, 0, 2])
+    conics = set()
+    for coeffs in product(range(3), repeat=6):
+        if any(coeffs):
+            conic = Conic(F3, list(coeffs))
+            if conic.is_smooth() and conic != C:
+                conics.add(conic)
+    assert len(conics) == 233
+    _check_type_and_shape(C, sorted(conics, key=lambda c: [x.sort_key()
+                                                           for x in c.coeffs]))
+
+
+def test_type_fixes_shape_on_a_sample_over_f5(F5):
+    rng = random.Random(2024)
+    C = Conic(F5, [1, 0, 0, 0, 0, 4])
+    inners = []
+    while len(inners) < 400:
+        D = random_smooth_conic(F5, rng)
+        if D != C:
+            inners.append(D)
+    _check_type_and_shape(C, inners)
+
+
+def test_split_factor_order_over_q_sqrt_d():
+    # g carries the sign of field.one.sqrt(), which is -1 over Q(sqrt d);
+    # the factor order, and so the ecurve output, follows it
+    F = parse_field_spec("Qsqrt:2")
+    outer, inner = normal_pair(F, 0, 0, 2)
+    sh = shape(outer, inner)
+    assert sh.tag == SHAPE_SPLIT_TRANSVERSAL and not sh.lifted_split
+    assert [str(f.m[1][0]) for f in sh.factors] == ["-2+1*sqrt(2)",
+                                                   "-2+-1*sqrt(2)"]

@@ -5,8 +5,7 @@ import pytest
 
 from porism.fields import PrimeField, RationalField, parse_field_spec
 from porism.poly import (Polynomial, binary_form_roots, factor, gcd,
-                         is_square, roots_in_closure,
-                         squarefree_decomposition)
+                         roots_in_closure, squarefree_decomposition)
 
 
 def P(field, *coeffs):
@@ -104,22 +103,6 @@ def test_binary_form_roots_at_infinity(F7):
     assert rr.at_infinity == 2
     assert rr.entries == ((F7(0), 2),)
     assert rr.total() == 4
-
-
-def test_is_square(F13):
-    x = Polynomial.x(F13)
-    g = x ** 2 + P(F13, 3) * x + P(F13, 7)
-    root = is_square(g * g)
-    assert root is not None and root * root == g * g
-    assert is_square(g * g * (x - P(F13, 1))) is None
-    # square leading coefficient required
-    assert is_square(P(F13, 2) * g * g) is None  # 2 is a non-square mod 13
-
-
-def test_is_square_rejects_char2():
-    F2 = PrimeField(2)
-    with pytest.raises(ValueError):
-        is_square(Polynomial.x(F2))
 
 
 def _factor_by_ddf_edf(f, seed=0):

@@ -10,10 +10,12 @@ tree, through the same entry points the benchmark calls.  Each
 on the same pair and seed, once per branch (min and max), which puts a
 start's lifted field and orbit coordinates under the comparison; each
 ``classify`` operation of the structure round is also run as ``porism
-normalize``, which puts the tangent-pair transform matrix under it.  Every
-operation's exit code and output must match byte for byte.  The first differing
-operation is printed by its label; the exit code is 1 on any difference and
-0 when every output matches.
+normalize``, which puts the tangent-pair transform matrix under it; and each
+``run`` operation of the orbit-q round is also run as ``porism ecurve`` on
+the same pair and seed, which puts the incidence curve over Q, and its split
+factors over Q(sqrt d), under it.  Every operation's exit code and output
+must match byte for byte.  The first differing operation is printed by its
+label; the exit code is 1 on any difference and 0 when every output matches.
 """
 
 import argparse
@@ -45,6 +47,10 @@ for name in sys.argv[1].split(","):
                 code, out = workloads.call_cli(
                     porism.cli.main, ["normalize", *op.argv[1:]], op.text)
                 rows.append([name, seed, op.label + " normalize", code, out])
+            if op.argv[0] == "run":
+                code, out = workloads.call_cli(
+                    porism.cli.main, ["ecurve", *op.argv[1:]], op.text)
+                rows.append([name, seed, op.label + " ecurve", code, out])
             if op.argv[0] != "porism-check":
                 continue
             for branch in ("min", "max"):
