@@ -40,12 +40,6 @@ class QuadraticForm2:
         self.n = n
         self.coeffs = clean
 
-    @classmethod
-    def from_conic(cls, conic):
-        a00, a11, a22, a01, a02, a12 = conic.coeffs
-        return cls(conic.field, 3, {(0, 0): a00, (1, 1): a11, (2, 2): a22,
-                                    (0, 1): a01, (0, 2): a02, (1, 2): a12})
-
     def coefficient(self, i, j):
         if i > j:
             i, j = j, i
@@ -290,10 +284,13 @@ def symplectic_normalize(q):
 
 
 def is_irreducible_conic(conic):
-    """Whether a ternary char-2 quadratic form cuts out a smooth conic:
-    canonical shape x0*x1 + x2^2, i.e. one hyperbolic pair plus a square."""
-    can = symplectic_normalize(QuadraticForm2.from_conic(conic))
-    return can.l == 1 and can.has_square_term
+    """Whether a ternary char-2 quadratic form cuts out a smooth conic, of
+    canonical shape x0*x1 + x2^2.  Its polar form has rank 0 or 2 with
+    radical [a12 : a02 : a01]; the shape needs that point, off the conic."""
+    a00, a11, a22, a01, a02, a12 = conic.coeffs
+    radical = [a12, a02, a01]
+    return (not all(c.is_zero() for c in radical)
+            and not conic.evaluate(radical).is_zero())
 
 
 def strange_point(conic):

@@ -21,7 +21,7 @@ import time
 from itertools import chain, islice
 
 from . import char2, ecurve
-from .errors import DegenerateInputError, ExtensionOverflowError
+from .errors import DegenerateInputError, DigitLimitError, ExtensionOverflowError
 from .fields import parse_element, parse_field_spec
 from .poly import Polynomial, factor
 from .process import PonceletConfig, porism_check, run, sample_starts
@@ -467,6 +467,8 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         return args.fn(args)
+    except DigitLimitError as exc:  # the text of a long orbit over Q
+        code, message = EXIT_INPUT, f"{exc}; pass a smaller --max-steps"
     except (CliError, ExtensionOverflowError, ValueError) as exc:
         code, message = EXIT_INPUT, str(exc)
     except AssertionError as exc:  # a theorem canary, TheoremViolation or not

@@ -9,6 +9,10 @@ class ExtensionOverflowError(ArithmeticError):
     """A computation would require a field extension beyond the allowed tower."""
 
 
+class DigitLimitError(ValueError):
+    """A number is too long for Python's int-to-text digit limit."""
+
+
 class DegenerateInputError(ValueError):
     """Geometric input is degenerate (coincident points, singular conic, ...)."""
 

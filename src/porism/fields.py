@@ -15,6 +15,10 @@ of u_i v_i) on raw values; ``_dot`` reduces once per output coefficient on
 F_p and in degrees 2 and 3 over it, and is built from the base's dots in
 a degree-2 tower.
 
+Polynomials on any field's raw values have one product (``_poly_dot``), one
+division (``_poly_divmod``) and one extended Euclid (``_poly_inverse``),
+shared by both kernels and ``poly.Polynomial``.
+
 Elements are immutable and stored in canonical form (residues reduced,
 fractions in lowest terms, coefficient tuples padded to full length), so
 ``==`` and ``hash`` work structurally.  Where a square root has two choices
@@ -23,12 +27,14 @@ run reproducible.
 """
 
 import re
+import sys
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import isqrt
 from operator import mul as _imul
 
-from .errors import ExtensionOverflowError, FieldMismatchError, TheoremViolation
+from .errors import (DigitLimitError, ExtensionOverflowError, FieldMismatchError,
+                     TheoremViolation)
 
 # Residue cap for prime fields; desk-scale experiments never get close.
 MAX_PRIME = 2**31
@@ -159,9 +165,6 @@ class FieldElement:
         """Canonical square root in this field, or None if there is none."""
         return self.field.sqrt(self)
 
-    def is_square(self):
-        return self.sqrt() is not None
-
     def sort_key(self):
         return self.field._sort_key(self.value)
 
@@ -183,7 +186,12 @@ class FieldElement:
         return not self.is_zero()
 
     def __str__(self):
-        return self.field._render(self.value)
+        try:
+            return self.field._render(self.value)
+        except ValueError:  # only CPython's int-to-text digit limit
+            raise DigitLimitError(
+                f"a number has more than {sys.get_int_max_str_digits()} "
+                "digits, Python's int-to-text limit") from None
 
     def __repr__(self):
         return f"{self.field._render(self.value)} in {self.field}"
@@ -206,19 +214,13 @@ class Field:
             return FieldElement(self, self._from_int(v))
         return FieldElement(self, self._canon(v))
 
-    @property
+    @cached_property
     def zero(self):
-        z = self.__dict__.get("_zero")
-        if z is None:
-            z = self.__dict__["_zero"] = FieldElement(self, self._from_int(0))
-        return z
+        return FieldElement(self, self._from_int(0))
 
-    @property
+    @cached_property
     def one(self):
-        o = self.__dict__.get("_one")
-        if o is None:
-            o = self.__dict__["_one"] = FieldElement(self, self._from_int(1))
-        return o
+        return FieldElement(self, self._from_int(1))
 
     def contains(self, other):
         return self == other
@@ -301,12 +303,66 @@ class PrimeField(Field):
         return hash(("Fp", self.p))
 
 
-def _prime_kernel(p, modulus):
-    """add, neg, mul, inv and dot of F_p[x]/(modulus), for a monic modulus
-    of degree k given as int residues, low degree first.  They work on
-    tuples of k residues and reduce each output coefficient with one % p;
-    dot sums its products unreduced and folds them through the reduction
-    rows once."""
+def _poly_dot(field, us, vs):
+    """The sum of u_t v_t for polynomials given as lists of raw values, low
+    degree first, untrimmed, up to the degree of the largest product."""
+    add, mul, zero = field._add, field._mul, field.zero.value
+    out = [zero] * (max(len(u) + len(v) for u, v in zip(us, vs)) - 1)
+    for u, v in zip(us, vs):
+        for i, x in enumerate(u):
+            if x != zero:
+                for j, y in enumerate(v, i):
+                    out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _poly_divmod(field, num, den):
+    """Quotient and trimmed remainder of raw-value polynomials, for a den
+    with a nonzero leading value."""
+    add, mul, neg, zero = field._add, field._mul, field._neg, field.zero.value
+    rem = list(num)
+    quot = [zero] * max(0, len(rem) - len(den) + 1)
+    inv_lead = field._inv(den[-1])
+    while len(rem) >= len(den):
+        c = mul(rem.pop(), inv_lead)
+        shift = len(rem) - len(den) + 1
+        quot[shift] = c
+        c = neg(c)
+        for i, d in enumerate(den[:-1], start=shift):
+            rem[i] = add(rem[i], mul(c, d))
+        while rem and rem[-1] == zero:
+            rem.pop()
+    return quot, rem
+
+
+def _poly_inverse(field, a, modulus):
+    """a^-1 modulo a monic modulus of degree k, as k raw values.  Raises
+    ZeroDivisionError for zero and for an a sharing a factor with the
+    modulus, which Rabin's test relies on."""
+    zero, one = field.zero.value, field.one.value
+    r0, r1 = list(modulus), list(a)
+    while r1 and r1[-1] == zero:
+        r1.pop()
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    s0, s1 = [], [one]
+    while len(r1) > 1:
+        q, r = _poly_divmod(field, r0, r1)
+        if not r:
+            raise ZeroDivisionError("element shares a factor with the modulus")
+        # s0 - q s1, whose degree is that of q s1
+        s = _poly_dot(field, ([one], [field._neg(c) for c in q]), (s0, s1))
+        r0, r1, s0, s1 = r1, r, s1, s
+    c = field._inv(r1[0])
+    return [field._mul(x, c) for x in s1] + [zero] * (len(modulus) - 1 - len(s1))
+
+
+def _prime_kernel(base, modulus):
+    """add, neg, mul, inv and dot of F_p[x]/(modulus), base = F_p, for a monic
+    modulus of degree k as int residues, low degree first, on tuples of k
+    residues with one % p per output coefficient; dot sums its products
+    unreduced and folds them through the reduction rows once."""
+    p = base.p
     k = len(modulus) - 1
     # rows[i] is x^(k+i) reduced modulo the modulus, for i = 0 .. k-2
     rows = [tuple(-c % p for c in modulus[:k])]
@@ -372,59 +428,50 @@ def _prime_kernel(p, modulus):
                 c4 += a2 * b2
             return ((c0 + r0 * c3 + s0 * c4) % p, (c1 + r1 * c3 + s1 * c4) % p,
                     (c2 + r2 * c3 + s2 * c4) % p)
-    else:
-        def add(a, b):
-            return tuple([(x + y) % p for x, y in zip(a, b)])
 
-        def neg(a):
-            return tuple([-x % p for x in a])
+        def inv(a):
+            # b -> a b has the matrix M with columns a, a x, a x^2; a^-1 is
+            # M^-1 e_0, the cofactors of M's first row over det M
+            a0, a1, a2 = a
+            b0, b1, b2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
+            c0, c1, c2 = b2 * r0, b0 + b2 * r1, b1 + b2 * r2
+            m0, m1, m2 = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1
+            det = (a0 * m0 + b0 * m1 + c0 * m2) % p
+            if not det:
+                raise ZeroDivisionError("element is zero or shares a factor "
+                                        "with the modulus")
+            det = pow(det, -1, p)
+            return m0 * det % p, m1 * det % p, m2 * det % p
 
-        def dot(u, v):
-            # schoolbook products, summed; the high terms fold in through rows
-            prod = [0] * (2 * k - 1)
-            for a, b in zip(u, v):
-                for i, x in enumerate(a):
-                    if x:
-                        for j, y in enumerate(b, i):
-                            prod[j] += x * y
-            out = prod[:k]
-            for c, row in zip(prod[k:], rows):
-                if c:
-                    for j, r in enumerate(row):
-                        out[j] += c * r
-            return tuple([v % p for v in out])
+        return add, neg, mul, inv, dot
 
-        def mul(a, b):
-            return dot((a,), (b,))
+    def add(a, b):
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
-    def submul(u, v, c, shift):
-        # u - c x^shift v, trimmed
-        out = u + [0] * (shift + len(v) - len(u))
-        for i, x in enumerate(v, shift):
-            out[i] = (out[i] - c * x) % p
-        while out and not out[-1]:
-            out.pop()
-        return out
+    def neg(a):
+        return tuple([-x % p for x in a])
+
+    def dot(u, v):
+        # schoolbook products on ints, summed, folded through rows: 1.5x
+        # faster than ``_poly_dot`` on F_p's reducing methods
+        prod = [0] * (2 * k - 1)
+        for a, b in zip(u, v):
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        prod[j] += x * y
+        out = prod[:k]
+        for c, row in zip(prod[k:], rows):
+            if c:
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        return tuple([v % p for v in out])
+
+    def mul(a, b):
+        return dot((a,), (b,))
 
     def inv(a):
-        # extended Euclid in F_p[x] against the modulus
-        r0, r1 = list(modulus), list(a)
-        while r1 and not r1[-1]:
-            r1.pop()
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            lead = pow(r1[-1], -1, p)
-            while r0 and len(r0) >= len(r1):
-                c = r0[-1] * lead % p
-                shift = len(r0) - len(r1)
-                r0, s0 = submul(r0, r1, c, shift), submul(s0, s1, c, shift)
-            if not r0:
-                raise ZeroDivisionError("element shares a factor with the modulus")
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        c = pow(r1[0], -1, p)
-        return tuple([x * c % p for x in s1] + [0] * (k - len(s1)))
+        return tuple(_poly_inverse(base, a, modulus))
 
     return add, neg, mul, inv, dot
 
@@ -432,8 +479,9 @@ def _prime_kernel(p, modulus):
 def _tower_kernel(base, modulus):
     """add, neg, mul, inv and dot of K[x]/(modulus) for a finite base K that
     is itself an extension, on tuples of K's raw values, with the modulus
-    given as raw values, low degree first.  They run on K's own raw
-    arithmetic; dot sums each coefficient with one of K's dots."""
+    given as raw values, low degree first, on K's own raw arithmetic:
+    Karatsuba, conj/norm and K's dots in degree 2, ``_poly_dot`` folded
+    through the reduction rows and ``_poly_inverse`` above."""
     badd, bneg, bmul, binv = base._add, base._neg, base._mul, base._inv
     bdot = base._dot
     zero = base.zero.value
@@ -480,13 +528,8 @@ def _tower_kernel(base, modulus):
         return add, neg, mul, inv, dot
 
     def dot(u, v):
-        # schoolbook products, summed; the high terms fold in through rows
-        prod = [zero] * (2 * k - 1)
-        for a, b in zip(u, v):
-            for i, x in enumerate(a):
-                if x != zero:
-                    for j, y in enumerate(b, i):
-                        prod[j] = badd(prod[j], bmul(x, y))
+        # folding through rows is 1.5x faster than dividing by the modulus
+        prod = _poly_dot(base, u, v)
         out = prod[:k]
         for c, row in zip(prod[k:], rows):
             if c != zero:
@@ -497,34 +540,8 @@ def _tower_kernel(base, modulus):
     def mul(a, b):
         return dot((a,), (b,))
 
-    def submul(u, v, c, shift):
-        # u - c x^shift v, trimmed
-        out = u + [zero] * (shift + len(v) - len(u))
-        for i, x in enumerate(v, shift):
-            out[i] = badd(out[i], bneg(bmul(c, x)))
-        while out and out[-1] == zero:
-            out.pop()
-        return out
-
     def inv(a):
-        # extended Euclid in K[x] against the modulus
-        r0, r1 = list(modulus), list(a)
-        while r1 and r1[-1] == zero:
-            r1.pop()
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        s0, s1 = [], [base.one.value]
-        while len(r1) > 1:
-            lead = binv(r1[-1])
-            while r0 and len(r0) >= len(r1):
-                c = bmul(r0[-1], lead)
-                shift = len(r0) - len(r1)
-                r0, s0 = submul(r0, r1, c, shift), submul(s0, s1, c, shift)
-            if not r0:
-                raise ZeroDivisionError("element shares a factor with the modulus")
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        c = binv(r1[0])
-        return tuple([bmul(x, c) for x in s1] + [zero] * (k - len(s1)))
+        return tuple(_poly_inverse(base, a, modulus))
 
     return add, neg, mul, inv, dot
 
@@ -555,7 +572,7 @@ class ExtensionField(Field):
         self.size = base.size ** self.degree
         raw = [c.value for c in modulus]
         self._add, self._neg, self._mul, self._inv, self._dot = (
-            _prime_kernel(base.p, raw) if isinstance(base, PrimeField)
+            _prime_kernel(base, raw) if isinstance(base, PrimeField)
             else _tower_kernel(base, raw))
         if check and not self._is_irreducible():
             raise ValueError("modulus is reducible over the base field")

@@ -4,16 +4,18 @@ Coefficients are stored low degree first with a nonzero leading coefficient;
 the zero polynomial has an empty coefficient tuple.  On top of the ring
 arithmetic this module provides monic gcd, squarefree decomposition (with the
 inseparable char-p cases handled by p-th-root extraction), full factorization
-over finite fields (distinct-degree plus seeded Cantor-Zassenhaus) and root
-finding in a bounded extension tower.
+over finite fields (distinct-degree plus Cantor-Zassenhaus on a fixed random
+stream) and root finding in a bounded extension tower.
 """
 
+import random
 from dataclasses import dataclass
 from math import gcd as gcd_int, isqrt
 
 from .errors import ExtensionOverflowError, FieldMismatchError, TheoremViolation
-from .fields import (ExtensionField, FieldElement, PrimeField, QuadRationalField,
-                     RationalField, lift_to_quadratic_extension)
+from .fields import (ExtensionField, FieldElement, QuadRationalField,
+                     RationalField, _poly_divmod, _poly_dot,
+                     lift_to_quadratic_extension)
 
 # Largest constant or leading term (after clearing denominators) whose
 # divisors the rational root search tries: at most 10^6 trial divisions.
@@ -76,20 +78,13 @@ class Polynomial:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return Polynomial(self.field, [])
-        field = self.field
-        add, mul = field._add, field._mul
-        bs = [b.value for b in other.coeffs]
-        zero = field.zero.value
-        out = [zero] * (len(self.coeffs) + len(bs) - 1)
-        for i, a in enumerate(self.coeffs):
-            a = a.value
-            if a == zero:
-                continue
-            for j, b in enumerate(bs, start=i):
-                out[j] = add(out[j], mul(a, b))
-        return _from_values(field, out)
+        return _from_values(self.field, _poly_dot(
+            self.field, (self._values(),), (other._values(),)))
 
     __rmul__ = __mul__
+
+    def _values(self):
+        return [c.value for c in self.coeffs]
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -104,23 +99,8 @@ class Polynomial:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        add, mul, neg = field._add, field._mul, field._neg
-        zero = field.zero.value
-        rem = [c.value for c in self.coeffs]
-        div = [c.value for c in other.coeffs]
-        quot = [zero] * max(0, len(rem) - len(div) + 1)
-        inv_lead = field._inv(div[-1])
-        while len(rem) >= len(div):
-            c = mul(rem.pop(), inv_lead)
-            shift = len(rem) - len(div) + 1
-            quot[shift] = c
-            c = neg(c)
-            for i, oc in enumerate(div[:-1], start=shift):
-                rem[i] = add(rem[i], mul(c, oc))
-            while rem and rem[-1] == zero:
-                rem.pop()
-        return _from_values(field, quot), _from_values(field, rem)
+        quot, rem = _poly_divmod(self.field, self._values(), other._values())
+        return _from_values(self.field, quot), _from_values(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -128,13 +108,14 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __pow__(self, n):
-        result = Polynomial(self.field, [1])
-        base = self
+    def __pow__(self, n, mod=None):
+        """self ** n; ``pow(self, n, mod)`` reduces after each product."""
+        reduce = (lambda f: f) if mod is None else (lambda f: f % mod)
+        result, base = Polynomial(self.field, [1]), reduce(self)
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = reduce(result * base)
+            base = reduce(base * base)
             n >>= 1
         return result
 
@@ -165,8 +146,11 @@ class Polynomial:
 
 
 def _from_values(field, values):
-    """The polynomial with the given raw coefficient values."""
-    return Polynomial(field, [FieldElement(field, v) for v in values])
+    """The polynomial with the given raw coefficient values, the last one
+    nonzero, built without coercing them again."""
+    poly = object.__new__(Polynomial)
+    poly.field, poly.coeffs = field, tuple([FieldElement(field, v) for v in values])
+    return poly
 
 
 def gcd(f, g):
@@ -230,7 +214,7 @@ def _ddf(f):
     rest = f
     while rest.degree > 2 * d:
         d += 1
-        xq = _polypow_mod(xq, q, rest)
+        xq = pow(xq, q, rest)
         g = gcd(rest, xq - x)
         if g.degree > 0:
             out.append((g, d))
@@ -239,17 +223,6 @@ def _ddf(f):
     if rest.degree > 0:
         out.append((rest, rest.degree))
     return out
-
-
-def _polypow_mod(base, n, mod):
-    result = Polynomial(mod.field, [1])
-    base = base % mod
-    while n:
-        if n & 1:
-            result = result * base % mod
-        base = base * base % mod
-        n >>= 1
-    return result
 
 
 def _random_poly(field, max_degree, rng):
@@ -274,25 +247,24 @@ def _edf(f, d, rng):
             for _ in range(k * d):
                 t = t + term
                 term = term * term % f
-            g = gcd(f, t)
         else:
-            t = _polypow_mod(h, (q ** d - 1) // 2, f) - Polynomial(f.field, [1])
-            g = gcd(f, t)
+            t = pow(h, (q ** d - 1) // 2, f) - Polynomial(f.field, [1])
+        g = gcd(f, t)
         if 0 < g.degree < f.degree:
             return _edf(g, d, rng) + _edf(f // g, d, rng)
 
 
-def factor(f, seed=0):
+def factor(f):
     """Full factorization over a finite field: list of (monic irreducible,
-    multiplicity), deterministic for a given seed, sorted canonically."""
-    import random
+    multiplicity), sorted canonically.  The equal-degree split draws from
+    ``random.Random(0)``; the sorted result does not depend on the draws."""
     if f.field.size is None:
         raise ValueError("factor() requires a finite field")
     if f.degree < 1:
         return []
     if f.degree == 2 and f.field.char != 2:
         return _factor_quadratic(f.monic())
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = []
     for part, mult in squarefree_decomposition(f):
         for block, d in _ddf(part):
@@ -399,14 +371,14 @@ def _divisors(n):
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def roots_in_closure(f, max_total_extension_degree=4, seed=0):
+def roots_in_closure(f, max_total_extension_degree=4):
     """All roots of f with multiplicities, in minimal tower extensions of
     f's field.  Raises ExtensionOverflowError past the degree cap."""
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
     entries = []
     if f.field.size is not None:
-        for irr, mult in factor(f, seed):
+        for irr, mult in factor(f):
             if irr.degree == 1:
                 entries.append((-irr[0], mult))
                 continue
@@ -430,8 +402,7 @@ def roots_in_closure(f, max_total_extension_degree=4, seed=0):
     return RootsWithMultiplicity(tuple(entries), 0)
 
 
-def binary_form_roots(field, coeffs, form_degree, max_total_extension_degree=4,
-                      seed=0):
+def binary_form_roots(field, coeffs, form_degree, max_total_extension_degree=4):
     """Roots of a binary form given by its dehomogenized coefficients
     (low-to-high in the affine variable); the degree drop is reported as
     multiplicity at the point at infinity."""
@@ -441,5 +412,5 @@ def binary_form_roots(field, coeffs, form_degree, max_total_extension_degree=4,
     at_inf = form_degree - f.degree
     if f.degree == 0:
         return RootsWithMultiplicity((), at_inf)
-    inner = roots_in_closure(f, max_total_extension_degree, seed)
+    inner = roots_in_closure(f, max_total_extension_degree)
     return RootsWithMultiplicity(inner.entries, at_inf)

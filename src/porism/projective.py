@@ -456,14 +456,6 @@ class P1Point:
     def affine(cls, value):
         return cls(value.field, (value, value.field.one))
 
-    def is_infinity(self):
-        return self.coords[1].is_zero()
-
-    def value(self):
-        if self.is_infinity():
-            raise ZeroDivisionError("point at infinity has no affine value")
-        return self.coords[0] / self.coords[1]
-
     def lift(self, new_field):
         return P1Point(new_field, self.coords)
 
@@ -577,8 +569,7 @@ def intersect_conics(c, d, seed=0):
     _check_pair(c, d)
     par = parametrize(d, find_point(d, seed))
     quartic = pullback_quartic(c, par)
-    roots = binary_form_roots(c.field, quartic, 4, max_total_extension_degree=4,
-                              seed=seed)
+    roots = binary_form_roots(c.field, quartic, 4, max_total_extension_degree=4)
     out = []
     for t, mult in roots.entries:
         pt = par.point_at(P1Point.affine(t))

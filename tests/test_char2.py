@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -123,6 +124,23 @@ def test_irreducibility_detection():
     assert is_irreducible_conic(Conic(F4, [0, 0, 1, 1, 0, 0]))  # xy + z^2
     assert not is_irreducible_conic(Conic(F4, [0, 0, 0, 1, 0, 0]))  # xy
     assert not is_irreducible_conic(Conic(F4, [1, 1, 0, 0, 0, 0]))  # (x+y)^2
+
+
+def test_irreducibility_from_the_radical_matches_normalization():
+    # every nonzero conic over F_2 and F_4, and seeded ones over F_8, against
+    # the canonical shape x0*x1 + x2^2 of the full normalization
+    F8 = binary_field(3)
+    rng = random.Random(8)
+    conics = [Conic(F, coeffs) for F in (PrimeField(2), binary_field(2))
+              for coeffs in product(list(F.elements()), repeat=6) if any(coeffs)]
+    conics += [random_conic2(F8, rng) for _ in range(3000)]
+    assert len(conics) == 63 + 4095 + 3000
+    for conic in conics:
+        a00, a11, a22, a01, a02, a12 = conic.coeffs
+        can = symplectic_normalize(QuadraticForm2(conic.field, 3, {
+            (0, 0): a00, (1, 1): a11, (2, 2): a22,
+            (0, 1): a01, (0, 2): a02, (1, 2): a12}))
+        assert is_irreducible_conic(conic) == (can.l == 1 and can.has_square_term)
 
 
 def test_strange_point_collects_all_tangents():

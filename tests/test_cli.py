@@ -374,3 +374,26 @@ def test_classify_without_a_small_rational_point_is_an_input_error(tmp_path,
     assert json.loads(err)["error"] == (
         "no rational point [x : y : 1] with y = n/d, |n| <= 12, 1 <= d <= 4 "
         "on the conic")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-text digit limit")
+def test_digit_limit_is_an_input_error_naming_max_steps(tmp_path, capsys):
+    # an open pair over Q: the orbit's coordinates grow with every step
+    obj = {"outer": {"field": "Q", "coeffs": [1, 1, -25, 0, 0, 0]},
+           "inner": {"field": "Q", "coeffs": [1, 1, -3, 0, -2, 0]},
+           "c1": [3, 4, 1]}
+    path = write_json(tmp_path, "pair.json", obj)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for steps in (12, 24):
+            code, out, _ = run_cli(capsys, "run", path, "--json",
+                                   "--max-steps", str(steps))
+            assert code == 0 and json.loads(out)["outcome"] == "open"
+        code, out, err = run_cli(capsys, "run", path, "--json", "--max-steps", "30")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    message = json.loads(err)["error"]
+    assert "640 digits" in message and "--max-steps" in message

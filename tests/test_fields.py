@@ -44,7 +44,7 @@ def test_f13_square_classification(F13):
     # squares mod 13 computed by listing x^2 for x = 0..12
     squares = {0, 1, 3, 4, 9, 10, 12}
     for a in F13.elements():
-        assert a.is_square() == (a.value in squares)
+        assert (a.sqrt() is not None) == (a.value in squares)
 
 
 def test_sqrt_returns_canonical_smaller_root(F13):
@@ -81,7 +81,7 @@ def test_extension_field_rejects_reducible_modulus():
 def test_tower_extension_and_embedding():
     F3 = PrimeField(3)
     F9 = ExtensionField(F3, [1, 0, 1])
-    nonsq = next(a for a in F9.elements() if not a.is_zero() and not a.is_square())
+    nonsq = next(a for a in F9.elements() if not a.is_zero() and a.sqrt() is None)
     big, image = lift_to_quadratic_extension(nonsq)
     assert big.size == 81
     s = image.sqrt()
@@ -235,7 +235,8 @@ def test_degree2_mul_inv_match_schoolbook_and_euclid_over_f27():
 
 
 # Finite fields over a prime run on integer kernels: closed forms in degrees
-# 2 and 3, a folded schoolbook product and integer Euclid above.
+# 2 and 3, a folded schoolbook product on ints and the shared extended Euclid
+# above.
 EXHAUSTIVE_KERNELS = ["Fq:3^3:1,2,0,1", "Fq:3^4:2,0,0,2,1", "F2k:4", "F2k:2"]
 SAMPLED_KERNELS = ["Fq:7^4:3,4,5,0,1", "Fq:13^3:11,2,0,1", "F2k:7"]
 
@@ -261,6 +262,27 @@ def test_prime_kernel_matches_reference_on_samples(spec):
     _matches_reference(field, pairs)
     with pytest.raises(ZeroDivisionError):
         field.zero.inv()
+
+
+def test_cubic_closed_form_inverse_on_every_irreducible_cubic():
+    # a cubic is irreducible exactly when it has no root; the kernel's
+    # product, which the closed form does not use, checks every inverse
+    count = 0
+    for p in (2, 3, 5, 7):
+        base = PrimeField(p)
+        for tail in product(range(p), repeat=3):
+            if any((tail[0] + t * tail[1] + t * t * tail[2] + t ** 3) % p == 0
+                   for t in range(p)):
+                continue
+            field = ExtensionField(base, [*tail, 1], check=False)
+            one = field.one.value
+            for a in product(range(p), repeat=3):
+                if any(a):
+                    assert field._mul(a, field._inv(a)) == one
+            with pytest.raises(ZeroDivisionError):
+                field._inv(field.zero.value)
+            count += 1
+    assert count == 2 + 8 + 40 + 112
 
 
 def test_sqrt_over_equal_fields_rebuilt_agrees():

@@ -179,3 +179,16 @@ def test_mul_divmod_match_element_arithmetic(spec):
         assert a * b == Polynomial(field, prod)
         quot, rem = divmod(a, b)
         assert quot * b + rem == a and rem.degree < b.degree
+
+
+@pytest.mark.parametrize("spec", ["Fp:13", "Fq:3^3:1,2,0,1"])
+def test_modular_power_matches_power_then_remainder(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random(spec)
+    rand = lambda degree: Polynomial(
+        field, [field.element(rng.randrange(field.size)) for _ in range(degree)]
+        + [field.one])
+    for _ in range(20):
+        f, m = rand(rng.randrange(0, 5)), rand(rng.randrange(1, 5))
+        n = rng.randrange(0, 12)
+        assert pow(f, n, m) == f ** n % m

@@ -13,7 +13,11 @@ start's lifted field and orbit coordinates under the comparison; each
 normalize``, which puts the tangent-pair transform matrix under it; and each
 ``run`` operation of the orbit-q round is also run as ``porism ecurve`` on
 the same pair and seed, which puts the incidence curve over Q, and its split
-factors over Q(sqrt d), under it.  Every operation's exit code and output
+factors over Q(sqrt d), under it; and each ternary (n = 3) form of the
+structure round's ``char2-normalize`` operations is also run as ``porism
+char2-strange-point`` on the conic with the same coefficients (missing ones
+are 0), which puts the char-2 smoothness test under it.  Every operation's
+exit code and output
 must match byte for byte.  The first differing operation is printed by its
 label; the exit code is 1 on any difference and 0 when every output matches.
 """
@@ -34,6 +38,7 @@ sys.path[:0] = ["benchmark", "src"]
 import workloads
 import porism.cli, porism.projective
 prog = types.SimpleNamespace(cli=porism.cli, projective=porism.projective)
+MONOMIALS = ("0,0", "1,1", "2,2", "0,1", "0,2", "1,2")
 rows = []
 for name in sys.argv[1].split(","):
     build = workloads.WORKLOADS[name][0]
@@ -51,6 +56,14 @@ for name in sys.argv[1].split(","):
                 code, out = workloads.call_cli(
                     porism.cli.main, ["ecurve", *op.argv[1:]], op.text)
                 rows.append([name, seed, op.label + " ecurve", code, out])
+            if op.argv[0] == "char2-normalize" and op.obj["n"] == 3:
+                form = op.obj["coeffs"]
+                conic = {"field": op.obj["field"],
+                         "coeffs": [form.get(key, "0") for key in MONOMIALS]}
+                code, out = workloads.call_cli(
+                    porism.cli.main, ["char2-strange-point", *op.argv[1:]],
+                    json.dumps(conic))
+                rows.append([name, seed, op.label + " strange-point", code, out])
             if op.argv[0] != "porism-check":
                 continue
             for branch in ("min", "max"):
