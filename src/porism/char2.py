@@ -13,9 +13,9 @@ Square roots here are total: in F_{2^k} the Frobenius is a bijection and
 sqrt(a) = a^(2^(k-1)).
 """
 
-from .errors import DegenerateInputError, NotOnConicError, TheoremViolation
+from .errors import DegenerateInputError, TheoremViolation
 from .fields import ExtensionField
-from .projective import ProjLine, ProjPoint
+from .projective import ProjPoint, tangent_at
 
 
 class QuadraticForm2:
@@ -33,9 +33,7 @@ class QuadraticForm2:
                 raise ValueError(f"bad monomial index ({i}, {j})")
             v = field(v)
             if not v.is_zero():
-                clean[(i, j)] = clean.get((i, j), field.zero) + v
-                if clean[(i, j)].is_zero():
-                    del clean[(i, j)]
+                clean[(i, j)] = v
         self.field = field
         self.n = n
         self.coeffs = clean
@@ -52,9 +50,11 @@ class QuadraticForm2:
         return total
 
     def polar(self, u, v):
-        """B_q(u, v); in characteristic two this is q(u+v) + q(u) + q(v)."""
-        w = [a + b for a, b in zip(u, v)]
-        return self.evaluate(w) + self.evaluate(u) + self.evaluate(v)
+        """B_q(u, v) = q(u+v) + q(u) + q(v), read off the coefficients: the
+        sum of a_ij (u_i v_j + u_j v_i) over i < j."""
+        return sum((a * (u[i] * v[j] + u[j] * v[i])
+                    for (i, j), a in self.coeffs.items() if i != j),
+                   start=self.field.zero)
 
     def transform(self, columns):
         """The form q(Pz) for the basis change with the given columns: the
@@ -302,13 +302,5 @@ def strange_point(conic):
     return ProjPoint(conic.field, [a12, a02, a01])
 
 
-def tangent_at_char2(conic, p):
-    """Tangent line via the formal partial derivatives; always contains the
-    strange point, since the gradient pairs every direction against the
-    polar form."""
-    if not conic.contains(p):
-        raise NotOnConicError(f"{p!r} is not on the conic")
-    grad = conic.gradient(p.coords)
-    if all(g.is_zero() for g in grad):
-        raise DegenerateInputError("conic is singular at the point")
-    return ProjLine(conic.field, grad)
+# a char-2 conic's tangent is its gradient line, as in any characteristic
+tangent_at_char2 = tangent_at

@@ -22,10 +22,10 @@ from itertools import chain, islice
 
 from . import char2, ecurve
 from .errors import DegenerateInputError, DigitLimitError, ExtensionOverflowError
-from .fields import parse_element, parse_field_spec
+from .fields import check_digits, parse_element, parse_field_spec
 from .poly import Polynomial, factor
 from .process import PonceletConfig, porism_check, run, sample_starts
-from .projective import Conic, ProjPoint, normal_form
+from .projective import Conic, ProjPoint, normal_form, tangent_at
 from .svgfig import render_process
 
 EXIT_OK = 0
@@ -45,11 +45,12 @@ class _Parser(argparse.ArgumentParser):
 def _read_json(path):
     try:
         if path == "-":
-            obj = json.load(sys.stdin)
+            text = sys.stdin.read()
         else:
             with open(path) as fh:
-                obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+                text = fh.read()
+        obj = json.loads(text, parse_int=lambda s: int(check_digits(s)))
+    except (OSError, json.JSONDecodeError, DigitLimitError) as exc:
         raise CliError(f"cannot read input: {exc}")
     if not isinstance(obj, dict):
         raise CliError("input must be a JSON object")
@@ -159,10 +160,8 @@ def _start_point(cfg, obj, seed):
         if not cfg.outer.contains(c1):
             raise CliError("start point is not on the outer conic")
         return c1
-    starts = sample_starts(cfg, 1, seed)
-    if not starts:
-        raise CliError("could not sample a start point")
-    return starts[0]
+    # at most 2 of the q + 1 >= 4 (over Q, 13) parameters drawn are tangencies
+    return sample_starts(cfg, 1, seed)[0]
 
 
 def cmd_run(args):
@@ -292,7 +291,7 @@ def cmd_char2_strange_point(args):
         raise CliError(str(exc))
     transcript = []
     for pt in _char2_conic_points(conic, limit=10):
-        line = char2.tangent_at_char2(conic, pt)
+        line = tangent_at(conic, pt)
         transcript.append({"point": point_json(pt),
                            "tangent": [str(c) for c in line.coeffs],
                            "through_strange_point": line.contains(p)})

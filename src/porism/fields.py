@@ -38,6 +38,7 @@ from .errors import (DigitLimitError, ExtensionOverflowError, FieldMismatchError
 
 # Residue cap for prime fields; desk-scale experiments never get close.
 MAX_PRIME = 2**31
+_DIGIT_LIMIT = "a number has more than {} digits, Python's int-to-text limit"
 
 
 def _is_prime(n):
@@ -189,9 +190,8 @@ class FieldElement:
         try:
             return self.field._render(self.value)
         except ValueError:  # only CPython's int-to-text digit limit
-            raise DigitLimitError(
-                f"a number has more than {sys.get_int_max_str_digits()} "
-                "digits, Python's int-to-text limit") from None
+            raise DigitLimitError(_DIGIT_LIMIT.format(
+                sys.get_int_max_str_digits())) from None
 
     def __repr__(self):
         return f"{self.field._render(self.value)} in {self.field}"
@@ -230,9 +230,6 @@ class Field:
         length: a fold of ``_add`` over ``_mul``, unless the field binds a
         fused kernel."""
         return reduce(self._add, map(self._mul, u, v))
-
-    def sqrt(self, elem):
-        raise NotImplementedError
 
     def element(self, i):
         """The i-th element of ``elements()``, for 0 <= i < size."""
@@ -863,11 +860,21 @@ def binary_field(k):
             continue
 
 
+def check_digits(text):
+    """``text``; a ``DigitLimitError`` naming Python's int-to-text limit if a
+    run of its digits is past it, which ``int`` reports in CPython's words."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+        raise DigitLimitError(_DIGIT_LIMIT.format(limit))
+    return text
+
+
 def parse_field_spec(s):
     """Parse the CLI field-spec strings: Fp:13, Fq:5^2:3,0,1, F2k:3, Q,
     Qsqrt:2."""
     if not isinstance(s, str):
         raise ValueError(f"a field spec is a string, not {s!r}")
+    check_digits(s)
     if s == "Q":
         return RationalField()
     if s.startswith("F2k:"):
@@ -904,7 +911,7 @@ def parse_element(field, value):
         return field(value)
     if not isinstance(value, str):
         raise ValueError(f"cannot read a field element from {value!r}")
-    text = value.strip()
+    text = check_digits(value.strip())
     if isinstance(field, PrimeField):
         return field(int(text))
     if isinstance(field, RationalField):

@@ -402,15 +402,15 @@ def roots_in_closure(f, max_total_extension_degree=4):
     return RootsWithMultiplicity(tuple(entries), 0)
 
 
-def binary_form_roots(field, coeffs, form_degree, max_total_extension_degree=4):
-    """Roots of a binary form given by its dehomogenized coefficients
-    (low-to-high in the affine variable); the degree drop is reported as
-    multiplicity at the point at infinity."""
+def binary_form_roots(field, coeffs, form_degree):
+    """Roots of a binary form of degree at most 4 given by its dehomogenized
+    coefficients (low-to-high in the affine variable); the degree drop is
+    reported as multiplicity at the point at infinity."""
     f = Polynomial(field, coeffs)
     if f.is_zero():
         raise ValueError("zero form")
     at_inf = form_degree - f.degree
     if f.degree == 0:
         return RootsWithMultiplicity((), at_inf)
-    inner = roots_in_closure(f, max_total_extension_degree)
+    inner = roots_in_closure(f)
     return RootsWithMultiplicity(inner.entries, at_inf)

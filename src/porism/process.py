@@ -289,17 +289,17 @@ class PorismReport:
         return sorted({p for p in self.periods if p})
 
 
-def porism_check(cfg, num_starts=10, max_steps=None, seed=0, branch="min"):
-    """Run the process from several non-tangency starts and check the
-    all-or-nothing law: every closed run shares one period, and runs either
-    all close or all stay open.
+def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
+    """Run the process, on the min branch, from several non-tangency starts
+    and check the all-or-nothing law: every closed run shares one period,
+    and runs either all close or all stay open.
 
     Every start is solved first.  A closed walk is the whole cycle, so each
     later start it meets over an equal field has its period and is not
     walked; an open walk is a prefix and settles only its own start."""
     starts = sample_starts(cfg, num_starts, seed)
     max_steps = _step_budget(cfg, max_steps)
-    solved = [start(cfg, c1, branch)[:2] for c1 in starts]
+    solved = [start(cfg, c1)[:2] for c1 in starts]
     pending = {}  # field -> {raw initial state: index} of the unsettled starts
     for i, (start_cfg, initial) in enumerate(solved):
         pending.setdefault(start_cfg.field, {})[_raw_state(initial)] = i

@@ -4,7 +4,7 @@ Points, lines and conics are stored in canonical projective scale (first
 nonzero coordinate equal to one) so equality and hashing are structural.
 Conics carry their six coefficients in the fixed monomial order
 x^2, y^2, z^2, xy, xz, yz; in odd characteristic the symmetric matrix with
-halved mixed entries is available for tangents, polars and smoothness.
+halved mixed entries serves polars and smoothness; tangents are gradients.
 
 Conic-conic intersection multiplicities are computed by pulling one conic
 back along a degree-1 parametrization of the other, which reduces everything
@@ -16,7 +16,7 @@ import random
 
 from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
                      TheoremViolation)
-from .fields import FieldElement, RationalField, QuadRationalField
+from .fields import FieldElement
 from .poly import (Polynomial, binary_form_roots, roots_in_closure,
                    squarefree_decomposition)
 
@@ -260,12 +260,11 @@ def _adjugate(m):
 class ProjTransform:
     """An invertible change of coordinates, acting on points as column vectors.
 
-    Lines transport by the inverse transpose, conics by substituting the
-    inverse map into the quadratic form; incidence is preserved by
-    construction.
+    Points transport by the matrix, conics by substituting the inverse map
+    into the quadratic form; incidence is preserved by construction.
     """
 
-    __slots__ = ("field", "matrix", "_inverse")
+    __slots__ = ("field", "matrix")
 
     def __init__(self, field, matrix):
         matrix = [[field(c) for c in row] for row in matrix]
@@ -273,17 +272,10 @@ class ProjTransform:
             raise DegenerateInputError("transform matrix is singular")
         self.field = field
         self.matrix = matrix
-        self._inverse = None
-
-    @classmethod
-    def identity(cls, field):
-        z, o = field.zero, field.one
-        return cls(field, [[o, z, z], [z, o, z], [z, z, o]])
 
     def inverse_matrix(self):
-        if self._inverse is None:
-            self._inverse = _adjugate(self.matrix)
-        return self._inverse
+        """The adjugate, a nonzero multiple of the inverse."""
+        return _adjugate(self.matrix)
 
     def inverse(self):
         return ProjTransform(self.field, self.inverse_matrix())
@@ -313,13 +305,9 @@ class ProjTransform:
 
 
 def apply_transform(m, obj):
-    """Transport a point, line or conic through the coordinate change."""
+    """Transport a point or conic through the coordinate change."""
     if isinstance(obj, ProjPoint):
         return ProjPoint(m.field, _matvec(m.matrix, list(obj.coords)))
-    if isinstance(obj, ProjLine):
-        inv = m.inverse_matrix()
-        inv_t = [[inv[j][i] for j in range(3)] for i in range(3)]
-        return ProjLine(m.field, _matvec(inv_t, list(obj.coeffs)))
     if isinstance(obj, Conic):
         return obj.transform_by_matrix(m.inverse_matrix())
     raise TypeError(f"cannot transform {obj!r}")
@@ -332,10 +320,13 @@ def line_through(p, q):
 
 
 def tangent_at(conic, p):
-    """Tangent line of a smooth conic at one of its points (char != 2)."""
+    """Tangent line of a conic at a smooth point: the gradient line, which in
+    characteristic two contains the strange point."""
     if not conic.contains(p):
         raise NotOnConicError(f"{p!r} is not on the conic")
     grad = conic.gradient(p.coords)
+    if all(g.is_zero() for g in grad):
+        raise DegenerateInputError("conic is singular at the point")
     return ProjLine(conic.field, grad)
 
 
@@ -371,13 +362,7 @@ def other_intersection(conic, line, known):
     if not conic.contains(known) or not line.contains(known):
         raise DegenerateInputError("known point must lie on both the line and the conic")
     s0, s1 = line.span()
-    other = s1 if s0 == known else s0
-    if other == known:
-        # span() returned known itself; regenerate a second point
-        other = ProjPoint(known.field,
-                          [a + b for a, b in zip(s0.coords, s1.coords)])
-        if other == known:
-            raise DegenerateInputError("could not span the line")
+    other = s1 if s0 == known else s0  # the span's points are distinct
     gamma = conic.evaluate(other.coords)
     beta = conic.bilinear(known.coords, other.coords)
     if beta.is_zero():
@@ -423,14 +408,11 @@ def _solve_on_line(conic, y, z):
     """A conic point of the form [x : y : z] with the given y, z, if the
     resulting quadratic in x has an in-field root: F(x e_0 + w) with
     w = [0 : y : z] is a x^2 + b x + c with a = F(e_0), b = B(e_0, w) and
-    c = F(w)."""
+    c = F(w).  The one caller, ``find_point``, tries [1 : 0 : 0] first, so
+    a = a00 is nonzero here."""
     field = conic.field
     e0, w = [field.one, field.zero, field.zero], [field.zero, y, z]
     a, b, c = conic.evaluate(e0), conic.bilinear(e0, w), conic.evaluate(w)
-    if a.is_zero():
-        if b.is_zero():
-            return None
-        return ProjPoint(field, [-c / b, y, z])
     disc = b * b - 4 * a * c
     s = disc.sqrt()
     if s is None:
@@ -569,7 +551,7 @@ def intersect_conics(c, d, seed=0):
     _check_pair(c, d)
     par = parametrize(d, find_point(d, seed))
     quartic = pullback_quartic(c, par)
-    roots = binary_form_roots(c.field, quartic, 4, max_total_extension_degree=4)
+    roots = binary_form_roots(c.field, quartic, 4)
     out = []
     for t, mult in roots.entries:
         pt = par.point_at(P1Point.affine(t))
@@ -676,13 +658,8 @@ def normalize_tangent_pair(c, d, p):
     # first change: p -> [0:0:1], common tangent -> {y = 0}
     s0, s1 = tc.span()
     e1 = s0 if s0 != p else s1
-    e2 = None
-    for k in range(3):
-        e = [field.one if r == k else field.zero for r in range(3)]
-        if not sum((tc.coeffs[i] * e[i] for i in range(3)),
-                   start=field.zero).is_zero():
-            e2 = e
-            break
+    k = tc.coeffs.index(field.one)  # the tangent's pivot: e_k is off it
+    e2 = [field.one if r == k else field.zero for r in range(3)]
     cols = [list(e1.coords), e2, list(p.coords)]
     basis = [[cols[j][i] for j in range(3)] for i in range(3)]
     m1 = ProjTransform(field, basis).inverse()

@@ -11,9 +11,10 @@ import math
 
 from .errors import DegenerateInputError
 from .fields import RationalField, QuadRationalField
-from .projective import P1Point, find_point, parametrize
+from .projective import find_point, parametrize
 
 CONIC_SAMPLES = 720
+MAX_CHORDS = 8  # chords drawn of an open run
 FMT = "{:.4f}"
 
 
@@ -161,9 +162,9 @@ class SvgFigure:
         return "\n".join(lines) + "\n"
 
 
-def render_process(cfg, result, seed=0, max_chords=8):
+def render_process(cfg, result, seed=0):
     """SVG for a process run: both conics, the chord polygon (closed runs
-    draw the full polygon, open runs the first `max_chords` chords) and the
+    draw the full polygon, open runs the first ``MAX_CHORDS`` chords) and the
     tangency points, labelled."""
     if cfg.field.size is not None:
         raise DegenerateInputError(
@@ -179,7 +180,7 @@ def render_process(cfg, result, seed=0, max_chords=8):
         for i, c in enumerate(cs):
             fig.add_marker(c, f"c{i + 1}")
     else:
-        cs = [st.c for st in orbit[:max_chords + 1]]
+        cs = [st.c for st in orbit[:MAX_CHORDS + 1]]
         for i in range(len(cs) - 1):
             fig.add_segment(cs[i], cs[i + 1])
         for i, c in enumerate(cs):

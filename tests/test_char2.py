@@ -46,6 +46,9 @@ def test_polar_form_is_alternating():
                         for i in range(3) for j in range(i + 1, 3)),
                        start=F8.zero)
             assert q.polar(u, v) == want
+            # and the polarization it stands for
+            w = [a + b for a, b in zip(u, v)]
+            assert q.polar(u, v) == q.evaluate(w) + q.evaluate(u) + q.evaluate(v)
 
 
 def test_artin_schreier_solutions():

@@ -397,3 +397,98 @@ def test_digit_limit_is_an_input_error_naming_max_steps(tmp_path, capsys):
     assert code == 1 and out == ""
     message = json.loads(err)["error"]
     assert "640 digits" in message and "--max-steps" in message
+
+
+PAIR_Q_OPEN = {"outer": {"field": "Q", "coeffs": [1, 1, -25, 0, 0, 0]},
+               "inner": {"field": "Q", "coeffs": [1, 1, -3, 0, -2, 0]},
+               "c1": [3, 4, 1]}
+
+
+def test_render_svg_of_an_open_run_draws_its_first_eight_chords(tmp_path, capsys):
+    path = write_json(tmp_path, "pair.json", PAIR_Q_OPEN)
+    code, svg, _ = run_cli(capsys, "render-svg", path, "--max-steps", "12")
+    assert code == 0
+    assert svg.count('class="chord"') == 8 and svg.count("<circle") == 9
+    assert run_cli(capsys, "render-svg", path, "--max-steps", "12")[1] == svg
+    code, svg, _ = run_cli(capsys, "render-svg", path, "--max-steps", "6")
+    assert code == 0 and svg.count('class="chord"') == 6
+
+
+def test_truncated_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text('{"outer":')
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith("cannot read input: ")
+
+
+@pytest.mark.parametrize("c1, message", [
+    ([3, 5, 1], "start point is not on the outer conic"),
+    (["x", 4, 1], "bad start point: "),
+], ids=["off-the-conic", "malformed"])
+def test_run_refuses_a_bad_start_point(tmp_path, capsys, c1, message):
+    path = write_json(tmp_path, "pair.json", dict(PAIR_Q_OPEN, c1=c1))
+    code, out, err = run_cli(capsys, "run", path, "--max-steps", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith(message)
+
+
+def test_run_without_a_start_point_samples_one(tmp_path, capsys):
+    path = write_json(tmp_path, "pair.json", PAIR_F5_TYPE4)
+    code, out, _ = run_cli(capsys, "run", path, "--json")
+    assert code == 0
+    assert json.loads(out)["outcome"] == "closed"
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"field": "Fp:7", "coeffs": [1, 1, 1, 0, 0, 0]},
+     "char2-strange-point needs a characteristic-2 field"),
+    ({"field": "F2k:2", "coeffs": [0, 0, 0, 1, 0, 0]},
+     "reducible conic has no strange point"),
+], ids=["odd-characteristic", "reducible"])
+def test_char2_strange_point_refuses(tmp_path, capsys, obj, message):
+    path = write_json(tmp_path, "conic.json", obj)
+    code, out, err = run_cli(capsys, "char2-strange-point", path)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == message
+
+
+@pytest.fixture
+def digit_limit_640():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-text digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+BIG = "-" + "7" * 701  # past a digit limit of 640
+DIGITS = "a number has more than 640 digits, Python's int-to-text limit"
+
+
+@pytest.mark.parametrize("command, obj, quoted, prefix", [
+    ("classify", {"outer": {"field": "Q", "coeffs": [1, 1, "BIG", 0, 0, 0]},
+                  "inner": PAIR_Q_OPEN["inner"]}, False, "cannot read input"),
+    ("classify", {"outer": {"field": "Q", "coeffs": [1, 1, "BIG", 0, 0, 0]},
+                  "inner": PAIR_Q_OPEN["inner"]}, True, "bad conic JSON"),
+    ("classify", dict(PAIR_F5_TYPE4, outer={"field": "Fp:5",
+                                            "coeffs": [1, 1, "BIG", 0, 0, 4]}),
+     False, "cannot read input"),
+    ("classify", dict(PAIR_F5_TYPE4, outer={"field": "Fp:5",
+                                            "coeffs": [1, 1, "BIG", 0, 0, 4]}),
+     True, "bad conic JSON"),
+    ("run", dict(PAIR_Q_OPEN, c1=[3, 4, "BIG"]), True, "bad start point"),
+    ("porism-check", dict(PAIR_F5_TYPE4, num_starts="BIG"), False,
+     "cannot read input"),
+    ("char2-normalize", {"field": "F2k:2", "n": 2, "coeffs": {"0,1": "BIG"}},
+     True, "bad quadratic form JSON"),
+], ids=["q-number", "q-string", "fp-number", "fp-string", "c1", "num-starts",
+        "char2-coefficient"])
+def test_a_number_past_the_digit_limit_is_an_input_error(
+        tmp_path, capsys, digit_limit_640, command, obj, quoted, prefix):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj).replace('"BIG"', f'"{BIG}"' if quoted else BIG))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == f"{prefix}: {DIGITS}"

@@ -581,3 +581,17 @@ def test_porism_check_solves_every_start_before_it_walks(monkeypatch):
     with pytest.raises(ExtensionOverflowError):
         porism_check(cfg, num_starts=4, seed=0)
     assert walks == []
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_sample_starts_leaves_every_point_but_the_tangencies(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    types = set()
+    for i in range(300):
+        cfg = PonceletConfig(*random_smooth_pair(field, rng), seed=i)
+        types.add(cfg.intersection_type)
+        starts = sample_starts(cfg, p + 1, i)
+        assert len(starts) == p + 1 - len(cfg.in_field_tangencies())
+        assert len(set(starts)) == len(starts)
+    assert types == {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}

@@ -308,3 +308,36 @@ def test_transformed_conic_contains_the_transformed_points():
             on = [p for p in plane if conic.contains(p)]
             assert len(on) == field.size + 1
             assert all(image.contains(m(p)) for p in on)
+
+
+def test_find_point_solves_no_line_of_a_conic_through_e0(monkeypatch):
+    # a00 = 0 puts [1 : 0 : 0] on the conic, and find_point tries it before
+    # any line, so _solve_on_line always has a quadratic in x
+    import porism.projective as projective
+    solved = []
+    solve = projective._solve_on_line
+
+    def spy(conic, y, z):
+        solved.append(conic.coeffs[0])
+        return solve(conic, y, z)
+    monkeypatch.setattr(projective, "_solve_on_line", spy)
+    through_e0 = 0
+    for spec in ("Fp:3", "Fp:5"):
+        field = parse_field_spec(spec)
+        rng = random.Random(spec)
+        for _ in range(300):
+            conic = random_smooth_conic(field, rng)
+            through_e0 += conic.coeffs[0].is_zero()
+            assert conic.contains(find_point(conic, rng.randrange(100)))
+    assert through_e0 and solved
+    assert not any(a00.is_zero() for a00 in solved)
+
+
+@pytest.mark.parametrize("spec, coeffs, point", [
+    ("Fp:5", [1, 0, 0, 0, 0, 0], [0, 1, 0]),    # x^2, singular along x = 0
+    ("F2k:2", [0, 0, 0, 1, 0, 0], [0, 0, 1]),   # xy, singular at [0:0:1]
+], ids=["odd-characteristic", "characteristic-two"])
+def test_tangent_at_a_singular_point_is_degenerate(spec, coeffs, point):
+    field = parse_field_spec(spec)
+    with pytest.raises(DegenerateInputError, match="singular at the point"):
+        tangent_at(Conic(field, coeffs), ProjPoint(field, point))

@@ -13,13 +13,18 @@ start's lifted field and orbit coordinates under the comparison; each
 normalize``, which puts the tangent-pair transform matrix under it; and each
 ``run`` operation of the orbit-q round is also run as ``porism ecurve`` on
 the same pair and seed, which puts the incidence curve over Q, and its split
-factors over Q(sqrt d), under it; and each ternary (n = 3) form of the
-structure round's ``char2-normalize`` operations is also run as ``porism
-char2-strange-point`` on the conic with the same coefficients (missing ones
-are 0), which puts the char-2 smoothness test under it.  Every operation's
-exit code and output
-must match byte for byte.  The first differing operation is printed by its
-label; the exit code is 1 on any difference and 0 when every output matches.
+factors over Q(sqrt d), under it, and as ``porism render-svg`` with the same
+input, seed and ``--max-steps``, which puts the SVG bytes under it (the
+first ``svgfig.MAX_CHORDS`` chords of an open run, and the rational point
+each conic is parametrized from; a start lifted to Q(sqrt d) with d < 0,
+or a polygon vertex at infinity, gives its exit-1 line instead); and each
+ternary (n = 3) form of the structure round's ``char2-normalize``
+operations is also run as ``porism char2-strange-point`` on the conic with
+the same coefficients (missing ones are 0), which puts the char-2
+smoothness test under it.  Every operation's
+exit code and output must match byte for byte.  The first differing
+operation is printed by its label; the exit code is 1 on any difference and
+0 when every output matches.
 """
 
 import argparse
@@ -56,6 +61,9 @@ for name in sys.argv[1].split(","):
                 code, out = workloads.call_cli(
                     porism.cli.main, ["ecurve", *op.argv[1:]], op.text)
                 rows.append([name, seed, op.label + " ecurve", code, out])
+                code, out = workloads.call_cli(
+                    porism.cli.main, ["render-svg", *op.argv[1:]], op.text)
+                rows.append([name, seed, op.label + " render-svg", code, out])
             if op.argv[0] == "char2-normalize" and op.obj["n"] == 3:
                 form = op.obj["coeffs"]
                 conic = {"field": op.obj["field"],
