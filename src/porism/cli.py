@@ -15,6 +15,7 @@ one JSON line {"error": ...} on standard error.
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -24,7 +25,7 @@ from . import char2, ecurve
 from .errors import DegenerateInputError, DigitLimitError, ExtensionOverflowError
 from .fields import check_digits, parse_element, parse_field_spec
 from .poly import Polynomial, factor
-from .process import PonceletConfig, porism_check, run, sample_starts
+from .process import KEEP_ORBIT, PonceletConfig, porism_check, run, sample_starts
 from .projective import Conic, ProjPoint, normal_form, tangent_at
 from .svgfig import render_process
 
@@ -95,14 +96,18 @@ def type_string(t):
     return "(" + ",".join(str(m) for m in t) + ")"
 
 
-def _emit(args, data, human_lines):
-    text = (json.dumps(data, indent=2) + "\n") if args.json \
-        else "".join(line + "\n" for line in human_lines)
+def _write(args, text):
+    """The command's output, to ``--output`` or to standard output."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, data, human_lines):
+    _write(args, (json.dumps(data, indent=2) + "\n") if args.json
+           else "".join(line + "\n" for line in human_lines))
 
 
 def _classify_payload(outer, inner, seed):
@@ -116,12 +121,12 @@ def _classify_payload(outer, inner, seed):
                          cfg.tangencies)
         data["normal_form"] = {"t": str(nf.t), "a": str(nf.a),
                                "b": str(nf.b), "delta": str(nf.delta)}
-    return cfg, data
+    return data
 
 
 def cmd_classify(args):
     outer, inner = read_pair(_read_json(args.input))
-    _, data = _classify_payload(outer, inner, args.seed)
+    data = _classify_payload(outer, inner, args.seed)
     lines = [f"type: {data['type']}"]
     for p in data["tangency_points"]:
         lines.append(f"tangency: [{':'.join(p['coords'])}] over {p['field']}")
@@ -178,7 +183,7 @@ def cmd_run(args):
         "lifted": result.lifted,
         "type": type_string(cfg.intersection_type),
     }
-    if result.orbit and (result.outcome == "open" or result.period <= 64):
+    if result.orbit and (result.outcome == "open" or result.period <= KEEP_ORBIT):
         data["orbit"] = [{"c": point_json(st.c), "d": point_json(st.d)}
                          for st in result.orbit]
     lines = [f"type: {data['type']}",
@@ -194,7 +199,7 @@ def cmd_porism_check(args):
     obj = _read_json(args.input)
     outer, inner = read_pair(obj)
     try:
-        num_starts = int(obj.get("num_starts", 10))
+        num_starts = int(check_digits(obj.get("num_starts", 10)))
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad num_starts: {exc}")
     cfg = PonceletConfig(outer, inner, seed=args.seed)
@@ -239,14 +244,14 @@ def cmd_ecurve(args):
 def _read_quadratic_form(obj):
     try:
         field = parse_field_spec(obj["field"])
-        n = int(obj["n"])
+        n = int(check_digits(obj["n"]))
         if not 1 <= n <= 32:
             raise ValueError(f"n must be between 1 and 32, got {n}")
         if not isinstance(obj["coeffs"], dict):
             raise TypeError("coeffs must be an object")
         coeffs = {}
         for key, val in obj["coeffs"].items():
-            i, j = (int(part) for part in key.split(","))
+            i, j = (int(check_digits(part)) for part in key.split(","))
             coeffs[(i, j)] = parse_element(field, val)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad quadratic form JSON: {exc}")
@@ -373,22 +378,19 @@ def sweep_one(field_spec, seed, index, num_starts, max_steps):
 
 
 def cmd_sweep(args):
+    if parse_field_spec(args.field).size is None:
+        raise CliError("sweep draws random conics and needs a finite field")
     tasks = [(args.field, args.seed, i, args.num_starts, args.max_steps)
              for i in range(args.count)]
-    if args.jobs > 1:
+    # records are pure functions of their tasks; starmap keeps their order
+    workers = min(args.jobs, args.count, os.cpu_count() or 1)
+    if workers > 1:
         from multiprocessing import Pool
-        with Pool(args.jobs) as pool:
+        with Pool(workers) as pool:
             records = pool.starmap(sweep_one, tasks)
     else:
         records = [sweep_one(*t) for t in tasks]
-    records.sort(key=lambda r: r["index"])
-    out = sys.stdout if not args.output else open(args.output, "w")
-    try:
-        for rec in records:
-            out.write(json.dumps(rec) + "\n")
-    finally:
-        if args.output:
-            out.close()
+    _write(args, "".join(json.dumps(rec) + "\n" for rec in records))
     return EXIT_OK if all(r["pass"] for r in records) else EXIT_VIOLATION
 
 
@@ -402,12 +404,7 @@ def cmd_render_svg(args):
     c1 = _start_point(cfg, obj, args.seed)
     result = run(cfg, c1, branch=obj.get("branch", "min"),
                  max_steps=args.max_steps)
-    svg = render_process(cfg, result, seed=args.seed)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
+    _write(args, render_process(cfg, result, seed=args.seed))
     return EXIT_OK
 
 

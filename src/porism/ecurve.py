@@ -60,8 +60,7 @@ class BiquadraticForm:
     def evaluate(self, u, v):
         """Value at a pair of P^1 points (well defined up to the canonical
         scale of the arguments)."""
-        return sum((q * m for q, m in zip(self.fiber_in_v(u), _monomials(v))),
-                   start=u.field.zero)
+        return _contract(u.field, [self.fiber_in_v(u)], _monomials(v))[0]
 
     def contains(self, u, v):
         return self.evaluate(u, v).is_zero()
@@ -80,19 +79,13 @@ class BiquadraticForm:
 
     def fiber_in_v(self, u):
         """Coefficients (q0, q1, q2) of the binary quadratic
-        sum_j q_j v^j v'^(2-j) cut out on the fiber over u."""
-        um = _monomials(u)
-        field = u.field
-        return tuple(
-            field(self.h[0][j]) * um[0] + field(self.h[1][j]) * um[1]
-            + field(self.h[2][j]) * um[2] for j in range(3))
+        sum_j q_j v^j v'^(2-j) cut out on the fiber over u: h's columns
+        against u's monomials."""
+        return _contract(u.field, zip(*self.h), _monomials(u))
 
     def fiber_in_u(self, v):
-        vm = _monomials(v)
-        field = v.field
-        return tuple(
-            field(self.h[i][0]) * vm[0] + field(self.h[i][1]) * vm[1]
-            + field(self.h[i][2]) * vm[2] for i in range(3))
+        """The same over v: h's rows against v's monomials."""
+        return _contract(v.field, self.h, _monomials(v))
 
     def lift(self, new_field):
         return BiquadraticForm(new_field, self.h, self.outer_par, self.inner_par)
@@ -125,16 +118,9 @@ class BilinearFactor:
         self.m = (flat[:2], flat[2:])
 
     def evaluate(self, u, v):
-        field = u.field
-        a, b = u.coords
-        c, d = v.coords
-        um = (b, a)
-        vm = (d, c)
-        total = field.zero
-        for i in range(2):
-            for j in range(2):
-                total = total + field(self.m[i][j]) * um[i] * vm[j]
-        return total
+        (a, b), (c, d) = u.coords, v.coords
+        rows = _contract(u.field, self.m, (d, c))
+        return _contract(u.field, [(b, a)], rows)[0]
 
     def contains(self, u, v):
         return self.evaluate(u, v).is_zero()
@@ -168,6 +154,17 @@ class BilinearFactor:
 def _monomials(p):
     a, b = p.coords
     return (b * b, a * b, a * a)
+
+
+def _contract(field, rows, monomials):
+    """sum_j row[j] monomials[j] for each row, the coefficients coerced into
+    ``field``: a form's coefficient array against the P^1 monomials.  The
+    sum starts at its first term, not at zero, which keeps ``nu`` cheap."""
+    out = []
+    for row in rows:
+        first, *rest = [field(c) * m for c, m in zip(row, monomials)]
+        out.append(sum(rest, first))
+    return tuple(out)
 
 
 def _binary_partials(q, p):
@@ -369,28 +366,27 @@ def _other_root(field, q, known):
     return P1Point(field, (-(B * w) - A * s, A * w))
 
 
-def _prepare(H, p):
+def _prepare(H, p, check):
+    """H over the field of p = (u, v), and u, v; p is on it if ``check``."""
     u, v = p
     if u.field != v.field:
         raise FieldMismatchError("the two parameters live over different fields")
     if u.field != H.field:
         H = H.lift(u.field)
+    if check and not H.contains(u, v):
+        raise NotOnConicError("point does not lie on the incidence curve")
     return H, u, v
 
 
 def sigma(H, p, check=True):
     """The involution fixing u: v goes to the other root of the fiber."""
-    H, u, v = _prepare(H, p)
-    if check and not H.contains(u, v):
-        raise NotOnConicError("point does not lie on the incidence curve")
+    H, u, v = _prepare(H, p, check)
     return (u, _other_root(u.field, H.fiber_in_v(u), v))
 
 
 def tau(H, p, check=True):
     """The involution fixing v: u goes to the other root of the fiber."""
-    H, u, v = _prepare(H, p)
-    if check and not H.contains(u, v):
-        raise NotOnConicError("point does not lie on the incidence curve")
+    H, u, v = _prepare(H, p, check)
     return (_other_root(u.field, H.fiber_in_u(v), u), v)
 
 

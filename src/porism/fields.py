@@ -225,6 +225,48 @@ class Field:
     def contains(self, other):
         return self == other
 
+    def _sort_key(self, a):
+        return a
+
+    def _render(self, a):
+        return str(a)
+
+    def sqrt(self, elem):
+        """The canonical square root of ``elem`` in a finite field, or None:
+        the inverse of the Frobenius, elem^(q/2), in characteristic two and
+        Tonelli-Shanks otherwise.  Q and Q(sqrt d) bring their own."""
+        q = self.size
+        if self.char == 2:
+            return elem ** (q // 2)
+        if elem.is_zero():
+            return self.zero
+        if elem ** ((q - 1) // 2) != self.one:
+            return None
+        s, t = 0, q - 1
+        while t % 2 == 0:
+            t //= 2
+            s += 1
+        if s == 1:
+            r = elem ** ((q + 1) // 4)
+        else:
+            c = FieldElement(self, _non_residue(self)) ** t
+            r = elem ** ((t + 1) // 2)
+            u = elem ** t
+            m = s
+            while u != self.one:
+                i, u2 = 0, u
+                while u2 != self.one:
+                    u2 = u2 * u2
+                    i += 1
+                b = c ** (1 << (m - i - 1))
+                r = r * b
+                c = b * b
+                u = u * c
+                m = i
+        if r * r != elem:
+            raise TheoremViolation("Tonelli-Shanks root check failed")
+        return min(r, -r, key=lambda x: x.sort_key())
+
     def _dot(self, u, v):
         """The sum of u_i v_i on raw values, for non-empty u and v of one
         length: a fold of ``_add`` over ``_mul``, unless the field binds a
@@ -275,17 +317,6 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, -1, self.p)
-
-    def _sort_key(self, a):
-        return a
-
-    def _render(self, a):
-        return str(a)
-
-    def sqrt(self, elem):
-        if self.p == 2:
-            return elem  # squaring is the identity on F_2
-        return _finite_field_sqrt(self, elem)
 
     def element(self, i):
         return FieldElement(self, i)
@@ -618,12 +649,6 @@ class ExtensionField(Field):
     def _render(self, a):
         return ",".join(self.base._render(v) for v in a)
 
-    def sqrt(self, elem):
-        if self.char == 2:
-            # Frobenius inverse: squaring is a bijection.
-            return elem ** (self.size // 2)
-        return _finite_field_sqrt(self, elem)
-
     def element(self, i):
         # base-q digits of i, most significant first: lexicographic order
         # on the low-to-high coefficients
@@ -669,12 +694,6 @@ class RationalField(Field):
 
     def _inv(self, a):
         return 1 / a
-
-    def _sort_key(self, a):
-        return a
-
-    def _render(self, a):
-        return str(a)
 
     def sqrt(self, elem):
         r = _fraction_sqrt(elem.value)
@@ -734,9 +753,6 @@ class QuadRationalField(Field):
         n = a[0] * a[0] - self.d * a[1] * a[1]  # norm; nonzero since d is non-square
         return (a[0] / n, -a[1] / n)
 
-    def _sort_key(self, a):
-        return a
-
     def _render(self, a):
         return f"{a[0]}+{a[1]}*sqrt({self.d})"
 
@@ -787,42 +803,6 @@ def _non_residue(field):
                 if not z.is_zero() and z ** half != field.one)
 
 
-def _finite_field_sqrt(field, elem):
-    """Tonelli-Shanks over any odd finite field; returns the canonically
-    smaller root or None for a non-residue."""
-    if field.char == 2:
-        raise ValueError("odd characteristic only")
-    if elem.is_zero():
-        return field.zero
-    q = field.size
-    if elem ** ((q - 1) // 2) != field.one:
-        return None
-    s, t = 0, q - 1
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    if s == 1:
-        r = elem ** ((q + 1) // 4)
-    else:
-        c = FieldElement(field, _non_residue(field)) ** t
-        r = elem ** ((t + 1) // 2)
-        u = elem ** t
-        m = s
-        while u != field.one:
-            i, u2 = 0, u
-            while u2 != field.one:
-                u2 = u2 * u2
-                i += 1
-            b = c ** (1 << (m - i - 1))
-            r = r * b
-            c = b * b
-            u = u * c
-            m = i
-    if r * r != elem:
-        raise TheoremViolation("Tonelli-Shanks root check failed")
-    return min(r, -r, key=lambda x: x.sort_key())
-
-
 def lift_to_quadratic_extension(a):
     """One quadratic step up the tower so that sqrt(a) exists.
 
@@ -839,7 +819,8 @@ def lift_to_quadratic_extension(a):
         return new, new(a)
     if isinstance(field, QuadRationalField):
         raise ExtensionOverflowError(
-            "only one quadratic step above Q is supported")
+            f"the square root of {a} needs a second quadratic step above Q; "
+            "only one is supported")
     new = ExtensionField(field, [-a, field.zero, field.one], check=False)
     return new, new(a)
 
@@ -860,13 +841,15 @@ def binary_field(k):
             continue
 
 
-def check_digits(text):
-    """``text``; a ``DigitLimitError`` naming Python's int-to-text limit if a
-    run of its digits is past it, which ``int`` reports in CPython's words."""
+def check_digits(value):
+    """``value``; a ``DigitLimitError`` naming Python's int-to-text limit if
+    it is a string with a run of digits past it, which ``int`` reports in
+    CPython's words."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+    if limit and isinstance(value, str) and any(
+            len(run) > limit for run in re.findall(r"\d+", value)):
         raise DigitLimitError(_DIGIT_LIMIT.format(limit))
-    return text
+    return value
 
 
 def parse_field_spec(s):

@@ -14,12 +14,13 @@ from math import gcd as gcd_int, isqrt
 
 from .errors import ExtensionOverflowError, FieldMismatchError, TheoremViolation
 from .fields import (ExtensionField, FieldElement, QuadRationalField,
-                     RationalField, _poly_divmod, _poly_dot,
-                     lift_to_quadratic_extension)
+                     _poly_divmod, _poly_dot, lift_to_quadratic_extension)
 
 # Largest constant or leading term (after clearing denominators) whose
 # divisors the rational root search tries: at most 10^6 trial divisions.
 MAX_RATIONAL_ROOT_TERM = 10**12
+# Largest degree of a finite field's extension ``roots_in_closure`` adjoins
+MAX_EXTENSION_DEGREE = 4
 
 
 class Polynomial:
@@ -263,7 +264,12 @@ def factor(f):
     if f.degree < 1:
         return []
     if f.degree == 2 and f.field.char != 2:
-        return _factor_quadratic(f.monic())
+        roots = quadratic_roots(*f.coeffs)
+        if not roots:
+            return [(f.monic(), 1)]
+        lines = [(Polynomial(f.field, [-r, 1]), m) for r, m in roots]
+        lines.sort(key=lambda gm: gm[0][0].sort_key())
+        return lines
     rng = random.Random(0)
     out = []
     for part, mult in squarefree_decomposition(f):
@@ -276,18 +282,19 @@ def factor(f):
     return out
 
 
-def _factor_quadratic(f):
-    """factor() of a monic quadratic in odd characteristic, from the
-    discriminant: the same factors, multiplicities and order."""
-    half_b = f[1] / 2
-    s = (half_b * half_b - f[0]).sqrt()
+def quadratic_roots(c0, c1, c2):
+    """The roots of c2 t^2 + c1 t + c0, c2 nonzero, in the coefficients'
+    field of characteristic other than two, as (root, multiplicity) pairs:
+    (-c1 + s)/(2 c2), then (-c1 - s)/(2 c2), with s the canonical square
+    root of the discriminant; one double root when it is zero, and none
+    when it is not a square."""
+    s = (c1 * c1 - 4 * c2 * c0).sqrt()
     if s is None:
-        return [(f, 1)]
+        return []
+    inv = (c2 + c2).inv()
     if s.is_zero():
-        return [(Polynomial(f.field, [half_b, 1]), 2)]
-    lines = [Polynomial(f.field, [half_b + r, 1]) for r in (s, -s)]
-    lines.sort(key=lambda g: g[0].sort_key())
-    return [(g, 1) for g in lines]
+        return [(-c1 * inv, 2)]
+    return [((s - c1) * inv, 1), ((-c1 - s) * inv, 1)]
 
 
 @dataclass(frozen=True)
@@ -300,36 +307,24 @@ class RootsWithMultiplicity:
         return sum(m for _, m in self.entries) + self.at_infinity
 
 
-def _char0_roots(g, field):
+def _char0_roots(g):
     """Roots of a squarefree g over Q or Q(sqrt d), staying within one
     quadratic step above Q.  Returns list of FieldElement."""
     roots = []
-    while g.degree > 0:
-        if g.degree == 1:
-            roots.append(-g[0] / g[1])
-            break
-        if g.degree == 2:
-            a, b, c = g[2], g[1], g[0]
-            disc = b * b - 4 * a * c
-            s = disc.sqrt()
-            if s is None:
-                if isinstance(field, RationalField):
-                    _, disc_l = lift_to_quadratic_extension(disc)
-                    s = disc_l.sqrt()
-                    a, b = disc_l.field(a), disc_l.field(b)
-                else:
-                    raise ExtensionOverflowError(
-                        f"roots of {g!r} need more than one quadratic step over Q")
-            roots.append((-b + s) / (2 * a))
-            roots.append((-b - s) / (2 * a))
-            break
+    while g.degree > 2:
         r = _rational_root(g)
         if r is None:
             raise ExtensionOverflowError(
                 f"no rational root found for {g!r} of degree {g.degree}")
         roots.append(r)
         g = g // Polynomial(g.field, [-r, 1])
-    return roots
+    if g.degree == 1:
+        return roots + [-g[0] / g[1]]
+    pairs = quadratic_roots(*g.coeffs)
+    if not pairs:
+        big = lift_to_quadratic_extension(g[1] * g[1] - 4 * g[2] * g[0])[0]
+        pairs = quadratic_roots(*map(big, g.coeffs))
+    return roots + [r for r, _ in pairs]
 
 
 def _rational_root(g):
@@ -371,9 +366,10 @@ def _divisors(n):
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def roots_in_closure(f, max_total_extension_degree=4):
+def roots_in_closure(f):
     """All roots of f with multiplicities, in minimal tower extensions of
-    f's field.  Raises ExtensionOverflowError past the degree cap."""
+    f's field.  Raises ExtensionOverflowError past ``MAX_EXTENSION_DEGREE``
+    or, in characteristic 0, past one quadratic step above Q."""
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
     entries = []
@@ -382,10 +378,10 @@ def roots_in_closure(f, max_total_extension_degree=4):
             if irr.degree == 1:
                 entries.append((-irr[0], mult))
                 continue
-            if irr.degree > max_total_extension_degree:
+            if irr.degree > MAX_EXTENSION_DEGREE:
                 raise ExtensionOverflowError(
                     f"irreducible factor {irr!r} exceeds extension cap "
-                    f"{max_total_extension_degree}")
+                    f"{MAX_EXTENSION_DEGREE}")
             ext = ExtensionField(f.field, [c for c in irr.coeffs], check=False)
             root = ext.gen
             q = f.field.size
@@ -394,7 +390,7 @@ def roots_in_closure(f, max_total_extension_degree=4):
                 root = root ** q
     else:
         for part, mult in squarefree_decomposition(f):
-            for r in _char0_roots(part, f.field):
+            for r in _char0_roots(part):
                 entries.append((r, mult))
     # roots from different factors may live in different extensions; group by
     # field first so sort keys stay comparable

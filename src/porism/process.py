@@ -25,6 +25,8 @@ from .projective import (P1Point, _canonical, _point, _span,
                          polar, tangent_at, find_point)
 
 DEFAULT_MAX_STEPS_CHAR0 = 10000
+# States of a run kept in its result, and so printed by ``porism run``
+KEEP_ORBIT = 64
 
 
 class PonceletConfig:
@@ -148,7 +150,7 @@ def step_inverse(cfg, state):
     return PonceletState(c0, d0, state.index - 1)
 
 
-def run(cfg, c1, branch="min", max_steps=None, keep_orbit=64):
+def run(cfg, c1, branch="min", max_steps=None, keep_orbit=KEEP_ORBIT):
     """Iterate the process from c1 until the initial state recurs.
 
     The step map is a bijection, so the orbit is a pure cycle and comparing
@@ -162,10 +164,8 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=64):
     orbit = [initial] + [
         PonceletState(_point(cfg.field, c), _point(cfg.field, d), i)
         for i, (c, d) in enumerate(kept, start=2)]
-    if period:
-        return ProcessResult("closed", period=period, steps=period,
-                             lifted=lifted, orbit=orbit[:keep_orbit])
-    return ProcessResult("open", period=0, steps=max_steps, lifted=lifted,
+    return ProcessResult("closed" if period else "open", period=period,
+                         steps=period or max_steps, lifted=lifted,
                          orbit=orbit[:keep_orbit])
 
 

@@ -17,8 +17,8 @@ import random
 from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
                      TheoremViolation)
 from .fields import FieldElement
-from .poly import (Polynomial, binary_form_roots, roots_in_closure,
-                   squarefree_decomposition)
+from .poly import (Polynomial, binary_form_roots, quadratic_roots,
+                   roots_in_closure, squarefree_decomposition)
 
 
 def _canonical(field, raw, message="all coordinates are zero"):
@@ -413,11 +413,8 @@ def _solve_on_line(conic, y, z):
     field = conic.field
     e0, w = [field.one, field.zero, field.zero], [field.zero, y, z]
     a, b, c = conic.evaluate(e0), conic.bilinear(e0, w), conic.evaluate(w)
-    disc = b * b - 4 * a * c
-    s = disc.sqrt()
-    if s is None:
-        return None
-    return ProjPoint(field, [(-b + s) / (2 * a), y, z])
+    roots = quadratic_roots(c, b, a)
+    return ProjPoint(field, [roots[0][0], y, z]) if roots else None
 
 
 class P1Point:
@@ -604,8 +601,8 @@ def _repeated_params(field, at_inf, parts):
     out = [P1Point.infinity(field)] if at_inf >= 2 else []
     for part, m in parts:
         if m >= 2:
-            out.extend(P1Point.affine(t) for t, _ in roots_in_closure(
-                part, max_total_extension_degree=2).entries)
+            out.extend(P1Point.affine(t)
+                       for t, _ in roots_in_closure(part).entries)
     return out
 
 

@@ -172,19 +172,14 @@ def render_process(cfg, result, seed=0):
     fig = SvgFigure()
     fig.add_conic(cfg.outer, "outer", seed)
     fig.add_conic(cfg.inner, "inner", seed)
-    orbit = result.orbit
-    if result.outcome == "closed" and len(orbit) >= 1:
-        cs = [st.c for st in orbit]
-        for i in range(len(cs)):
-            fig.add_segment(cs[i], cs[(i + 1) % len(cs)])
-        for i, c in enumerate(cs):
-            fig.add_marker(c, f"c{i + 1}")
-    else:
-        cs = [st.c for st in orbit[:MAX_CHORDS + 1]]
-        for i in range(len(cs) - 1):
-            fig.add_segment(cs[i], cs[i + 1])
-        for i, c in enumerate(cs):
-            fig.add_marker(c, f"c{i + 1}")
+    closed = result.outcome == "closed"
+    cs = [st.c for st in result.orbit[:None if closed else MAX_CHORDS + 1]]
+    # a closed polygon's last chord returns to c1; an open path has none
+    ends = cs[1:] + (cs[:1] if closed else [None])
+    for i, (c, end) in enumerate(zip(cs, ends)):
+        if end is not None:
+            fig.add_segment(c, end)
+        fig.add_marker(c, f"c{i + 1}")
     for i, t in enumerate(cfg.in_field_tangencies()):
         fig.add_marker(t, f"t{i + 1}")
     return fig.to_svg()

@@ -483,8 +483,14 @@ DIGITS = "a number has more than 640 digits, Python's int-to-text limit"
      "cannot read input"),
     ("char2-normalize", {"field": "F2k:2", "n": 2, "coeffs": {"0,1": "BIG"}},
      True, "bad quadratic form JSON"),
+    ("porism-check", dict(PAIR_F5_TYPE4, num_starts="BIG"), True,
+     "bad num_starts"),
+    ("char2-normalize", {"field": "F2k:2", "n": "BIG", "coeffs": {}}, True,
+     "bad quadratic form JSON"),
+    ("char2-normalize", {"field": "F2k:2", "n": 2, "coeffs": {"BIG": 1}}, True,
+     "bad quadratic form JSON"),
 ], ids=["q-number", "q-string", "fp-number", "fp-string", "c1", "num-starts",
-        "char2-coefficient"])
+        "char2-coefficient", "num-starts-string", "char2-n", "char2-key"])
 def test_a_number_past_the_digit_limit_is_an_input_error(
         tmp_path, capsys, digit_limit_640, command, obj, quoted, prefix):
     path = tmp_path / "input.json"
@@ -492,3 +498,58 @@ def test_a_number_past_the_digit_limit_is_an_input_error(
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == f"{prefix}: {DIGITS}"
+
+
+def test_extension_overflow_names_the_missing_square_root(tmp_path, capsys):
+    # over Q(sqrt 2) the tangency points of these concentric circles need
+    # sqrt(-4), a second quadratic step above Q
+    obj = {"outer": {"field": "Qsqrt:2", "coeffs": ["1", "1", "-16", "0", "0", "0"]},
+           "inner": {"field": "Qsqrt:2", "coeffs": ["1", "1", "-1", "0", "0", "0"]}}
+    path = write_json(tmp_path, "pair.json", obj)
+    code, out, err = run_cli(capsys, "run", path, "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == (
+        "the square root of -4+0*sqrt(2) needs a second quadratic step above "
+        "Q; only one is supported")
+
+
+@pytest.mark.parametrize("spec", ["Q", "Qsqrt:2"])
+def test_sweep_refuses_an_infinite_field(capsys, spec):
+    code, out, err = run_cli(capsys, "sweep", "--field", spec, "--count", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "sweep draws random conics and needs a finite field"}
+
+
+def test_sweep_starts_no_more_workers_than_tasks(capsys, monkeypatch):
+    import multiprocessing
+    asked = []
+
+    class FakePool:
+        """Records the worker count asked for and runs in this process."""
+
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    base = ["sweep", "--field", "Fp:11", "--count", "2", "--num-starts", "3"]
+
+    def records(jobs):
+        code, out, _ = run_cli(capsys, *base, "--jobs", jobs)
+        recs = [json.loads(line) for line in out.splitlines()]
+        for rec in recs:
+            rec.pop("elapsed_ms")
+        return code, recs
+
+    many = records("100000")
+    assert all(n <= 2 for n in asked) and not multiprocessing.active_children()
+    assert len(many[1]) == 2 and many == records("1")

@@ -435,3 +435,13 @@ def test_dot_is_the_fold_of_add_over_mul(name):
             for a, b in zip(u[1:], v[1:]):
                 want = field._add(want, field._mul(a, b))
             assert field._dot(u, v) == want
+
+
+@pytest.mark.parametrize("spec", ["Fp:2", "F2k:3", "Fp:13"])
+def test_finite_field_sqrt_is_the_canonical_root(spec):
+    field = parse_field_spec(spec)
+    elems = list(field.elements())
+    for a in elems:
+        roots = [r for r in elems if r * r == a]
+        want = min(roots, key=lambda r: r.sort_key()) if roots else None
+        assert field.sqrt(a) == want

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from porism.fields import PrimeField, RationalField, parse_field_spec
 from porism.poly import (Polynomial, binary_form_roots, factor, gcd,
-                         roots_in_closure, squarefree_decomposition)
+                         quadratic_roots, roots_in_closure,
+                         squarefree_decomposition)
 
 
 def P(field, *coeffs):
@@ -192,3 +194,29 @@ def test_modular_power_matches_power_then_remainder(spec):
         f, m = rand(rng.randrange(0, 5)), rand(rng.randrange(1, 5))
         n = rng.randrange(0, 12)
         assert pow(f, n, m) == f ** n % m
+
+
+@pytest.mark.parametrize("spec", ["Fp:7", "Fq:3^2:1,0,1"])
+def test_quadratic_roots_match_brute_force(spec):
+    field = parse_field_spec(spec)
+    elems = list(field.elements())
+    for c0, c1, c2 in product(elems, elems, [c for c in elems if c]):
+        # a zero t is double when the derivative 2 c2 t + c1 vanishes there too
+        want = {t: 2 if (2 * c2 * t + c1).is_zero() else 1
+                for t in elems if (c2 * t * t + c1 * t + c0).is_zero()}
+        got = quadratic_roots(c0, c1, c2)
+        assert len(got) == len(want) and dict(got) == want
+        if len(got) == 2:
+            # the + root comes first: c2 (r0 - r1) is the canonical root of
+            # the discriminant
+            (r0, _), (r1, _) = got
+            assert c2 * (r0 - r1) == (c1 * c1 - 4 * c2 * c0).sqrt()
+
+
+def test_char0_quadratic_lifts_by_its_monic_radicand(Q):
+    # 4t^2 + 2 has the monic part t^2 + 1/2, whose discriminant is -2
+    roots = roots_in_closure(P(Q, 2, 0, 4))
+    assert len(roots.entries) == 2
+    for r, m in roots.entries:
+        assert m == 1 and r.field.spec_string() == "Qsqrt:-2"
+        assert (4 * r * r + 2).is_zero()

@@ -21,7 +21,10 @@ or a polygon vertex at infinity, gives its exit-1 line instead); and each
 ternary (n = 3) form of the structure round's ``char2-normalize``
 operations is also run as ``porism char2-strange-point`` on the conic with
 the same coefficients (missing ones are 0), which puts the char-2
-smoothness test under it.  Every operation's
+smoothness test under it.  Each seed also runs ``porism sweep --count 3
+--num-starts 4 --seed <seed>`` over each of ``SWEEP_FIELDS``, with the
+``elapsed_ms`` timing field of its records removed, which puts the random
+pairs, the sweep's own pass rule and its writer under it.  Every operation's
 exit code and output must match byte for byte.  The first differing
 operation is printed by its label; the exit code is 1 on any difference and
 0 when every output matches.
@@ -34,6 +37,7 @@ import subprocess
 import sys
 
 WORKLOADS = ("check", "structure", "orbit-q")
+SWEEP_FIELDS = ("Fp:11", "Fq:3^3:1,2,0,1")
 
 # Run inside a tree: one JSON list of [workload, seed, label, code, output]
 # per operation, on standard output.
@@ -79,6 +83,17 @@ for name in sys.argv[1].split(","):
                 code, out = workloads.call_cli(
                     porism.cli.main, ["run", *op.argv[1:]], text)
                 rows.append([name, seed, op.label + " run " + branch, code, out])
+for seed in map(int, sys.argv[2].split(",")):
+    for spec in sys.argv[3].split(";"):
+        code, out = workloads.call_cli(porism.cli.main, [
+            "sweep", "--field", spec, "--count", "3", "--num-starts", "4",
+            "--seed", str(seed)], "")
+        if code in (0, 2):
+            recs = [json.loads(line) for line in out.splitlines()]
+            for rec in recs:
+                rec.pop("elapsed_ms")
+            out = "".join(json.dumps(rec) + "\\n" for rec in recs)
+        rows.append(["sweep", seed, spec, code, out])
 json.dump(rows, sys.stdout)
 """
 
@@ -87,7 +102,7 @@ def outputs(tree, seeds):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(
         [sys.executable, "-c", CHILD, ",".join(WORKLOADS),
-         ",".join(map(str, seeds))],
+         ",".join(map(str, seeds)), ";".join(SWEEP_FIELDS)],
         cwd=tree, env=env, capture_output=True, text=True, check=True).stdout
     return json.loads(out)
 
@@ -112,7 +127,7 @@ def main(argv=None):
             print(f"  after:  exit {a[3]}: {a[4][:300]!r}")
             return 1
     print(f"{len(after)} operations byte-identical "
-          f"({', '.join(WORKLOADS)}; seeds {args.seeds})")
+          f"({', '.join(WORKLOADS)}, sweep; seeds {args.seeds})")
     return 0
 
 
