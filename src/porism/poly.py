@@ -320,11 +320,22 @@ def _char0_roots(g):
         g = g // Polynomial(g.field, [-r, 1])
     if g.degree == 1:
         return roots + [-g[0] / g[1]]
-    pairs = quadratic_roots(*g.coeffs)
-    if not pairs:
-        big = lift_to_quadratic_extension(g[1] * g[1] - 4 * g[2] * g[0])[0]
-        pairs = quadratic_roots(*map(big, g.coeffs))
-    return roots + [r for r, _ in pairs]
+    return roots + ([r for r, _ in quadratic_roots(*g.coeffs)]
+                    or adjoin_quadratic_roots(g[0], g[1]))
+
+
+def adjoin_quadratic_roots(c0, c1):
+    """The two roots of t^2 + c1 t + c0, irreducible over its field K, in
+    the quadratic extension of K that adjoins them: F_q[t]/(t^2 + c1 t + c0)
+    over a finite K, whose generator and, by Vieta, -c1 minus it are the
+    roots, and Q(sqrt(c1^2 - 4 c0)) from ``lift_to_quadratic_extension``
+    over Q, which refuses a second step above Q."""
+    field = c0.field
+    if field.size is not None:
+        ext = ExtensionField(field, [c0, c1, field.one], check=False)
+        return [ext.gen, -ext(c1) - ext.gen]
+    big = lift_to_quadratic_extension(c1 * c1 - 4 * c0)[0]
+    return [r for r, _ in quadratic_roots(big(c0), big(c1), big.one)]
 
 
 def _rational_root(g):
@@ -382,12 +393,14 @@ def roots_in_closure(f):
                 raise ExtensionOverflowError(
                     f"irreducible factor {irr!r} exceeds extension cap "
                     f"{MAX_EXTENSION_DEGREE}")
-            ext = ExtensionField(f.field, [c for c in irr.coeffs], check=False)
-            root = ext.gen
-            q = f.field.size
-            for _ in range(irr.degree):
-                entries.append((root, mult))
-                root = root ** q
+            if irr.degree == 2:
+                roots = adjoin_quadratic_roots(irr[0], irr[1])
+            else:
+                ext = ExtensionField(f.field, irr.coeffs, check=False)
+                roots = [ext.gen]
+                for _ in range(irr.degree - 1):
+                    roots.append(roots[-1] ** f.field.size)
+            entries.extend((r, mult) for r in roots)
     else:
         for part, mult in squarefree_decomposition(f):
             for r in _char0_roots(part):

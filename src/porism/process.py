@@ -11,7 +11,8 @@ field values; ``polar``/``intersect_line_conic`` and the geometric ``step``
 and ``step_inverse`` are their reference.  The raw geometry they use (the
 conic's gradient and value, the canonical scale, the span of a line) is
 ``projective``'s own, so this module keeps none of its own.  ``porism_check``
-walks each closed cycle once, however many of its starts lie on it.
+walks each closed cycle once, however many of its starts lie on it, and the
+cycle of a lifted start only half way round.
 """
 
 import random
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import DegenerateInputError, NotOnConicError, TheoremViolation
 from .fields import FieldElement
-from .poly import binary_form_roots
+from .poly import adjoin_quadratic_roots, quadratic_roots
 from .projective import (P1Point, _canonical, _point, _span,
                          _type_and_tangencies, other_intersection, parametrize,
                          polar, tangent_at, find_point)
@@ -89,8 +90,11 @@ def start(cfg, c1, branch="min"):
     the whole configuration is lifted one quadratic step first.
 
     The candidates are the roots of one binary quadratic, F restricted to
-    the polar of c1, solved on raw field values; ``polar`` and
-    ``intersect_line_conic`` are the reference this reproduces.
+    the polar of c1.  Made monic, it is solved in closed form by
+    ``quadratic_roots``, or, when it has no root in the field, by
+    ``adjoin_quadratic_roots`` in the quadratic extension that
+    ``roots_in_closure`` would build; ``polar`` and ``intersect_line_conic``
+    are the reference this reproduces.
 
     Returns (possibly lifted config, state, lifted flag).
     """
@@ -102,11 +106,18 @@ def start(cfg, c1, branch="min"):
     grad, value = cfg.inner._forms()
     # the polar of c1 is its gradient line; span it as ProjLine.span does
     p0, p1 = _span(field, grad([v.value for v in c1.coords]))
-    beta = field._dot(grad(p0), p1)
     # F(t p0 + p1) = alpha t^2 + beta t + gamma; a drop in degree is p0
-    roots = binary_form_roots(field, [FieldElement(field, v) for v in
-                                      (value(p1), beta, value(p0))], 2)
-    ext = roots.entries[0][0].field if roots.entries else field
+    alpha, beta, gamma = (FieldElement(field, v) for v in
+                          (value(p0), field._dot(grad(p0), p1), value(p1)))
+    at_infinity = alpha.is_zero()
+    if not at_infinity:
+        inv = alpha.inv()
+        b, c = beta * inv, gamma * inv
+        ts = ([t for t, _ in quadratic_roots(c, b, field.one)]
+              or adjoin_quadratic_roots(c, b))
+    else:
+        ts = [] if beta.is_zero() else [-gamma / beta]
+    ext = ts[0].field if ts else field
     lifted = ext != field
     if lifted:
         # conjugate roots: both candidates already lie in ext
@@ -116,8 +127,8 @@ def start(cfg, c1, branch="min"):
         c1 = c1.lift(ext)
     add, mul = ext._add, ext._mul
     pts = [_canonical(ext, [add(mul(t.value, a), b) for a, b in zip(p0, p1)])
-           for t, _ in roots.entries]
-    if roots.at_infinity:
+           for t in ts]
+    if at_infinity:
         pts.append(p0)
     pts.sort(key=lambda p: tuple(map(ext._sort_key, p)))
     d1 = pts[0] if branch == "min" else pts[-1]
@@ -182,16 +193,44 @@ def _raw_state(state):
             tuple(v.value for v in state.d.coords))
 
 
-def _orbit(cfg, initial, max_steps, keep, watch=()):
+def _orbit(cfg, initial, max_steps, keep, watch=(), fold=False):
     """``step`` iterated on tuples of raw field values, with the same
     incidence checks.  A tangency start is fixed by the step, so it closes
     at step 1; any other orbit meeting a tangency state is a theorem
     violation.  Returns (period, or 0 if the orbit stays open, the raw
     (c, d) pairs of the states with index 2 .. keep, and the raw states of
-    ``watch`` that the walk met, in the order met)."""
+    ``watch`` that the walk met, in the order met).
+
+    ``fold`` is for a lifted start P = (c1, d1): c1 in the base field K,
+    d1 conjugate, and ``cfg`` over K's quadratic extension.  The step is
+    nu = tau o sigma, where sigma moves c along the tangent at d and tau
+    moves d to the other contact point seen from c.  Both involutions are
+    defined over K, so they commute with the Galois involution phi, and
+    phi(P) = tau(P).  Write Q_k = nu^k(P) = (c_k, d_k).
+    - tau nu^k tau = nu^{-k} gives phi(Q_k) = tau(Q_{-k}), so
+      phi(c_k) = c_{-k}; and sigma(Q_k) = tau(Q_{k+1}) gives
+      phi(d_k) = d_{-k-1}.
+    - So c_k lies in K iff Q_k = Q_{-k}, that is iff the period n divides
+      2k, and d_k lies in K iff Q_k = Q_{-k-1}, that is iff n divides
+      2k + 1.  The other state with the same c, or the same d, would give
+      P = tau(P), but d1 is not in K.
+    - Unless Q_k = P closes first (n = 1), the first k >= 1 with c_k in K
+      gives n = 2k and the first with d_k in K gives n = 2k + 1.  The walk
+      stops there, at k = floor(n/2), and returns n if n <= max_steps,
+      else 0: the verdict of the whole walk.
+    - Every unwalked state Q_{-j} is phi tau(Q_j), so the incidence checks
+      and the tangency canary on the walked half hold for the other half.
+    - The states of the cycle whose c lies in K, all that a start of
+      ``porism_check`` can be, are P and, for even n, the last one walked,
+      which ``watch`` sees before the walk stops.
+    A coordinate lies in K when its second raw component is K's zero."""
     field = cfg.field
     mul, neg, dot = field._mul, field._neg, field._dot
     zero, one = field.zero.value, field.one.value
+    kzero = zero[1] if fold else None
+
+    def in_k(p):
+        return p[0][1] == kzero and p[1][1] == kzero and p[2][1] == kzero
 
     def other(value, g, line, p):
         # Second point of line /\ conic through the canonical point p, with
@@ -235,6 +274,10 @@ def _orbit(cfg, initial, max_steps, keep, watch=()):
                     "this contradicts invertibility of the step map")
         if i < keep:
             kept.append((c, d))
+        if fold:
+            n = 2 * i if in_k(c) else 2 * i + 1 if in_k(d) else 0
+            if n:
+                return (n if n <= max_steps else 0), kept, met
     return 0, kept, met
 
 
@@ -294,9 +337,11 @@ def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
     and check the all-or-nothing law: every closed run shares one period,
     and runs either all close or all stay open.
 
-    Every start is solved first.  A closed walk is the whole cycle, so each
-    later start it meets over an equal field has its period and is not
-    walked; an open walk is a prefix and settles only its own start."""
+    Every start is solved first.  A closed walk meets every state of its
+    cycle that a start can be, so each later start it meets over an equal
+    field has its period and is not walked; an open walk is a prefix and
+    settles only its own start.  A lifted start is walked only to its
+    Galois mirror (``_orbit``'s ``fold``)."""
     starts = sample_starts(cfg, num_starts, seed)
     max_steps = _step_budget(cfg, max_steps)
     solved = [start(cfg, c1)[:2] for c1 in starts]
@@ -309,7 +354,8 @@ def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
             continue
         watch = pending[start_cfg.field]
         del watch[_raw_state(initial)]
-        periods[i], _, met = _orbit(start_cfg, initial, max_steps, 0, watch)
+        periods[i], _, met = _orbit(start_cfg, initial, max_steps, 0, watch,
+                                    start_cfg.field != cfg.field)
         if periods[i]:
             for state in met:
                 periods[watch.pop(state)] = periods[i]

@@ -8,7 +8,7 @@ import pytest
 from porism import char2, projective
 from porism.errors import ExtensionOverflowError, FieldMismatchError
 from porism.fields import (ExtensionField, PrimeField, QuadRationalField,
-                           RationalField, binary_field,
+                           RationalField, _poly_inverse, binary_field,
                            lift_to_quadratic_extension, parse_element,
                            parse_field_spec)
 from porism.poly import Polynomial, factor
@@ -283,6 +283,25 @@ def test_cubic_closed_form_inverse_on_every_irreducible_cubic():
                 field._inv(field.zero.value)
             count += 1
     assert count == 2 + 8 + 40 + 112
+
+
+@pytest.mark.parametrize("spec,samples", [("Fq:5^4:2,0,0,0,1", None),
+                                          ("Fq:13^4:2,0,0,0,1", 3000)])
+def test_quartic_int_inverse_matches_the_shared_euclid(spec, samples):
+    # every nonzero element of F_{5^4}, and samples of F_{13^4}
+    field = parse_field_spec(spec)
+    modulus = [c.value for c in field.modulus]
+    if samples is None:
+        elems = [e.value for e in field.elements()][1:]
+    else:
+        rng = random.Random(spec)
+        elems = [tuple(rng.randrange(field.char) for _ in range(4))
+                 for _ in range(samples)]
+        elems = [a for a in elems if any(a)]
+    for a in elems:
+        assert field._inv(a) == tuple(_poly_inverse(field.base, a, modulus))
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inv()
 
 
 def test_sqrt_over_equal_fields_rebuilt_agrees():

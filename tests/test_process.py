@@ -5,15 +5,16 @@ from math import isqrt
 import pytest
 
 from porism.errors import ExtensionOverflowError, NotOnConicError
-from porism.fields import (PrimeField, QuadRationalField, RationalField,
-                           parse_field_spec)
+from porism.fields import (FieldElement, PrimeField, QuadRationalField,
+                           RationalField, parse_field_spec)
+from porism.poly import binary_form_roots
 from porism.process import (PonceletConfig, PonceletState, ProcessResult,
                             is_tangency_state, porism_check, run, sample_starts,
                             start, step, step_inverse)
-from porism.projective import (Conic, P1Point, ProjPoint, find_point,
-                               intersect_line_conic, multiplicity_structure,
-                               normal_form_conic, parametrize, polar,
-                               tangency_points)
+from porism.projective import (Conic, P1Point, ProjPoint, _span,
+                               find_point, intersect_line_conic,
+                               multiplicity_structure, normal_form_conic,
+                               parametrize, polar, tangency_points)
 
 from conftest import random_smooth_pair
 
@@ -595,3 +596,156 @@ def test_sample_starts_leaves_every_point_but_the_tangencies(p):
         assert len(starts) == p + 1 - len(cfg.in_field_tangencies())
         assert len(set(starts)) == len(starts)
     assert types == {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
+
+
+def lifted_starts(cfg, num_starts, seed):
+    """The lifted (config, state) pairs of both branches of the sampled
+    starts."""
+    out = []
+    for c1 in sample_starts(cfg, num_starts, seed):
+        for branch in ("min", "max"):
+            lifted_cfg, initial, lifted = start(cfg, c1, branch)
+            if lifted:
+                out.append((lifted_cfg, initial))
+    return out
+
+
+def assert_fold_matches_the_full_walk(lifted_cfg, initial, budget):
+    """The folded walk's verdict equals the full walk's at the budget and at
+    n - 1, n and n + 1 for the period n; returns n."""
+    import porism.process as process
+    n = process._orbit(lifted_cfg, initial, budget, 0)[0]
+    for max_steps in {budget, max(n - 1, 0), n, n + 1}:
+        assert process._orbit(lifted_cfg, initial, max_steps, 0, (), True)[0] \
+            == process._orbit(lifted_cfg, initial, max_steps, 0)[0]
+    return n
+
+
+@pytest.mark.parametrize("spec", ["Fp:3", "Fp:5", "Fp:7", "Fp:11", "Fp:13",
+                                  "Fq:5^2:2,0,1", "Fq:3^3:1,2,0,1"])
+def test_folded_walk_of_a_lifted_start_has_the_full_walks_period(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random("fold:" + spec)
+    hasse = field.size + 1 + isqrt(4 * field.size)
+    configs = [PonceletConfig(*random_smooth_pair(field, rng)) for _ in range(6)]
+    periods = []
+    for cfg in configs + tangent_configs(field, rng):
+        for lifted_cfg, initial in lifted_starts(cfg, 6, rng.randrange(100)):
+            periods.append(assert_fold_matches_the_full_walk(
+                lifted_cfg, initial, hasse))
+    # every lifted orbit closes, with periods of both parities
+    assert periods and all(periods)
+    assert {n % 2 for n in periods} == {0, 1}
+
+
+def test_folded_walk_over_q_has_the_full_walks_period(Q):
+    euler = (Conic(Q, [1, 1, -16, 0, 0, 0]),
+             Conic(Q, [1, 1, Q(Fraction(7, 4)), 0, -4, 0]))
+    fuss = (Conic(Q, [1, 1, -49, 0, 0, 0]),      # R = 7, d = 1, r = 24/5
+            Conic(Q, [1, 1, Q(Fraction(-551, 25)), 0, -2, 0]))
+    circles = (Conic(Q, [1, 1, -16, 0, 0, 0]),
+               Conic(Q, [1, 1, -1, 0, -2, 0]))
+    periods = []
+    for outer, inner in (euler, fuss, circles):
+        for lifted_cfg, initial in lifted_starts(PonceletConfig(outer, inner), 2, 1):
+            assert isinstance(lifted_cfg.field, QuadRationalField)
+            periods.append(assert_fold_matches_the_full_walk(
+                lifted_cfg, initial, 6))
+    assert set(periods) == {3, 4, 0}
+
+
+def test_folded_walk_stops_at_half_the_period(monkeypatch):
+    import porism.process as process
+    canonical = process._canonical
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return canonical(*args)
+    walked = 0
+    for spec in ("Fp:13", "Fq:3^3:1,2,0,1"):
+        field = parse_field_spec(spec)
+        rng = random.Random("half:" + spec)
+        for _ in range(4):
+            cfg = PonceletConfig(*random_smooth_pair(field, rng))
+            for lifted_cfg, initial in lifted_starts(cfg, 4, rng.randrange(100)):
+                n = process._orbit(lifted_cfg, initial, 2 * field.size, 0)[0]
+                calls.clear()
+                monkeypatch.setattr(process, "_canonical", counted)
+                folded = process._orbit(lifted_cfg, initial, 2 * field.size,
+                                        0, (), True)[0]
+                monkeypatch.setattr(process, "_canonical", canonical)
+                assert folded == n
+                assert len(calls) <= 2 * (n // 2) + 2
+                walked += 1
+    assert walked >= 10
+
+
+def start_by_binary_form_roots(cfg, c1):
+    """The contact points of c1 and their field from ``binary_form_roots``
+    on the contact quadratic F(t p0 + p1), sorted as ``start`` sorts them."""
+    field = cfg.field
+    grad, value = cfg.inner._forms()
+    p0, p1 = _span(field, grad([v.value for v in c1.coords]))
+    roots = binary_form_roots(field, [FieldElement(field, v) for v in (
+        value(p1), field._dot(grad(p0), p1), value(p0))], 2)
+    ext = roots.entries[0][0].field if roots.entries else field
+    p0, p1 = ([ext(FieldElement(field, v)) for v in p] for p in (p0, p1))
+    points = [ProjPoint(ext, [t * a + b for a, b in zip(p0, p1)])
+              for t, _ in roots.entries]
+    if roots.at_infinity:
+        points.append(ProjPoint(ext, p0))
+    return ext, sorted(points, key=lambda p: p.sort_key())
+
+
+def assert_start_matches_binary_form_roots(cfg, c1):
+    """start's contact points, field and radicand equal the reference's,
+    or both raise the same overflow; returns the lifted flag or None."""
+    try:
+        ext, points = start_by_binary_form_roots(cfg, c1)
+    except ExtensionOverflowError as exc:
+        with pytest.raises(ExtensionOverflowError) as got:
+            start(cfg, c1)
+        assert str(got.value) == str(exc)
+        return None
+    for branch, want in (("min", points[0]), ("max", points[-1])):
+        lifted_cfg, state, lifted = start(cfg, c1, branch)
+        assert lifted_cfg.field == ext and lifted == (ext != cfg.field)
+        assert lifted_cfg.field.spec_string() == ext.spec_string()
+        if isinstance(ext, QuadRationalField):
+            assert lifted_cfg.field.d == ext.d
+        assert state.d == want
+    return ext != cfg.field
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fq:3^3:1,2,0,1", "Q", "Qsqrt:2"])
+def test_closed_form_start_matches_binary_form_roots(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random("closed-form:" + spec)
+    draw = random_smooth_pair if field.size is not None else char0_pair
+    configs = [PonceletConfig(*draw(field, rng)) for _ in range(8)]
+    outcomes = set()
+    for cfg in configs + tangent_configs(field, rng):
+        for c1 in sample_starts(cfg, 4, rng.randrange(100)):
+            outcomes.add(assert_start_matches_binary_form_roots(cfg, c1))
+    assert outcomes == ({False, None} if spec == "Qsqrt:2" else {False, True})
+
+
+def test_closed_form_start_matches_binary_form_roots_on_degree_drops(F11):
+    inner = Conic(F11, [1, 0, 0, 0, 0, -1])
+    # [0:0:1] lies on both conics and spans its own polar: alpha = beta = 0
+    cfg = PonceletConfig(Conic(F11, [1, 1, 0, 8, 5, 3]), inner)
+    assert assert_start_matches_binary_form_roots(cfg, ProjPoint(F11, [0, 0, 1])) is False
+    # the polar of [1:0:1] is spanned first by [0:0:1] on the inner conic:
+    # alpha = 0 and beta != 0
+    cfg = PonceletConfig(Conic(F11, [1, 1, -1, 0, 0, 0]), inner)
+    assert assert_start_matches_binary_form_roots(cfg, ProjPoint(F11, [1, 0, 1])) is False
+
+
+def test_closed_form_start_overflows_with_the_reference_message():
+    # over Q(sqrt 2) the contact points of [0:1:-3] need sqrt 3
+    field = QuadRationalField(2)
+    outer = Conic(field, [1, 3, field(Fraction(-1, 3)), 0, 0, 0])
+    cfg = PonceletConfig(outer, Conic(field, [1, 0, 0, 0, 0, -1]))
+    assert assert_start_matches_binary_form_roots(
+        cfg, ProjPoint(field, [0, 1, -3])) is None

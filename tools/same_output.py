@@ -17,7 +17,9 @@ factors over Q(sqrt d), under it, and as ``porism render-svg`` with the same
 input, seed and ``--max-steps``, which puts the SVG bytes under it (the
 first ``svgfig.MAX_CHORDS`` chords of an open run, and the rational point
 each conic is parametrized from; a start lifted to Q(sqrt d) with d < 0,
-or a polygon vertex at infinity, gives its exit-1 line instead); and each
+or a polygon vertex at infinity, gives its exit-1 line instead), and as
+``porism porism-check`` with the same input, seed and ``--max-steps``,
+which puts the walk of starts lifted to Q(sqrt d) under it; and each
 ternary (n = 3) form of the structure round's ``char2-normalize``
 operations is also run as ``porism char2-strange-point`` on the conic with
 the same coefficients (missing ones are 0), which puts the char-2
@@ -68,6 +70,9 @@ for name in sys.argv[1].split(","):
                 code, out = workloads.call_cli(
                     porism.cli.main, ["render-svg", *op.argv[1:]], op.text)
                 rows.append([name, seed, op.label + " render-svg", code, out])
+                code, out = workloads.call_cli(
+                    porism.cli.main, ["porism-check", *op.argv[1:]], op.text)
+                rows.append([name, seed, op.label + " porism-check", code, out])
             if op.argv[0] == "char2-normalize" and op.obj["n"] == 3:
                 form = op.obj["coeffs"]
                 conic = {"field": op.obj["field"],
