@@ -60,7 +60,7 @@ class BiquadraticForm:
     def evaluate(self, u, v):
         """Value at a pair of P^1 points (well defined up to the canonical
         scale of the arguments)."""
-        return _contract(u.field, [self.fiber_in_v(u)], _monomials(v))[0]
+        return _contract([self.fiber_in_v(u)], _monomials(v))[0]
 
     def contains(self, u, v):
         return self.evaluate(u, v).is_zero()
@@ -81,11 +81,11 @@ class BiquadraticForm:
         """Coefficients (q0, q1, q2) of the binary quadratic
         sum_j q_j v^j v'^(2-j) cut out on the fiber over u: h's columns
         against u's monomials."""
-        return _contract(u.field, zip(*self.h), _monomials(u))
+        return _contract(zip(*self.h), _monomials(u))
 
     def fiber_in_u(self, v):
         """The same over v: h's rows against v's monomials."""
-        return _contract(v.field, self.h, _monomials(v))
+        return _contract(self.h, _monomials(v))
 
     def lift(self, new_field):
         return BiquadraticForm(new_field, self.h, self.outer_par, self.inner_par)
@@ -119,8 +119,7 @@ class BilinearFactor:
 
     def evaluate(self, u, v):
         (a, b), (c, d) = u.coords, v.coords
-        rows = _contract(u.field, self.m, (d, c))
-        return _contract(u.field, [(b, a)], rows)[0]
+        return _contract([(b, a)], _contract(self.m, (d, c)))[0]
 
     def contains(self, u, v):
         return self.evaluate(u, v).is_zero()
@@ -156,13 +155,13 @@ def _monomials(p):
     return (b * b, a * b, a * a)
 
 
-def _contract(field, rows, monomials):
-    """sum_j row[j] monomials[j] for each row, the coefficients coerced into
-    ``field``: a form's coefficient array against the P^1 monomials.  The
+def _contract(rows, monomials):
+    """sum_j row[j] monomials[j] for each row: a form's coefficient array
+    against the P^1 monomials of a point over the form's own field.  The
     sum starts at its first term, not at zero, which keeps ``nu`` cheap."""
     out = []
     for row in rows:
-        first, *rest = [field(c) * m for c, m in zip(row, monomials)]
+        first, *rest = [c * m for c, m in zip(row, monomials)]
         out.append(sum(rest, first))
     return tuple(out)
 
@@ -287,9 +286,8 @@ def is_reducible(H, branch=None):
     g_poly = root * sq
     # g as a binary quadratic: pad to form degree 2
     g2 = list(g_poly.coeffs) + [field.zero] * (3 - len(g_poly.coeffs))
-    A = [field(H.h[i][2]) for i in range(3)]
-    B = [field(H.h[i][1]) for i in range(3)]
-    if all(c.is_zero() for c in A) or all(field(H.h[i][0]).is_zero() for i in range(3)):
+    A, B, C = ([row[j] for row in H.h] for j in (2, 1, 0))
+    if all(c.is_zero() for c in A) or all(c.is_zero() for c in C):
         raise DegenerateInputError("the curve contains a fiber line")
     two = field(2)
     raw = []
@@ -367,26 +365,24 @@ def _other_root(field, q, known):
 
 
 def _prepare(H, p, check):
-    """H over the field of p = (u, v), and u, v; p is on it if ``check``."""
+    """u, v of p = (u, v), both over H's field; p is on H if ``check``."""
     u, v = p
     if u.field != v.field:
         raise FieldMismatchError("the two parameters live over different fields")
-    if u.field != H.field:
-        H = H.lift(u.field)
     if check and not H.contains(u, v):
         raise NotOnConicError("point does not lie on the incidence curve")
-    return H, u, v
+    return u, v
 
 
 def sigma(H, p, check=True):
     """The involution fixing u: v goes to the other root of the fiber."""
-    H, u, v = _prepare(H, p, check)
+    u, v = _prepare(H, p, check)
     return (u, _other_root(u.field, H.fiber_in_v(u), v))
 
 
 def tau(H, p, check=True):
     """The involution fixing v: u goes to the other root of the fiber."""
-    H, u, v = _prepare(H, p, check)
+    u, v = _prepare(H, p, check)
     return (_other_root(u.field, H.fiber_in_u(v), u), v)
 
 

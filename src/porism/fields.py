@@ -21,7 +21,9 @@ shared by both kernels and ``poly.Polynomial``.
 
 Elements are immutable and stored in canonical form (residues reduced,
 fractions in lowest terms, coefficient tuples padded to full length), so
-``==`` and ``hash`` work structurally.  Where a square root has two choices
+``==`` and ``hash`` work structurally.  Elements combine only within one
+field, and with ints; ``new_field(x)`` is the one coercion, from a field
+into an extension of it.  Where a square root has two choices
 the canonically smaller one (by ``sort_key``) is returned, which keeps every
 run reproducible.
 """
@@ -86,54 +88,50 @@ class FieldElement:
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
 
-    def _pair(self, other):
+    def _raw(self, other):
+        """The raw value of ``other`` in this element's field: an int is
+        coerced, an element of another field raises, and anything else is
+        NotImplemented."""
         if isinstance(other, int):
-            return self, self.field(other)
+            return self.field(other).value
         if not isinstance(other, FieldElement):
             return NotImplemented
         if self.field is other.field or self.field == other.field:
-            return self, other
-        if self.field.contains(other.field):
-            return self, self.field(other)
-        if other.field.contains(self.field):
-            return other.field(self), other
+            return other.value
         raise FieldMismatchError(
             f"elements of {self.field} and {other.field} cannot be combined")
 
     def __add__(self, other):
-        p = self._pair(other)
-        if p is NotImplemented:
-            return p
-        a, b = p
-        return FieldElement(a.field, a.field._add(a.value, b.value))
+        b = self._raw(other)
+        if b is NotImplemented:
+            return b
+        return FieldElement(self.field, self.field._add(self.value, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is NotImplemented:
-            return p
-        a, b = p
-        return FieldElement(a.field, a.field._add(a.value, a.field._neg(b.value)))
+        b = self._raw(other)
+        if b is NotImplemented:
+            return b
+        field = self.field
+        return FieldElement(field, field._add(self.value, field._neg(b)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        p = self._pair(other)
-        if p is NotImplemented:
-            return p
-        a, b = p
-        return FieldElement(a.field, a.field._mul(a.value, b.value))
+        b = self._raw(other)
+        if b is NotImplemented:
+            return b
+        return FieldElement(self.field, self.field._mul(self.value, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        p = self._pair(other)
-        if p is NotImplemented:
-            return p
-        a, b = p
-        return a * b.inv()
+        b = self._raw(other)
+        if b is NotImplemented:
+            return b
+        return self * FieldElement(self.field, b).inv()
 
     def __rtruediv__(self, other):
         return self.inv().__mul__(other)
@@ -174,11 +172,8 @@ class FieldElement:
             other = self.field(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except FieldMismatchError:
-            return False
-        return a.value == b.value
+        return ((self.field is other.field or self.field == other.field)
+                and self.value == other.value)
 
     def __hash__(self):
         return hash((self.field, self.value))
@@ -198,29 +193,31 @@ class FieldElement:
 
 
 class Field:
-    """Common behaviour of the concrete field classes."""
+    """Common behaviour of the concrete field classes.  A field is known by
+    its spec string ``_spec``, computed once: equality, hashing and the
+    printed name all read it."""
 
     char = None
     size = None  # number of elements, None when infinite
 
     def __call__(self, v):
+        """``v`` as an element of this field: an element of it or of a field
+        below it in its tower, or what ``_canon`` reads (an int, say)."""
         if isinstance(v, FieldElement):
             if v.field is self or v.field == self:
                 return v
             if self.contains(v.field):
                 return FieldElement(self, self._embed(v))
             raise FieldMismatchError(f"cannot coerce {v!r} into {self}")
-        if isinstance(v, int):
-            return FieldElement(self, self._from_int(v))
         return FieldElement(self, self._canon(v))
 
     @cached_property
     def zero(self):
-        return FieldElement(self, self._from_int(0))
+        return FieldElement(self, self._canon(0))
 
     @cached_property
     def one(self):
-        return FieldElement(self, self._from_int(1))
+        return FieldElement(self, self._canon(1))
 
     def contains(self, other):
         return self == other
@@ -283,8 +280,18 @@ class Field:
             raise NotImplementedError(f"{self} is not finite")
         return map(self.element, range(self.size))
 
+    def spec_string(self):
+        return self._spec
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Field)
+                                 and other._spec == self._spec)
+
+    def __hash__(self):
+        return hash(self._spec)
+
     def __repr__(self):
-        return self.spec_string()
+        return self._spec
 
 
 class PrimeField(Field):
@@ -296,9 +303,7 @@ class PrimeField(Field):
         self.p = p
         self.char = p
         self.size = p
-
-    def _from_int(self, n):
-        return n % self.p
+        self._spec = f"Fp:{p}"
 
     def _canon(self, v):
         return int(v) % self.p
@@ -320,15 +325,6 @@ class PrimeField(Field):
 
     def element(self, i):
         return FieldElement(self, i)
-
-    def spec_string(self):
-        return f"Fp:{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
 
 def _poly_dot(field, us, vs):
@@ -628,6 +624,9 @@ class ExtensionField(Field):
         self.modulus = modulus
         self.char = base.char
         self.size = base.size ** self.degree
+        mod = ",".join(base._render(c.value) for c in modulus)
+        self._spec = (f"Fq:{base.p}^{self.degree}:{mod}"
+                      if isinstance(base, PrimeField) else f"Ext({base})[{mod}]")
         raw = [c.value for c in modulus]
         self._add, self._neg, self._mul, self._inv, self._dot = (
             _prime_kernel(base, raw) if isinstance(base, PrimeField)
@@ -655,10 +654,9 @@ class ExtensionField(Field):
         vec[1] = self.base.one.value
         return FieldElement(self, tuple(vec))
 
-    def _from_int(self, n):
-        return self._canon([self.base(n)])
-
     def _canon(self, coeffs):
+        if isinstance(coeffs, int):
+            coeffs = [coeffs]
         vec = [self.base(c).value for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than extension degree")
@@ -666,9 +664,7 @@ class ExtensionField(Field):
         return tuple(vec)
 
     def _embed(self, elem):
-        if elem.field == self.base:
-            return self._canon([elem])
-        return self._canon([self.base(elem)])
+        return self._canon([elem])
 
     def contains(self, other):
         return self == other or self.base.contains(other)
@@ -688,27 +684,12 @@ class ExtensionField(Field):
             digits.append(self.base.element(d).value)
         return FieldElement(self, tuple(reversed(digits)))
 
-    def spec_string(self):
-        mod = ",".join(self.base._render(c.value) for c in self.modulus)
-        if isinstance(self.base, PrimeField):
-            return f"Fq:{self.base.p}^{self.degree}:{mod}"
-        return f"Ext({self.base.spec_string()})[{mod}]"
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtensionField) and other.base == self.base
-                and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("Ext", self.base, self.modulus))
-
 
 class RationalField(Field):
     """Q with Fraction values."""
 
     char = 0
-
-    def _from_int(self, n):
-        return Fraction(n)
+    _spec = "Q"
 
     def _canon(self, v):
         return Fraction(v)
@@ -729,15 +710,6 @@ class RationalField(Field):
         r = _fraction_sqrt(elem.value)
         return None if r is None else FieldElement(self, r)
 
-    def spec_string(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
 
 class QuadRationalField(Field):
     """Q(sqrt d) for a non-square rational d; values are (r, s) = r + s*sqrt(d)."""
@@ -749,14 +721,12 @@ class QuadRationalField(Field):
         if d == 0 or _fraction_sqrt(d) is not None:
             raise ValueError(f"radicand {d} is a square in Q")
         self.d = d
+        self._spec = f"Qsqrt:{d}"
 
     @property
     def root(self):
         """sqrt(d) itself."""
         return FieldElement(self, (Fraction(0), Fraction(1)))
-
-    def _from_int(self, n):
-        return (Fraction(n), Fraction(0))
 
     def _canon(self, v):
         if isinstance(v, (Fraction, int)):
@@ -811,15 +781,6 @@ class QuadRationalField(Field):
         if best * best != elem:
             raise TheoremViolation("Q(sqrt d) square root check failed")
         return best
-
-    def spec_string(self):
-        return f"Qsqrt:{self.d}"
-
-    def __eq__(self, other):
-        return isinstance(other, QuadRationalField) and other.d == self.d
-
-    def __hash__(self):
-        return hash(("Qsqrt", self.d))
 
 
 @lru_cache(maxsize=256)

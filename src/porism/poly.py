@@ -52,8 +52,6 @@ class Polynomial:
         return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Polynomial(self.field, [other])
         return (isinstance(other, Polynomial) and self.field == other.field
                 and self.coeffs == other.coeffs)
 
@@ -88,8 +86,6 @@ class Polynomial:
         return [c.value for c in self.coeffs]
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            return Polynomial(self.field, [other])
         if not isinstance(other, Polynomial):
             raise TypeError(f"cannot combine Polynomial with {other!r}")
         if other.field != self.field:
@@ -121,7 +117,7 @@ class Polynomial:
         return result
 
     def __call__(self, x):
-        acc = x.field.zero if isinstance(x, FieldElement) else self.field.zero
+        acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

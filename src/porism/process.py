@@ -335,7 +335,10 @@ class PorismReport:
 def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
     """Run the process, on the min branch, from several non-tangency starts
     and check the all-or-nothing law: every closed run shares one period,
-    and runs either all close or all stay open.
+    and runs either all close or all stay open.  An osculating pair, of
+    type (3,1) or (4), over a finite field obeys the stronger law that
+    every start closes after exactly char steps, so within a budget below
+    char every start stays open.
 
     Every start is solved first.  A closed walk meets every state of its
     cycle that a start can be, so each later start it meets over an equal
@@ -361,6 +364,10 @@ def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
                 periods[watch.pop(state)] = periods[i]
     closed = [p for p in periods if p]
     opened = [p for p in periods if not p]
-    passed = len(set(closed)) <= 1 and (not closed or not opened)
+    char = cfg.field.char
+    if cfg.intersection_type in ((3, 1), (4,)) and cfg.field.size is not None:
+        passed = set(periods) <= {char if max_steps >= char else 0}
+    else:
+        passed = len(set(closed)) <= 1 and (not closed or not opened)
     return PorismReport(cfg.intersection_type, periods,
                         len(closed), len(opened), passed)

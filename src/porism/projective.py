@@ -3,8 +3,11 @@
 Points, lines and conics are stored in canonical projective scale (first
 nonzero coordinate equal to one) so equality and hashing are structural.
 Conics carry their six coefficients in the fixed monomial order
-x^2, y^2, z^2, xy, xz, yz; in odd characteristic the symmetric matrix with
-halved mixed entries serves polars and smoothness; tangents are gradients.
+x^2, y^2, z^2, xy, xz, yz.  Their one derived form is the gradient, whose
+rows are twice the conic's symmetric matrix: tangents and polars are
+gradient lines, and in odd characteristic the conic is smooth when the rows'
+determinant is nonzero.  A conic acts only on points over its own field;
+``conic.lift(field)`` and ``point.lift(field)`` move either up a tower.
 
 Conic-conic intersection multiplicities are computed by pulling one conic
 back along a degree-1 parametrization of the other, which reduces everything
@@ -99,9 +102,6 @@ class ProjLine:
         return sum((c * x for c, x in zip(self.coeffs, p.coords)),
                    start=self.field.zero).is_zero()
 
-    def lift(self, new_field):
-        return ProjLine(new_field, self.coeffs)
-
     def span(self):
         """Two distinct points spanning the line."""
         field = self.field
@@ -129,7 +129,7 @@ class Conic:
     """A plane conic given by six coefficients of
     a00 x^2 + a11 y^2 + a22 z^2 + a01 xy + a02 xz + a12 yz."""
 
-    __slots__ = ("field", "coeffs", "_matrix", "_raw")
+    __slots__ = ("field", "coeffs", "_raw")
 
     def __init__(self, field, coeffs):
         if len(coeffs) != 6:
@@ -137,7 +137,6 @@ class Conic:
         self.field = field
         self.coeffs = _canonical_elements(field, coeffs,
                                           "zero quadratic form is not a conic")
-        self._matrix = None
         self._raw = None
 
     def _forms(self):
@@ -161,44 +160,28 @@ class Conic:
         self._raw = grad, value
         return self._raw
 
-    def _raw_coords(self, coords):
-        """This conic, or its lift when the coordinates lie in an extension
-        of its field, and the coordinates as raw values of that field."""
-        try:
-            return self, [self.field(c).value for c in coords]
-        except FieldMismatchError:
-            big = next(c.field for c in coords if isinstance(c, FieldElement)
-                       and not self.field.contains(c.field))
-            return self.lift(big)._raw_coords(coords)
-
     def evaluate(self, coords):
-        conic, raw = self._raw_coords(coords)
-        return FieldElement(conic.field, conic._forms()[1](raw))
+        raw = [self.field(c).value for c in coords]
+        return FieldElement(self.field, self._forms()[1](raw))
 
     def contains(self, p):
         return self.evaluate(p.coords).is_zero()
 
     def gradient(self, coords):
         """Formal gradient of the six-coefficient form; valid in any char."""
-        conic, raw = self._raw_coords(coords)
-        return [FieldElement(conic.field, v) for v in conic._forms()[0](raw)]
-
-    def matrix(self):
-        """Symmetric matrix A with F(v) = v^T A v; odd characteristic only."""
-        if self._matrix is not None:
-            return self._matrix
-        if self.field.char == 2:
-            raise ValueError("no symmetric matrix in characteristic two")
-        a00, a11, a22, a01, a02, a12 = self.coeffs
-        two_inv = self.field(2).inv()
-        h01, h02, h12 = a01 * two_inv, a02 * two_inv, a12 * two_inv
-        self._matrix = [[a00, h01, h02], [h01, a11, h12], [h02, h12, a22]]
-        return self._matrix
+        raw = [self.field(c).value for c in coords]
+        return [FieldElement(self.field, v) for v in self._forms()[0](raw)]
 
     def is_smooth(self):
-        if self.field.char == 2:
+        """Whether the gradient's matrix, 2A for the symmetric matrix A, has
+        a nonzero determinant; odd characteristic only."""
+        field = self.field
+        if field.char == 2:
             raise ValueError("use char2 tools for characteristic two")
-        return not _det3(self.matrix()).is_zero()
+        one, zero = field.one.value, field.zero.value
+        rows = map(self._forms()[0], ((one, zero, zero), (zero, one, zero),
+                                      (zero, zero, one)))
+        return _det3(field, rows) != zero
 
     def bilinear(self, u, v):
         """2 u^T A v without halving: grad F(u) . v, which is the polynomial
@@ -229,10 +212,12 @@ class Conic:
         return "Conic(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+def _det3(field, m):
+    """The determinant of a 3x3 matrix of raw values, as a raw value."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    dot, neg = field._dot, field._neg
+    return dot((a, b, c), (dot((e, neg(f)), (i, h)), dot((f, neg(d)), (g, i)),
+                           dot((d, neg(e)), (h, g))))
 
 
 def _matmul(a, b):
@@ -268,7 +253,8 @@ class ProjTransform:
 
     def __init__(self, field, matrix):
         matrix = [[field(c) for c in row] for row in matrix]
-        if _det3(matrix).is_zero():
+        raw = [[c.value for c in row] for row in matrix]
+        if _det3(field, raw) == field.zero.value:
             raise DegenerateInputError("transform matrix is singular")
         self.field = field
         self.matrix = matrix
@@ -334,13 +320,13 @@ def polar(conic, q):
     """Polar line of q; equals the tangent when q is on the conic."""
     if conic.field.char == 2:
         raise ValueError("polars are undefined in characteristic two")
-    a = conic.matrix()
-    return ProjLine(conic.field, _matvec(a, list(q.coords)))
+    return ProjLine(conic.field, conic.gradient(q.coords))
 
 
 def intersect_line_conic(conic, line):
     """Intersection points with multiplicities summing to 2; points may lie
-    in a quadratic extension (reported in their own field, not lifted)."""
+    in a quadratic extension (reported in their own field, which the
+    spanning points are lifted into)."""
     p0, p1 = line.span()
     alpha = conic.evaluate(p0.coords)
     gamma = conic.evaluate(p1.coords)
@@ -349,7 +335,8 @@ def intersect_line_conic(conic, line):
     out = []
     for t, mult in roots.entries:
         # parameter t = s/w for the point s*p0 + w*p1
-        coords = [t * a + b for a, b in zip(p0.coords, p1.coords)]
+        big = t.field
+        coords = [t * big(a) + big(b) for a, b in zip(p0.coords, p1.coords)]
         out.append((ProjPoint(t.field, coords), mult))
     if roots.at_infinity:
         out.append((p0, roots.at_infinity))
@@ -499,16 +486,11 @@ class ConicParametrization:
         return ProjPoint(field, coords)
 
     def param_of(self, point):
-        """Inverse map: the parameter of a conic point (possibly in a tower
-        extension of the conic's field)."""
+        """Inverse map: the parameter of a conic point over the conic's
+        field."""
         field = point.field
-        base = self.base if field == self.conic.field else self.base.lift(field)
-        if point == base:
-            line = tangent_at(self.conic, self.base)
-            if field != self.conic.field:
-                line = line.lift(field)
-        else:
-            line = line_through(base, point)
+        line = (tangent_at(self.conic, self.base) if point == self.base
+                else line_through(self.base, point))
         axis = [field.one if r == self.axis else field.zero for r in range(3)]
         x = _cross(list(line.coeffs), axis)
         i, j = self.span_idx

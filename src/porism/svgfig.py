@@ -69,14 +69,9 @@ def _conic_polyline(conic, seed):
     return [arc for arc in arcs if len(arc) >= 2]
 
 
-def _path(points, close=False):
-    cmds = []
-    for i, (x, y) in enumerate(points):
-        op = "M" if i == 0 else "L"
-        cmds.append(f"{op}{FMT.format(x)},{FMT.format(-y)}")
-    if close:
-        cmds.append("Z")
-    return " ".join(cmds)
+def _path(points):
+    return " ".join(f"{'L' if i else 'M'}{FMT.format(x)},{FMT.format(-y)}"
+                    for i, (x, y) in enumerate(points))
 
 
 class SvgFigure:

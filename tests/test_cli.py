@@ -553,3 +553,44 @@ def test_sweep_starts_no_more_workers_than_tasks(capsys, monkeypatch):
     many = records("100000")
     assert all(n <= 2 for n in asked) and not multiprocessing.active_children()
     assert len(many[1]) == 2 and many == records("1")
+
+
+def test_sweep_below_char_steps_passes_osculating_pairs(capsys):
+    # within 2 < char steps every start of an osculating pair stays open,
+    # as the osculating law (period exactly char) requires
+    code, out, _ = run_cli(capsys, "sweep", "--field", "Fp:3", "--count", "300",
+                           "--num-starts", "2", "--max-steps", "2")
+    recs = [json.loads(line) for line in out.splitlines()]
+    osculating = [r for r in recs if r["type"] in ("(3,1)", "(4)")]
+    assert code == 0 and osculating
+    assert all(r["periods"] == [0, 0] and r["pass"] for r in osculating)
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("cannot read input: ")
+
+
+@pytest.mark.parametrize("raw", ["1e400", "2.5", "true"])
+@pytest.mark.parametrize("command, obj, prefix", [
+    ("porism-check", dict(PAIR_F5_TYPE4, num_starts="X"), "bad num_starts"),
+    ("char2-normalize", {"field": "F2k:2", "n": "X", "coeffs": {"0,1": 1}},
+     "bad quadratic form JSON"),
+    ("char2-normalize", {"field": "F2k:2", "n": 2, "coeffs": {"X,1": 1}},
+     "bad quadratic form JSON"),
+], ids=["num-starts", "char2-n", "char2-key"])
+def test_a_json_integer_field_takes_only_integers(tmp_path, capsys, command,
+                                                  obj, prefix, raw):
+    text = json.dumps(obj)
+    # a key part is always text; a value is the raw JSON number or literal
+    text = text.replace('"X,1"', f'"{raw},1"').replace('"X"', raw)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(prefix + ": ")

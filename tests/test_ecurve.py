@@ -273,3 +273,18 @@ def test_split_factor_order_over_q_sqrt_d():
     assert sh.tag == SHAPE_SPLIT_TRANSVERSAL and not sh.lifted_split
     assert [str(f.m[1][0]) for f in sh.factors] == ["-2+1*sqrt(2)",
                                                    "-2+-1*sqrt(2)"]
+
+
+def test_sigma_needs_points_over_the_forms_own_field(F13):
+    from porism.errors import FieldMismatchError
+    big = parse_field_spec("Fq:13^2:2,0,1")
+    H = build_E(*random_smooth_pair(F13, random.Random(5)))
+    u, v = all_points(H)[0]
+    lifted = (u.lift(big), v.lift(big))
+    for check in (True, False):
+        with pytest.raises(FieldMismatchError):
+            sigma(H, lifted, check=check)
+        with pytest.raises(FieldMismatchError):
+            tau(H, lifted, check=check)
+    su, sv = sigma(H, (u, v))
+    assert sigma(H.lift(big), lifted) == (su.lift(big), sv.lift(big))

@@ -464,3 +464,46 @@ def test_finite_field_sqrt_is_the_canonical_root(spec):
         roots = [r for r in elems if r * r == a]
         want = min(roots, key=lambda r: r.sort_key()) if roots else None
         assert field.sqrt(a) == want
+
+
+def nonsquares(field):
+    return [x for x in field.elements() if x and x.sqrt() is None]
+
+
+def test_elements_combine_only_within_one_field():
+    import operator
+    F25 = parse_field_spec("Fq:5^2:2,0,1")
+    tower = lift_to_quadratic_extension(nonsquares(F25)[0])[0]
+    pairs = [(PrimeField(5)(2), F25.gen), (F25.gen, tower.gen),
+             (RationalField()(3), QuadRationalField(2).root)]
+    for small, big in pairs:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for a, b in ((small, big), (big, small)):
+                with pytest.raises(FieldMismatchError):
+                    op(a, b)
+        # equality across fields is False, not an error; new_field(x) lifts
+        lifted = big.field(small)
+        assert small != lifted and lifted != small
+        assert lifted + big == big + lifted and lifted.field == big.field
+
+
+def fields_of_five_kinds():
+    """Fields of the five kinds, F_p, F_{p^k}, towers, Q and Q(sqrt d), with
+    equal and unequal pairs of each kind."""
+    F25 = parse_field_spec("Fq:5^2:2,0,1")
+    towers = [lift_to_quadratic_extension(x)[0] for x in nonsquares(F25)[:2]]
+    return [PrimeField(5), PrimeField(7), F25, parse_field_spec("Fq:5^2:3,0,1"),
+            parse_field_spec("Fq:7^2:1,0,1"), binary_field(3), *towers,
+            RationalField(), QuadRationalField(2), QuadRationalField(3),
+            QuadRationalField(Fraction(1, 2))]
+
+
+def test_field_identity_is_its_spec_string():
+    fields = fields_of_five_kinds() + fields_of_five_kinds()
+    specs = [f.spec_string() for f in fields]
+    assert any(s.startswith("Ext(") for s in specs)
+    for (f, s), (g, t) in product(zip(fields, specs), repeat=2):
+        assert (f == g) == (s == t)
+        if f == g:
+            assert hash(f) == hash(g)
+    assert len(set(fields)) == len(set(specs)) == len(fields) // 2

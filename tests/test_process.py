@@ -749,3 +749,26 @@ def test_closed_form_start_overflows_with_the_reference_message():
     cfg = PonceletConfig(outer, Conic(field, [1, 0, 0, 0, 0, -1]))
     assert assert_start_matches_binary_form_roots(
         cfg, ProjPoint(field, [0, 1, -3])) is None
+
+
+@pytest.mark.parametrize("t, a, want", [(1, 0, (3, 1)), (2, 3, (3, 1)),
+                                        (0, 1, (4,)), (0, 2, (4,))])
+def test_osculating_pairs_pass_below_and_at_the_default_budget(F5, t, a, want):
+    cfg = make_config(F5, t, a, 1)
+    assert cfg.intersection_type == want
+    below = porism_check(cfg, num_starts=4, max_steps=4)
+    assert below.periods == [0] * 4 and below.passed
+    default = porism_check(cfg, num_starts=4)
+    assert default.periods == [5] * 4 and default.passed
+
+
+def test_osculating_law_fails_a_period_other_than_char(F5, monkeypatch):
+    import porism.process
+    cfg = make_config(F5, 0, 1, 1)
+    monkeypatch.setattr(porism.process, "_orbit", lambda *args: (6, [], []))
+    report = porism_check(cfg, num_starts=4)
+    assert report.periods == [6] * 4 and not report.passed
+    # with char steps in the budget no start may stay open
+    monkeypatch.setattr(porism.process, "_orbit", lambda *args: (0, [], []))
+    assert not porism_check(cfg, num_starts=4, max_steps=5).passed
+    assert porism_check(cfg, num_starts=4, max_steps=4).passed

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -101,8 +102,6 @@ def test_bezout_sum_is_four(F7):
         for p, _ in pts:
             assert c.lift(p.field).contains(p)
             assert d.lift(p.field).contains(p)
-            assert c.contains(p) and d.contains(p)
-            assert c.gradient(p.coords) == c.lift(p.field).gradient(p.coords)
 
 
 def test_classification_table(F13):
@@ -341,3 +340,85 @@ def test_tangent_at_a_singular_point_is_degenerate(spec, coeffs, point):
     field = parse_field_spec(spec)
     with pytest.raises(DegenerateInputError, match="singular at the point"):
         tangent_at(Conic(field, coeffs), ProjPoint(field, point))
+
+
+def halved_matrix(conic):
+    """The symmetric matrix A with F(v) = v^T A v, mixed entries halved."""
+    a00, a11, a22, a01, a02, a12 = conic.coeffs
+    h = conic.field(2).inv()
+    return [[a00, a01 * h, a02 * h], [a01 * h, a11, a12 * h],
+            [a02 * h, a12 * h, a22]]
+
+
+def det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def sample_conics(field, rng, count):
+    """Random conics with small coefficients, and as many line pairs (rank
+    at most 2, so singular)."""
+    def small():
+        return field(rng.randrange(-4, 5)) if field.size is None \
+            else field.element(rng.randrange(field.size))
+    out = []
+    while len(out) < 2 * count:
+        (a, b, c), (d, e, f) = [[small() for _ in range(3)] for _ in range(2)]
+        for coeffs in ([small() for _ in range(6)],
+                       [a * d, b * e, c * f, a * e + b * d, a * f + c * d,
+                        b * f + c * e]):
+            if any(coeffs):
+                out.append(Conic(field, coeffs))
+    return out
+
+
+def conics_with_samples():
+    F3 = parse_field_spec("Fp:3")
+    conics = [Conic(F3, v) for v in product(range(3), repeat=6) if any(v)]
+    assert len(conics) == 728  # every coefficient vector but zero
+    rng = random.Random(17)
+    for spec in ("Fq:5^2:2,0,1", "Q", "Qsqrt:2"):
+        conics += sample_conics(parse_field_spec(spec), rng, 60)
+    return conics
+
+
+def test_is_smooth_is_the_halved_matrix_determinant():
+    smooth = 0
+    for conic in conics_with_samples():
+        assert conic.is_smooth() == (not det3(halved_matrix(conic)).is_zero())
+        smooth += conic.is_smooth()
+    assert 0 < smooth < 728 + 3 * 120
+
+
+def test_polar_is_the_halved_matrix_line():
+    rng = random.Random(19)
+    checked = 0
+    for conic in conics_with_samples():
+        if not conic.is_smooth() or rng.random() > 0.2:
+            continue
+        field, a = conic.field, halved_matrix(conic)
+        for _ in range(4):
+            coords = [field.element(rng.randrange(field.size))
+                      if field.size else field(rng.randrange(-6, 7))
+                      for _ in range(3)]
+            if not any(coords):
+                continue
+            q = ProjPoint(field, coords)
+            want = [sum((a[i][k] * q.coords[k] for k in range(3)),
+                        start=field.zero) for i in range(3)]
+            assert polar(conic, q) == ProjLine(field, want)
+            checked += 1
+    assert checked > 100
+
+
+def test_a_conic_refuses_coordinates_over_an_extension(F7):
+    from porism.errors import FieldMismatchError
+    big = parse_field_spec("Fq:7^2:1,0,1")
+    conic = Conic(F7, [1, 1, -2, 0, 0, 0])
+    coords = [big(1), big.gen, big(0)]
+    with pytest.raises(FieldMismatchError):
+        conic.evaluate(coords)
+    with pytest.raises(FieldMismatchError):
+        conic.gradient(coords)
+    assert conic.lift(big).evaluate(coords) == 1 + big.gen * big.gen

@@ -39,7 +39,7 @@ import subprocess
 import sys
 
 WORKLOADS = ("check", "structure", "orbit-q")
-SWEEP_FIELDS = ("Fp:11", "Fq:3^3:1,2,0,1")
+SWEEP_FIELDS = ("Fp:3", "Fp:11", "Fq:3^3:1,2,0,1")
 
 # Run inside a tree: one JSON list of [workload, seed, label, code, output]
 # per operation, on standard output.
