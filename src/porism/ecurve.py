@@ -274,15 +274,11 @@ def is_reducible(H, branch=None):
     root = Polynomial(field, [field.one.sqrt()])
     for part, m in parts:
         root = root * part ** (m // 2)
-    lifted = False
     sq = lc.sqrt()
-    if sq is None:
-        new_field, lc_image = lift_to_quadratic_extension(lc)
-        H = H.lift(new_field)
-        field = new_field
-        lifted = True
-        sq = lc_image.sqrt()
-        root = root.map_field(field)
+    lifted = sq is None
+    if lifted:
+        field, sq = lift_to_quadratic_extension(lc)
+        H, root = H.lift(field), root.map_field(field)
     g_poly = root * sq
     # g as a binary quadratic: pad to form degree 2
     g2 = list(g_poly.coeffs) + [field.zero] * (3 - len(g_poly.coeffs))

@@ -21,11 +21,13 @@ shared by both kernels and ``poly.Polynomial``.
 
 Elements are immutable and stored in canonical form (residues reduced,
 fractions in lowest terms, coefficient tuples padded to full length), so
-``==`` and ``hash`` work structurally.  Elements combine only within one
-field, and with ints; ``new_field(x)`` is the one coercion, from a field
-into an extension of it.  Where a square root has two choices
-the canonically smaller one (by ``sort_key``) is returned, which keeps every
-run reproducible.
+``==`` and ``hash`` work structurally.  A field reads ints (and Fractions
+over Q), never floats.  Elements combine only within one field, and with
+ints; ``new_field(x)`` is the one coercion, from a field into an extension
+of it.  Where a square root has two choices the canonically smaller one (by
+``sort_key``) is returned, which keeps every run reproducible.  Every
+quadratic step is ``lift_to_quadratic_extension``'s; over an odd finite K
+it lands in K's one quadratic extension K[x]/(x^2 - n), built once per K.
 """
 
 import re
@@ -231,7 +233,8 @@ class Field:
     def sqrt(self, elem):
         """The canonical square root of ``elem`` in a finite field, or None:
         the inverse of the Frobenius, elem^(q/2), in characteristic two and
-        Tonelli-Shanks otherwise.  Q and Q(sqrt d) bring their own."""
+        Tonelli-Shanks otherwise, with the non-square of the field's
+        quadratic extension.  Q and Q(sqrt d) bring their own."""
         q = self.size
         if self.char == 2:
             return elem ** (q // 2)
@@ -243,23 +246,19 @@ class Field:
         while t % 2 == 0:
             t //= 2
             s += 1
-        if s == 1:
-            r = elem ** ((q + 1) // 4)
-        else:
-            c = FieldElement(self, _non_residue(self)) ** t
-            r = elem ** ((t + 1) // 2)
-            u = elem ** t
-            m = s
-            while u != self.one:
-                i, u2 = 0, u
-                while u2 != self.one:
-                    u2 = u2 * u2
-                    i += 1
-                b = c ** (1 << (m - i - 1))
-                r = r * b
-                c = b * b
-                u = u * c
-                m = i
+        r, u, m = elem ** ((t + 1) // 2), elem ** t, s
+        if u != self.one:  # so s > 1; c generates the 2-Sylow subgroup
+            c = (-_quadratic_extension(self).modulus[0]) ** t
+        while u != self.one:
+            i, u2 = 0, u
+            while u2 != self.one:
+                u2 = u2 * u2
+                i += 1
+            b = c ** (1 << (m - i - 1))
+            r = r * b
+            c = b * b
+            u = u * c
+            m = i
         if r * r != elem:
             raise TheoremViolation("Tonelli-Shanks root check failed")
         return min(r, -r, key=lambda x: x.sort_key())
@@ -306,7 +305,9 @@ class PrimeField(Field):
         self._spec = f"Fp:{p}"
 
     def _canon(self, v):
-        return int(v) % self.p
+        if not isinstance(v, int):
+            raise ValueError(f"{v!r} is not an integer, so not an element of {self}")
+        return v % self.p
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -655,7 +656,7 @@ class ExtensionField(Field):
         return FieldElement(self, tuple(vec))
 
     def _canon(self, coeffs):
-        if isinstance(coeffs, int):
+        if not isinstance(coeffs, (tuple, list)):
             coeffs = [coeffs]
         vec = [self.base(c).value for c in coeffs]
         if len(vec) > self.degree:
@@ -692,6 +693,8 @@ class RationalField(Field):
     _spec = "Q"
 
     def _canon(self, v):
+        if not isinstance(v, (int, Fraction)):
+            raise ValueError(f"{v!r} is not an exact value of {self}")
         return Fraction(v)
 
     def _add(self, a, b):
@@ -729,10 +732,8 @@ class QuadRationalField(Field):
         return FieldElement(self, (Fraction(0), Fraction(1)))
 
     def _canon(self, v):
-        if isinstance(v, (Fraction, int)):
-            return (Fraction(v), Fraction(0))
-        r, s = v
-        return (Fraction(r), Fraction(s))
+        r, s = v if isinstance(v, (tuple, list)) else (v, 0)
+        return (RationalField._canon(self, r), RationalField._canon(self, s))
 
     def _embed(self, elem):
         return (Fraction(elem.value), Fraction(0))
@@ -784,36 +785,37 @@ class QuadRationalField(Field):
 
 
 @lru_cache(maxsize=256)
-def _non_residue(field):
-    """The raw value of the first quadratic non-residue of an odd finite
-    field, in element order.  Kept per field, for the last 256 fields:
-    equal fields hash alike, so the fields rebuilt for every lifted start
-    share one entry."""
-    half = (field.size - 1) // 2
-    return next(z.value for z in field.elements()
-                if not z.is_zero() and z ** half != field.one)
+def _quadratic_extension(field):
+    """K[x]/(x^2 - n), n the first non-square of the odd finite field K in
+    element order: K's one quadratic extension, built once per K (for the
+    last 256) and checked by Rabin's test."""
+    n = next(z for z in field.elements() if z and z ** (field.size // 2) != field.one)
+    return ExtensionField(field, [-n, field.zero, field.one])
 
 
 def lift_to_quadratic_extension(a):
-    """One quadratic step up the tower so that sqrt(a) exists.
-
-    Returns (new_field, image of a).  ``a`` must be a non-square in its field.
-    Old elements coerce into the new field via ``new_field(elem)``.
-    """
+    """(new_field, the canonical sqrt(a) in it): one quadratic step up the
+    tower for a non-square ``a``; a square or zero raises.  Over an odd
+    finite K the step is ``_quadratic_extension(K)`` for every a, and sqrt(a)
+    is +-sqrt(a/n) x, from one square root in K.  Over Q it is Q(sqrt a);
+    a second step above Q raises.  ``new_field(elem)`` lifts K's elements."""
     field = a.field
     if field.char == 2:
         raise ValueError("use char2 tools in characteristic two")
-    if a.sqrt() is not None:
-        raise ValueError("element is already a square; no extension needed")
-    if isinstance(field, RationalField):
+    if field.size is None:
+        if a.sqrt() is not None:
+            raise ValueError("element is already a square; no extension needed")
+        if isinstance(field, QuadRationalField):
+            raise ExtensionOverflowError(
+                f"the square root of {a} needs a second quadratic step above Q; "
+                "only one is supported")
         new = QuadRationalField(a.value)
-        return new, new(a)
-    if isinstance(field, QuadRationalField):
-        raise ExtensionOverflowError(
-            f"the square root of {a} needs a second quadratic step above Q; "
-            "only one is supported")
-    new = ExtensionField(field, [-a, field.zero, field.one], check=False)
-    return new, new(a)
+        return new, -new.root  # -sqrt(a) sorts first
+    new = _quadratic_extension(field)
+    r = (a / -new.modulus[0]).sqrt()  # a/n is a square exactly when a is not
+    if a.is_zero() or r is None:
+        raise ValueError("element is already a square; no extension needed")
+    return new, FieldElement(new, (field.zero.value, r.value))
 
 
 def binary_field(k):

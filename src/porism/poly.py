@@ -321,17 +321,13 @@ def _char0_roots(g):
 
 
 def adjoin_quadratic_roots(c0, c1):
-    """The two roots of t^2 + c1 t + c0, irreducible over its field K, in
-    the quadratic extension of K that adjoins them: F_q[t]/(t^2 + c1 t + c0)
-    over a finite K, whose generator and, by Vieta, -c1 minus it are the
-    roots, and Q(sqrt(c1^2 - 4 c0)) from ``lift_to_quadratic_extension``
-    over Q, which refuses a second step above Q."""
-    field = c0.field
-    if field.size is not None:
-        ext = ExtensionField(field, [c0, c1, field.one], check=False)
-        return [ext.gen, -ext(c1) - ext.gen]
-    big = lift_to_quadratic_extension(c1 * c1 - 4 * c0)[0]
-    return [r for r, _ in quadratic_roots(big(c0), big(c1), big.one)]
+    """The two roots of t^2 + c1 t + c0, irreducible over its field K:
+    with (big, s) = ``lift_to_quadratic_extension(c1^2 - 4 c0)`` -- K's one
+    quadratic extension over a finite K, Q(sqrt(c1^2 - 4 c0)) over Q, an
+    error above Q -- (s - c1)/2, then (-c1 - s)/2, ``quadratic_roots``' order."""
+    big, s = lift_to_quadratic_extension(c1 * c1 - 4 * c0)
+    c1, half = big(c1), big(2).inv()
+    return [(s - c1) * half, (-c1 - s) * half]
 
 
 def _rational_root(g):

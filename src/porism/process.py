@@ -33,7 +33,8 @@ KEEP_ORBIT = 64
 class PonceletConfig:
     """A validated pair of smooth distinct conics with cached tangency data."""
 
-    __slots__ = ("outer", "inner", "field", "tangencies", "intersection_type")
+    __slots__ = ("outer", "inner", "field", "tangencies", "intersection_type",
+                 "_lifted")
 
     def __init__(self, outer, inner, seed=0):
         if outer.field.char == 2:
@@ -43,6 +44,7 @@ class PonceletConfig:
         self.outer = outer
         self.inner = inner
         self.field = outer.field
+        self._lifted = None
         self.intersection_type, self.tangencies = _type_and_tangencies(
             outer, inner, seed)
 
@@ -50,7 +52,11 @@ class PonceletConfig:
         return [p for p in self.tangencies if p.field == self.field]
 
     def lift(self, new_field):
-        lifted = PonceletConfig.__new__(PonceletConfig)
+        """This pair over ``new_field``, kept and reused for an equal field."""
+        if self._lifted is not None and self._lifted.field == new_field:
+            return self._lifted
+        lifted = self._lifted = PonceletConfig.__new__(PonceletConfig)
+        lifted._lifted = None
         lifted.outer = self.outer.lift(new_field)
         lifted.inner = self.inner.lift(new_field)
         lifted.field = new_field
@@ -123,8 +129,7 @@ def start(cfg, c1, branch="min"):
         # conjugate roots: both candidates already lie in ext
         p0, p1 = (tuple(ext(FieldElement(field, v)).value for v in p)
                   for p in (p0, p1))
-        cfg = cfg.lift(ext)
-        c1 = c1.lift(ext)
+        cfg, c1 = cfg.lift(ext), c1.lift(ext)
     add, mul = ext._add, ext._mul
     pts = [_canonical(ext, [add(mul(t.value, a), b) for a, b in zip(p0, p1)])
            for t in ts]

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -82,10 +83,9 @@ def test_tower_extension_and_embedding():
     F3 = PrimeField(3)
     F9 = ExtensionField(F3, [1, 0, 1])
     nonsq = next(a for a in F9.elements() if not a.is_zero() and a.sqrt() is None)
-    big, image = lift_to_quadratic_extension(nonsq)
+    big, root = lift_to_quadratic_extension(nonsq)
     assert big.size == 81
-    s = image.sqrt()
-    assert s is not None and s * s == image  # sqrt exists upstairs
+    assert root * root == big(nonsq)  # sqrt exists upstairs
     # embedding is a ring map
     a, b = F9(2), F9.gen
     assert big(a + b) == big(a) + big(b)
@@ -131,9 +131,9 @@ def test_quad_rational_rejects_square_radicand():
 
 
 def test_lift_policies(Q):
-    K, image = lift_to_quadratic_extension(Q(2))
+    K, root = lift_to_quadratic_extension(Q(2))
     assert isinstance(K, QuadRationalField) and K.d == 2
-    assert image.sqrt() is not None
+    assert root * root == K(2)
     K2 = QuadRationalField(3)
     with pytest.raises(ExtensionOverflowError):
         lift_to_quadratic_extension(K2(2))  # a second step over Q is refused
@@ -491,7 +491,7 @@ def fields_of_five_kinds():
     """Fields of the five kinds, F_p, F_{p^k}, towers, Q and Q(sqrt d), with
     equal and unequal pairs of each kind."""
     F25 = parse_field_spec("Fq:5^2:2,0,1")
-    towers = [lift_to_quadratic_extension(x)[0] for x in nonsquares(F25)[:2]]
+    towers = [ExtensionField(F25, [-x, 0, 1]) for x in nonsquares(F25)[:2]]
     return [PrimeField(5), PrimeField(7), F25, parse_field_spec("Fq:5^2:3,0,1"),
             parse_field_spec("Fq:7^2:1,0,1"), binary_field(3), *towers,
             RationalField(), QuadRationalField(2), QuadRationalField(3),
@@ -507,3 +507,72 @@ def test_field_identity_is_its_spec_string():
         if f == g:
             assert hash(f) == hash(g)
     assert len(set(fields)) == len(set(specs)) == len(fields) // 2
+
+
+def quadratic_base(spec):
+    """A field to lift from: one given by its spec, or, for "tower", the
+    quadratic extension x^2 - n of Fq:5^2:2,0,1, n its first non-square."""
+    if spec != "tower":
+        return parse_field_spec(spec)
+    F25 = parse_field_spec("Fq:5^2:2,0,1")
+    return ExtensionField(F25, [-nonsquares(F25)[0], 0, 1])
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:3^3:1,2,0,1", "tower"])
+def test_every_lift_of_a_finite_field_lands_in_its_one_quadratic_extension(spec):
+    K = quadratic_base(spec)
+    nonsq = [x for x in K.elements() if x ** ((K.size - 1) // 2) == -1]
+    some = nonsq[:3] + nonsq[-3:]
+    lifts = [lift_to_quadratic_extension(a) for a in some]
+    big = lifts[0][0]
+    # two different non-squares, and an equal field built again, lift alike
+    assert all(f is big for f, _ in lifts)
+    assert lift_to_quadratic_extension(quadratic_base(spec)(some[-1]))[0] is big
+    assert big.modulus == (-nonsq[0], K.zero, K.one)
+    for a, (_, root) in zip(some, lifts):
+        assert root * root == big(a)
+        assert root == big(a).sqrt()  # the canonical root
+    squares = [x * x for x in K.elements()][:8]
+    for a in [K.zero] + squares:
+        with pytest.raises(ValueError, match="already a square"):
+            lift_to_quadratic_extension(a)
+
+
+def test_lift_over_q_returns_the_canonical_root(Q):
+    for a in (Q(2), Q(-3), Q(Fraction(5, 7))):
+        K, root = lift_to_quadratic_extension(a)
+        assert root * root == K(a) and root == K(a).sqrt()
+    for a in (Q(0), Q(4), Q(Fraction(9, 4))):
+        with pytest.raises(ValueError, match="already a square"):
+            lift_to_quadratic_extension(a)
+
+
+def test_a_prime_field_reads_integers_only(F5):
+    assert F5(7) == F5(2) and F5(-1) == F5(4) and F5(F5(3)) == F5(3)
+    for bad in (Fraction(1, 2), 2.7, Fraction(4), "3"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            F5(bad)
+
+
+def test_an_extension_field_reads_integer_coefficients_only():
+    for F in (parse_field_spec("Fq:5^2:2,0,1"), quadratic_base("tower")):
+        assert F((1, 2)) == F(1) + 2 * F.gen and F(3) == 3 * F.one
+        for bad in (2.5, (1, 2.5), Fraction(1, 2), (Fraction(1, 2), 0)):
+            with pytest.raises(ValueError, match=r"2\.5|Fraction\(1, 2\)"):
+                F(bad)
+
+
+def test_q_refuses_floats(Q):
+    assert Q(3) == Q(Fraction(6, 2)) and Q(Fraction(1, 2)) * 2 == Q.one
+    for bad in (2.7, 0.5, float("inf")):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            Q(bad)
+
+
+def test_q_sqrt_d_refuses_floats():
+    K = QuadRationalField(2)
+    assert K((Fraction(1, 2), 3)) == K(Fraction(1, 2)) + 3 * K.root
+    assert K(Fraction(1, 3)) == K((Fraction(1, 3), 0))
+    for bad in (2.5, (2.5, 0), (1, 2.5)):
+        with pytest.raises(ValueError, match=r"2\.5"):
+            K(bad)

@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
-from porism.fields import PrimeField, RationalField, parse_field_spec
-from porism.poly import (Polynomial, binary_form_roots, factor, gcd,
-                         quadratic_roots, roots_in_closure,
+from porism.fields import (PrimeField, RationalField, lift_to_quadratic_extension,
+                           parse_field_spec)
+from porism.poly import (Polynomial, adjoin_quadratic_roots, binary_form_roots,
+                         factor, gcd, quadratic_roots, roots_in_closure,
                          squarefree_decomposition)
 
 
@@ -220,3 +221,22 @@ def test_char0_quadratic_lifts_by_its_monic_radicand(Q):
     for r, m in roots.entries:
         assert m == 1 and r.field.spec_string() == "Qsqrt:-2"
         assert (4 * r * r + 2).is_zero()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_adjoin_quadratic_roots_lands_in_the_one_quadratic_extension(p):
+    K = PrimeField(p)
+    big = lift_to_quadratic_extension(next(
+        x for x in K.elements() if x and x.sqrt() is None))[0]
+    irreducible = 0
+    for c0, c1 in product(K.elements(), repeat=2):
+        if quadratic_roots(c0, c1, K.one):
+            continue
+        irreducible += 1
+        roots = adjoin_quadratic_roots(c0, c1)
+        assert len(roots) == 2 and roots[0] != roots[1]
+        for r in roots:
+            assert r.field is big
+            assert r * r + big(c1) * r + big(c0) == 0
+        assert roots == [r for r, _ in quadratic_roots(big(c0), big(c1), big.one)]
+    assert irreducible == p * (p - 1) // 2

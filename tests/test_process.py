@@ -772,3 +772,23 @@ def test_osculating_law_fails_a_period_other_than_char(F5, monkeypatch):
     monkeypatch.setattr(porism.process, "_orbit", lambda *args: (0, [], []))
     assert not porism_check(cfg, num_starts=4, max_steps=5).passed
     assert porism_check(cfg, num_starts=4, max_steps=4).passed
+
+
+def test_porism_check_over_f11_lifts_the_pair_once(F11, monkeypatch):
+    rng = random.Random("lift-once")
+    while True:
+        pair = random_smooth_pair(F11, rng)
+        probe = PonceletConfig(*pair)
+        if sum(start(probe, c1)[2] for c1 in sample_starts(probe, 10, 0)) >= 3:
+            break
+    cfg = PonceletConfig(*pair)
+    calls = []
+    wrapped = Conic.lift
+
+    def counted(self, new_field):
+        calls.append(new_field)
+        return wrapped(self, new_field)
+    monkeypatch.setattr(Conic, "lift", counted)
+    report = porism_check(cfg, num_starts=10, seed=0)
+    assert report.passed and all(report.periods)
+    assert len(calls) <= 2

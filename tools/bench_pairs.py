@@ -5,8 +5,11 @@
 Each DIR is the root of a porism source tree with its ``benchmark/``.  For
 every workload of the after tree's BENCHMARK.json, ten pairs run seeds
 11-20, one run at a time: ``python3 benchmark/run.py --workload W --seed S
---seconds T`` inside each tree, with T the file's ``run_seconds`` and
-PYTHONDONTWRITEBYTECODE=1.  The before side runs first on even seeds and
+--seconds T`` inside each tree, with T the file's ``run_seconds``,
+PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a fresh empty
+directory: every run compiles porism from source, and bytecode a tree holds
+in ``__pycache__`` (from a test run, say) is never read, so it cannot make
+one side's set-up look faster.  The before side runs first on even seeds and
 second on odd ones, so that a drift in the machine's speed falls on both
 sides alike.  The record holds the python version, the number of CPUs,
 every run's result line, and per metric the two medians, the before side's
@@ -19,16 +22,19 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SEEDS = range(11, 21)
 
 
 def one_run(tree, workload, seed, seconds):
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=env, capture_output=True, text=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=cache)
+        out = subprocess.run(
+            [sys.executable, "benchmark/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, env=env, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     return dict(result, seed=seed)

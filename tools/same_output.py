@@ -28,8 +28,10 @@ smoothness test under it.  Each seed also runs ``porism sweep --count 3
 ``elapsed_ms`` timing field of its records removed, which puts the random
 pairs, the sweep's own pass rule and its writer under it.  Every operation's
 exit code and output must match byte for byte.  The first differing
-operation is printed by its label; the exit code is 1 on any difference and
-0 when every output matches.
+operation is printed with both outputs, then, for every workload and
+command with a difference, how many of its operations differ and the label
+of the first; the exit code is 1 on any difference and 0 when every output
+matches.
 """
 
 import argparse
@@ -41,8 +43,8 @@ import sys
 WORKLOADS = ("check", "structure", "orbit-q")
 SWEEP_FIELDS = ("Fp:3", "Fp:11", "Fq:3^3:1,2,0,1")
 
-# Run inside a tree: one JSON list of [workload, seed, label, code, output]
-# per operation, on standard output.
+# Run inside a tree: one JSON list of [workload, seed, label, command, code,
+# output] per operation, on standard output.
 CHILD = """
 import json, sys, types
 sys.path[:0] = ["benchmark", "src"]
@@ -51,43 +53,33 @@ import porism.cli, porism.projective
 prog = types.SimpleNamespace(cli=porism.cli, projective=porism.projective)
 MONOMIALS = ("0,0", "1,1", "2,2", "0,1", "0,2", "1,2")
 rows = []
+
+def also(op, command, suffix, text, shown=None):
+    # the operation's input run as another command
+    code, out = workloads.call_cli(porism.cli.main, [command, *op.argv[1:]], text)
+    rows.append([name, seed, op.label + suffix, shown or command, code, out])
+
 for name in sys.argv[1].split(","):
     build = workloads.WORKLOADS[name][0]
     for seed in map(int, sys.argv[2].split(",")):
         for op in build(seed):
             code, out = workloads.execute(op, prog)
-            rows.append([name, seed, op.label, code, out])
-            if op.kind != "cli":
-                continue
-            if op.argv[0] == "classify":
-                code, out = workloads.call_cli(
-                    porism.cli.main, ["normalize", *op.argv[1:]], op.text)
-                rows.append([name, seed, op.label + " normalize", code, out])
-            if op.argv[0] == "run":
-                code, out = workloads.call_cli(
-                    porism.cli.main, ["ecurve", *op.argv[1:]], op.text)
-                rows.append([name, seed, op.label + " ecurve", code, out])
-                code, out = workloads.call_cli(
-                    porism.cli.main, ["render-svg", *op.argv[1:]], op.text)
-                rows.append([name, seed, op.label + " render-svg", code, out])
-                code, out = workloads.call_cli(
-                    porism.cli.main, ["porism-check", *op.argv[1:]], op.text)
-                rows.append([name, seed, op.label + " porism-check", code, out])
-            if op.argv[0] == "char2-normalize" and op.obj["n"] == 3:
+            command = op.argv[0] if op.kind == "cli" else op.kind
+            rows.append([name, seed, op.label, command, code, out])
+            if command == "classify":
+                also(op, "normalize", " normalize", op.text)
+            if command == "run":
+                for other in ("ecurve", "render-svg", "porism-check"):
+                    also(op, other, " " + other, op.text)
+            if command == "char2-normalize" and op.obj["n"] == 3:
                 form = op.obj["coeffs"]
                 conic = {"field": op.obj["field"],
                          "coeffs": [form.get(key, "0") for key in MONOMIALS]}
-                code, out = workloads.call_cli(
-                    porism.cli.main, ["char2-strange-point", *op.argv[1:]],
-                    json.dumps(conic))
-                rows.append([name, seed, op.label + " strange-point", code, out])
-            if op.argv[0] != "porism-check":
-                continue
-            for branch in ("min", "max"):
-                text = json.dumps(dict(op.obj, branch=branch))
-                code, out = workloads.call_cli(
-                    porism.cli.main, ["run", *op.argv[1:]], text)
-                rows.append([name, seed, op.label + " run " + branch, code, out])
+                also(op, "char2-strange-point", " strange-point", json.dumps(conic))
+            if command == "porism-check":
+                for branch in ("min", "max"):
+                    also(op, "run", " run " + branch,
+                         json.dumps(dict(op.obj, branch=branch)), "run " + branch)
 for seed in map(int, sys.argv[2].split(",")):
     for spec in sys.argv[3].split(";"):
         code, out = workloads.call_cli(porism.cli.main, [
@@ -98,7 +90,7 @@ for seed in map(int, sys.argv[2].split(",")):
             for rec in recs:
                 rec.pop("elapsed_ms")
             out = "".join(json.dumps(rec) + "\\n" for rec in recs)
-        rows.append(["sweep", seed, spec, code, out])
+        rows.append(["sweep", seed, spec, "sweep", code, out])
 json.dump(rows, sys.stdout)
 """
 
@@ -124,13 +116,25 @@ def main(argv=None):
     if len(before) != len(after):
         print(f"operation counts differ: {len(before)} before, {len(after)} after")
         return 1
+    groups = {}  # (workload, command) -> [operations, differing, first label]
     for b, a in zip(before, after):
-        if b != a:
-            name, seed, label = b[:3]
+        name, seed, label, command = b[:4]
+        group = groups.setdefault((name, command), [0, 0, None])
+        group[0] += 1
+        if b == a:
+            continue
+        if not any(g[1] for g in groups.values()):
             print(f"first difference: {name} seed {seed} {label!r}")
-            print(f"  before: exit {b[3]}: {b[4][:300]!r}")
-            print(f"  after:  exit {a[3]}: {a[4][:300]!r}")
-            return 1
+            print(f"  before: exit {b[4]}: {b[5][:300]!r}")
+            print(f"  after:  exit {a[4]}: {a[5][:300]!r}")
+        group[1] += 1
+        group[2] = group[2] or f"seed {seed} {label!r}"
+    differing = [(key, g) for key, g in groups.items() if g[1]]
+    for (name, command), (total, count, first) in differing:
+        print(f"{name} {command}: {count} of {total} operations differ; "
+              f"first: {first}")
+    if differing:
+        return 1
     print(f"{len(after)} operations byte-identical "
           f"({', '.join(WORKLOADS)}, sweep; seeds {args.seeds})")
     return 0
