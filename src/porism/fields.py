@@ -145,14 +145,7 @@ class FieldElement:
         if not isinstance(n, int):
             return NotImplemented
         base = self.inv() if n < 0 else self
-        n = abs(n)
-        result = self.field.one
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return FieldElement(self.field, self.field._pow(base.value, abs(n)))
 
     def inv(self):
         if self.is_zero():
@@ -230,38 +223,49 @@ class Field:
     def _render(self, a):
         return str(a)
 
+    def _pow(self, a, n):
+        """a^n on raw values for n >= 0, by square-and-multiply on ``_mul``."""
+        result, mul = self.one.value, self._mul
+        while n:
+            if n & 1:
+                result = mul(result, a)
+            a = mul(a, a)
+            n >>= 1
+        return result
+
     def sqrt(self, elem):
         """The canonical square root of ``elem`` in a finite field, or None:
         the inverse of the Frobenius, elem^(q/2), in characteristic two and
-        Tonelli-Shanks otherwise, with the non-square of the field's
+        raw Tonelli-Shanks otherwise, with the non-square of the field's
         quadratic extension.  Q and Q(sqrt d) bring their own."""
-        q = self.size
+        q, a, one = self.size, elem.value, self.one.value
+        pw, mul = self._pow, self._mul
         if self.char == 2:
-            return elem ** (q // 2)
+            return FieldElement(self, pw(a, q // 2))
         if elem.is_zero():
             return self.zero
-        if elem ** ((q - 1) // 2) != self.one:
+        if pw(a, (q - 1) // 2) != one:
             return None
         s, t = 0, q - 1
         while t % 2 == 0:
             t //= 2
             s += 1
-        r, u, m = elem ** ((t + 1) // 2), elem ** t, s
-        if u != self.one:  # so s > 1; c generates the 2-Sylow subgroup
-            c = (-_quadratic_extension(self).modulus[0]) ** t
-        while u != self.one:
+        r, u, m = pw(a, (t + 1) // 2), pw(a, t), s
+        if u != one:  # so s > 1; c generates the 2-Sylow subgroup
+            c = pw(self._neg(_quadratic_extension(self).modulus[0].value), t)
+        while u != one:
             i, u2 = 0, u
-            while u2 != self.one:
-                u2 = u2 * u2
+            while u2 != one:
+                u2 = mul(u2, u2)
                 i += 1
-            b = c ** (1 << (m - i - 1))
-            r = r * b
-            c = b * b
-            u = u * c
+            b = pw(c, 1 << (m - i - 1))
+            r = mul(r, b)
+            c = mul(b, b)
+            u = mul(u, c)
             m = i
-        if r * r != elem:
+        if mul(r, r) != a:
             raise TheoremViolation("Tonelli-Shanks root check failed")
-        return min(r, -r, key=lambda x: x.sort_key())
+        return FieldElement(self, min(r, self._neg(r), key=self._sort_key))
 
     def _dot(self, u, v):
         """The sum of u_i v_i on raw values, for non-empty u and v of one
@@ -323,6 +327,9 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, -1, self.p)
+
+    def _pow(self, a, n):
+        return pow(a, n, self.p)
 
     def element(self, i):
         return FieldElement(self, i)
@@ -818,8 +825,9 @@ def lift_to_quadratic_extension(a):
     return new, FieldElement(new, (field.zero.value, r.value))
 
 
+@lru_cache(maxsize=None)
 def binary_field(k):
-    """GF(2^k) with a deterministic modulus: the lexicographically smallest
+    """GF(2^k), built once per k, modulo the lexicographically smallest
     irreducible monic binary polynomial of degree k (low coefficients first)."""
     base = PrimeField(2)
     if not 1 <= k <= 20:

@@ -278,19 +278,39 @@ def factor(f):
     return out
 
 
+def _monic_quadratic_roots(field, c0, c1, lift=True):
+    """The one quadratic formula on raw values of a field K of characteristic
+    other than two: (field, roots) of t^2 + c1 t + c0, (s - c1)/2 then
+    (-c1 - s)/2 with s the canonical root of d = c1^2 - 4 c0, one root if
+    d = 0.  A non-square d puts them in (big, s) =
+    ``lift_to_quadratic_extension(d)``, a K-value v as (v, 0); without
+    ``lift`` there are none."""
+    add, neg, mul = field._add, field._neg, field._mul
+    d = FieldElement(field, add(mul(c1, c1), neg(mul(field(4).value, c0))))
+    s, big = d.sqrt(), field
+    if s is None:
+        if not lift:
+            return field, []
+        big, s = lift_to_quadratic_extension(d)
+        c1 = (c1, field.zero.value)
+        add, neg, mul = big._add, big._neg, big._mul
+    half, s = big._inv(big(2).value), s.value
+    if s == big.zero.value:
+        return big, [mul(neg(c1), half)]
+    return big, [mul(add(s, neg(c1)), half), mul(neg(add(c1, s)), half)]
+
+
 def quadratic_roots(c0, c1, c2):
     """The roots of c2 t^2 + c1 t + c0, c2 nonzero, in the coefficients'
     field of characteristic other than two, as (root, multiplicity) pairs:
     (-c1 + s)/(2 c2), then (-c1 - s)/(2 c2), with s the canonical square
     root of the discriminant; one double root when it is zero, and none
-    when it is not a square."""
-    s = (c1 * c1 - 4 * c2 * c0).sqrt()
-    if s is None:
-        return []
-    inv = (c2 + c2).inv()
-    if s.is_zero():
-        return [(-c1 * inv, 2)]
-    return [((s - c1) * inv, 1), ((-c1 - s) * inv, 1)]
+    when it is not a square: u/c2 for u^2 + c1 u + c0 c2's roots u."""
+    field = c2.field
+    _, roots = _monic_quadratic_roots(field, (c0 * c2).value, c1.value, lift=False)
+    inv = field._inv(c2.value)
+    return [(FieldElement(field, field._mul(u, inv)), 3 - len(roots))
+            for u in roots]
 
 
 @dataclass(frozen=True)
@@ -316,18 +336,16 @@ def _char0_roots(g):
         g = g // Polynomial(g.field, [-r, 1])
     if g.degree == 1:
         return roots + [-g[0] / g[1]]
-    return roots + ([r for r, _ in quadratic_roots(*g.coeffs)]
-                    or adjoin_quadratic_roots(g[0], g[1]))
+    return roots + adjoin_quadratic_roots(g[0], g[1])
 
 
 def adjoin_quadratic_roots(c0, c1):
-    """The two roots of t^2 + c1 t + c0, irreducible over its field K:
-    with (big, s) = ``lift_to_quadratic_extension(c1^2 - 4 c0)`` -- K's one
+    """The roots of t^2 + c1 t + c0 in its field K or, when they are
+    conjugate over K, in ``lift_to_quadratic_extension``'s field: K's one
     quadratic extension over a finite K, Q(sqrt(c1^2 - 4 c0)) over Q, an
-    error above Q -- (s - c1)/2, then (-c1 - s)/2, ``quadratic_roots``' order."""
-    big, s = lift_to_quadratic_extension(c1 * c1 - 4 * c0)
-    c1, half = big(c1), big(2).inv()
-    return [(s - c1) * half, (-c1 - s) * half]
+    error above Q; (s - c1)/2, then (-c1 - s)/2, ``quadratic_roots``' order."""
+    big, roots = _monic_quadratic_roots(c0.field, c0.value, c1.value)
+    return [FieldElement(big, r) for r in roots]
 
 
 def _rational_root(g):

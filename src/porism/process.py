@@ -11,17 +11,16 @@ field values; ``polar``/``intersect_line_conic`` and the geometric ``step``
 and ``step_inverse`` are their reference.  The raw geometry they use (the
 conic's gradient and value, the canonical scale, the span of a line) is
 ``projective``'s own, so this module keeps none of its own.  ``porism_check``
-walks each closed cycle once, however many of its starts lie on it, and the
-cycle of a lifted start only half way round.
+keeps its starts raw from draw to verdict, walks each closed cycle once,
+however many of its starts lie on it, and a lifted start's half way round.
 """
 
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DegenerateInputError, NotOnConicError, TheoremViolation
-from .fields import FieldElement
-from .poly import adjoin_quadratic_roots, quadratic_roots
-from .projective import (P1Point, _canonical, _point, _span,
+from .poly import _monic_quadratic_roots
+from .projective import (_canonical, _point, _span,
                          _type_and_tangencies, other_intersection, parametrize,
                          polar, tangent_at, find_point)
 
@@ -93,51 +92,46 @@ class ProcessResult:
 def start(cfg, c1, branch="min"):
     """Initial state for the process: pick d1 with L(c1, d1) tangent to the
     inner conic.  If the two candidates are conjugate over the working field
-    the whole configuration is lifted one quadratic step first.
-
-    The candidates are the roots of one binary quadratic, F restricted to
-    the polar of c1.  Made monic, it is solved in closed form by
-    ``quadratic_roots``, or, when it has no root in the field, by
-    ``adjoin_quadratic_roots`` in the quadratic extension that
-    ``roots_in_closure`` would build; ``polar`` and ``intersect_line_conic``
-    are the reference this reproduces.
-
-    Returns (possibly lifted config, state, lifted flag).
-    """
+    the whole configuration is lifted one quadratic step first.  ``_start``,
+    read and returned as points: (possibly lifted config, state, lifted flag)."""
     if branch not in ("min", "max"):
         raise ValueError("branch must be 'min' or 'max'")
     if not cfg.outer.contains(c1):
         raise NotOnConicError("initial point must lie on the outer conic")
+    new_cfg, (c, d) = _start(cfg, tuple(v.value for v in c1.coords), branch)
+    ext = new_cfg.field
+    return new_cfg, PonceletState(_point(ext, c), _point(ext, d), 1), ext != cfg.field
+
+
+def _start(cfg, c1, branch="min"):
+    """``start`` on raw values: (possibly lifted config, raw (c1, d1)).  d1 is
+    a root of F on the polar of c1, a binary quadratic made monic and solved
+    by ``poly._monic_quadratic_roots``, or p0 at a drop in degree;
+    ``polar``/``intersect_line_conic`` are the reference."""
     field = cfg.field
+    zero, mul = field.zero.value, field._mul
     grad, value = cfg.inner._forms()
     # the polar of c1 is its gradient line; span it as ProjLine.span does
-    p0, p1 = _span(field, grad([v.value for v in c1.coords]))
-    # F(t p0 + p1) = alpha t^2 + beta t + gamma; a drop in degree is p0
-    alpha, beta, gamma = (FieldElement(field, v) for v in
-                          (value(p0), field._dot(grad(p0), p1), value(p1)))
-    at_infinity = alpha.is_zero()
-    if not at_infinity:
-        inv = alpha.inv()
-        b, c = beta * inv, gamma * inv
-        ts = ([t for t, _ in quadratic_roots(c, b, field.one)]
-              or adjoin_quadratic_roots(c, b))
+    p0, p1 = _span(field, grad(c1))
+    # F(t p0 + p1) = alpha t^2 + beta t + gamma
+    alpha, beta, gamma = value(p0), field._dot(grad(p0), p1), value(p1)
+    if alpha != zero:
+        inv = field._inv(alpha)
+        ext, ts = _monic_quadratic_roots(field, mul(gamma, inv), mul(beta, inv))
     else:
-        ts = [] if beta.is_zero() else [-gamma / beta]
-    ext = ts[0].field if ts else field
-    lifted = ext != field
-    if lifted:
+        ext, ts = field, [] if beta == zero else [
+            mul(field._neg(gamma), field._inv(beta))]
+    if ext is not field:
         # conjugate roots: both candidates already lie in ext
-        p0, p1 = (tuple(ext(FieldElement(field, v)).value for v in p)
-                  for p in (p0, p1))
-        cfg, c1 = cfg.lift(ext), c1.lift(ext)
+        p0, p1, c1 = (tuple((v, zero) for v in p) for p in (p0, p1, c1))
+        cfg = cfg.lift(ext)
     add, mul = ext._add, ext._mul
-    pts = [_canonical(ext, [add(mul(t.value, a), b) for a, b in zip(p0, p1)])
+    pts = [_canonical(ext, [add(mul(t, a), b) for a, b in zip(p0, p1)])
            for t in ts]
-    if at_infinity:
+    if alpha == zero:
         pts.append(p0)
     pts.sort(key=lambda p: tuple(map(ext._sort_key, p)))
-    d1 = pts[0] if branch == "min" else pts[-1]
-    return cfg, PonceletState(c1, _point(ext, d1), 1), lifted
+    return cfg, (c1, pts[0] if branch == "min" else pts[-1])
 
 
 def is_tangency_state(cfg, state):
@@ -176,7 +170,7 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=KEEP_ORBIT):
     """
     max_steps = _step_budget(cfg, max_steps)
     cfg, initial, lifted = start(cfg, c1, branch)
-    period, kept, _ = _orbit(cfg, initial, max_steps, keep_orbit)
+    period, kept, _ = _orbit(cfg, _raw_state(initial), max_steps, keep_orbit)
     orbit = [initial] + [
         PonceletState(_point(cfg.field, c), _point(cfg.field, d), i)
         for i, (c, d) in enumerate(kept, start=2)]
@@ -199,12 +193,13 @@ def _raw_state(state):
 
 
 def _orbit(cfg, initial, max_steps, keep, watch=(), fold=False):
-    """``step`` iterated on tuples of raw field values, with the same
-    incidence checks.  A tangency start is fixed by the step, so it closes
-    at step 1; any other orbit meeting a tangency state is a theorem
-    violation.  Returns (period, or 0 if the orbit stays open, the raw
-    (c, d) pairs of the states with index 2 .. keep, and the raw states of
-    ``watch`` that the walk met, in the order met).
+    """``step`` iterated from the raw state ``initial`` = (c, d) on tuples of
+    raw field values, with the same incidence checks.  A tangency start is
+    fixed by the step, so it closes at step 1; any other orbit meeting a
+    tangency state is a theorem violation.  Returns (period, or 0 if the
+    orbit stays open, the raw (c, d) pairs of the states with index
+    2 .. keep, and the raw states of ``watch`` that the walk met, in the
+    order met).
 
     ``fold`` is for a lifted start P = (c1, d1): c1 in the base field K,
     d1 conjugate, and ``cfg`` over K's quadratic extension.  The step is
@@ -258,7 +253,7 @@ def _orbit(cfg, initial, max_steps, keep, watch=(), fold=False):
 
     grad_c, value_c = cfg.outer._forms()
     grad_d, value_d = cfg.inner._forms()
-    c0, d0 = c, d = _raw_state(initial)
+    c0, d0 = c, d = initial
     tangent = grad_d(d)
     kept, met = [], []
     for i in range(1, max_steps + 1):
@@ -288,38 +283,47 @@ def _orbit(cfg, initial, max_steps, keep, watch=(), fold=False):
 
 def sample_starts(cfg, num_starts, seed):
     """Deterministic sample of points of the outer conic away from the
-    tangency points, via the conic's parametrization."""
+    tangency points, via the conic's parametrization: ``_sample_starts`` as points."""
+    return [_point(cfg.field, c) for c in _sample_starts(cfg, num_starts, seed)]
+
+
+def _sample_starts(cfg, num_starts, seed):
+    """The sampled starts' raw coordinates: a drawn (a : b), canonical and not
+    a tangency's, goes to ``point_at``'s c_r0 b^2 + c_r1 ab + c_r2 a^2."""
     if num_starts < 1:
         raise ValueError("num_starts must be at least 1")
     rng = random.Random(seed)
     par = parametrize(cfg.outer, find_point(cfg.outer, seed))
-    excluded = set()
-    for p in cfg.in_field_tangencies():
-        excluded.add(par.param_of(p))
     field = cfg.field
+    one, zero = field.one.value, field.zero.value
+    excluded = {tuple(v.value for v in par.param_of(p).coords)
+                for p in cfg.in_field_tangencies()}
     if field.size is not None:
         # the shuffle of [infinity, affine(element(0)), ...] moves indices,
-        # so shuffle the indices and build only the points it reaches
+        # so shuffle the indices and reach only the parameters it visits
         order = list(range(field.size + 1))
         rng.shuffle(order)
-        params = (P1Point.affine(field.element(i - 1)) if i
-                  else P1Point.infinity(field) for i in order)
+        params = ((field.element(i - 1).value, one) if i else (one, zero)
+                  for i in order)
     else:
         # 4 num_starts + 8 distinct draws n/d with |n| <= 50, 1 <= d <= 11,
         # of which there are 719
         if 4 * num_starts + 8 > 719:
             raise ValueError("num_starts must be at most 177 over Q and Q(sqrt d)")
-        params = [P1Point.infinity(field)]
         from fractions import Fraction
         seen = set()
         while len(seen) < 4 * num_starts + 8:
             seen.add(Fraction(rng.randrange(-50, 51), rng.randrange(1, 12)))
-        params.extend(P1Point.affine(cfg.field(v)) for v in sorted(seen))
+        params = [(one, zero)] + [(field(v).value, one) for v in sorted(seen)]
+    rows = [[c.value for c in row] for row in par.c]
+    mul, dot = field._mul, field._dot
     out = []
     for t in params:
+        a, b = t = _canonical(field, t)
         if t in excluded:
             continue
-        out.append(par.point_at(t))
+        ab = (mul(b, b), mul(a, b), mul(a, a))
+        out.append(_canonical(field, [dot(row, ab) for row in rows]))
         if len(out) == num_starts:
             break
     return out
@@ -350,18 +354,18 @@ def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
     field has its period and is not walked; an open walk is a prefix and
     settles only its own start.  A lifted start is walked only to its
     Galois mirror (``_orbit``'s ``fold``)."""
-    starts = sample_starts(cfg, num_starts, seed)
+    starts = _sample_starts(cfg, num_starts, seed)
     max_steps = _step_budget(cfg, max_steps)
-    solved = [start(cfg, c1)[:2] for c1 in starts]
+    solved = [_start(cfg, c1) for c1 in starts]
     pending = {}  # field -> {raw initial state: index} of the unsettled starts
     for i, (start_cfg, initial) in enumerate(solved):
-        pending.setdefault(start_cfg.field, {})[_raw_state(initial)] = i
+        pending.setdefault(start_cfg.field, {})[initial] = i
     periods = [None] * len(solved)
     for i, (start_cfg, initial) in enumerate(solved):
         if periods[i] is not None:
             continue
         watch = pending[start_cfg.field]
-        del watch[_raw_state(initial)]
+        del watch[initial]
         periods[i], _, met = _orbit(start_cfg, initial, max_steps, 0, watch,
                                     start_cfg.field != cfg.field)
         if periods[i]:

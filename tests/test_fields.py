@@ -7,11 +7,12 @@ from itertools import product
 import pytest
 
 from porism import char2, projective
-from porism.errors import ExtensionOverflowError, FieldMismatchError
+from porism.errors import (ExtensionOverflowError, FieldMismatchError,
+                           TheoremViolation)
 from porism.fields import (ExtensionField, PrimeField, QuadRationalField,
-                           RationalField, _poly_inverse, binary_field,
-                           lift_to_quadratic_extension, parse_element,
-                           parse_field_spec)
+                           RationalField, _poly_inverse, _quadratic_extension,
+                           binary_field, lift_to_quadratic_extension,
+                           parse_element, parse_field_spec)
 from porism.poly import Polynomial, factor
 
 
@@ -576,3 +577,92 @@ def test_q_sqrt_d_refuses_floats():
     for bad in (2.5, (2.5, 0), (1, 2.5)):
         with pytest.raises(ValueError, match=r"2\.5"):
             K(bad)
+
+
+def power_field(spec):
+    """A field given by its spec, or "F13^2" and "F27^2": the one quadratic
+    extensions of F_13 and of Fq:3^3:1,2,0,1 (a tower)."""
+    if spec == "F13^2":
+        return _quadratic_extension(PrimeField(13))
+    if spec == "F27^2":
+        return _quadratic_extension(parse_field_spec("Fq:3^3:1,2,0,1"))
+    return parse_field_spec(spec)
+
+
+# Tonelli-Shanks' s, the 2-adic valuation of q - 1, is 1, 2, 2, 4, 1, 3, 3, 3
+POWER_FIELDS = ["Fp:3", "Fp:5", "Fp:13", "Fp:17", "Fq:3^3:1,2,0,1",
+                "Fq:5^2:2,0,1", "F13^2", "F27^2"]
+
+
+@pytest.mark.parametrize("spec", POWER_FIELDS)
+def test_raw_power_matches_repeated_products_on_every_element(spec):
+    field = power_field(spec)
+    q = field.size
+    for x in field.elements():
+        powers = [field.one]  # x^0 .. x^q by repeated products
+        for _ in range(q):
+            powers.append(powers[-1] * x)
+        for n in (0, 1, q - 1, q):
+            assert x ** n == powers[n]
+        if x:
+            y = x.inv()
+            assert x ** -3 == y * y * y
+    for n in (-1, -3):
+        with pytest.raises(ZeroDivisionError):
+            field.zero ** n
+
+
+@pytest.mark.parametrize("spec", POWER_FIELDS)
+def test_raw_sqrt_is_the_smaller_root_of_every_square(spec):
+    field = power_field(spec)
+    roots = {}
+    for r in field.elements():
+        roots.setdefault(r * r, []).append(r)
+    assert len(roots) == (field.size + 1) // 2
+    for a in field.elements():
+        got = field.sqrt(a)
+        if a not in roots:
+            assert got is None
+            continue
+        r = roots[a][0]
+        assert set(roots[a]) == {r, -r}
+        assert got == min(r, -r, key=lambda x: x.sort_key())
+
+
+@pytest.mark.parametrize("spec, exponent", [("Fp:13", 2), ("F13^2", 11)])
+def test_tonelli_shanks_root_check_fires_on_a_corrupted_root(spec, exponent,
+                                                             monkeypatch):
+    # q - 1 = 2^s t with t = 3 and 21: the root starts as a^((t + 1)/2), the
+    # only power taken to that exponent, which is doubled here, so the root
+    # found squares to 4a
+    field = power_field(spec)
+    power = field._pow
+
+    def doubled(a, n):
+        r = power(a, n)
+        return field._add(r, r) if n == exponent else r
+    monkeypatch.setattr(field, "_pow", doubled)
+    for a in [x * x for x in field.elements() if x][:12]:
+        with pytest.raises(TheoremViolation, match="Tonelli-Shanks"):
+            field.sqrt(a)
+
+
+def test_binary_field_searches_for_its_modulus_once_per_k(monkeypatch):
+    built = []
+    init = ExtensionField.__init__
+
+    def counted(self, base, modulus, *args):
+        built.append(tuple(modulus))
+        init(self, base, modulus, *args)
+    binary_field.cache_clear()
+    monkeypatch.setattr(ExtensionField, "__init__", counted)
+    for k in range(2, 9):
+        built.clear()
+        field = parse_field_spec(f"F2k:{k}")
+        # one search: the candidates up to the first irreducible modulus
+        assert built and built[-1] == tuple(c.value for c in field.modulus)
+        searched = len(built)
+        assert parse_field_spec(f"F2k:{k}") is field and binary_field(k) is field
+        assert len(built) == searched
+    # F2k:8's modulus x^8 + x^4 + x^3 + x + 1 is the 14th candidate
+    assert searched == 14

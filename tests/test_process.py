@@ -9,9 +9,9 @@ from porism.fields import (FieldElement, PrimeField, QuadRationalField,
                            RationalField, parse_field_spec)
 from porism.poly import binary_form_roots
 from porism.process import (PonceletConfig, PonceletState, ProcessResult,
-                            is_tangency_state, porism_check, run, sample_starts,
-                            start, step, step_inverse)
-from porism.projective import (Conic, P1Point, ProjPoint, _span,
+                            _raw_state, is_tangency_state, porism_check, run,
+                            sample_starts, start, step, step_inverse)
+from porism.projective import (Conic, P1Point, ProjPoint, _point, _span,
                                find_point, intersect_line_conic,
                                multiplicity_structure, normal_form_conic,
                                parametrize, polar, tangency_points)
@@ -353,16 +353,22 @@ def test_start_with_a_contact_point_at_infinity(F11):
 
 def test_start_needing_a_second_square_root_overflows():
     # over Q(sqrt 2) the contact points of [0:1:-3] need sqrt 3
+    import porism.process as process
     field = QuadRationalField(2)
     outer = Conic(field, [1, 3, field(Fraction(-1, 3)), 0, 0, 0])
     inner = Conic(field, [1, 0, 0, 0, 0, -1])
     cfg = PonceletConfig(outer, inner)
     c1 = ProjPoint(field, [0, 1, -3])
+    message = ("the square root of 4/3+0*sqrt(2) needs a second quadratic step "
+               "above Q; only one is supported")
     for branch in ("min", "max"):
         with pytest.raises(ExtensionOverflowError):
             start_reference(cfg, c1, branch)
-        with pytest.raises(ExtensionOverflowError):
-            start(cfg, c1, branch)
+        for solve in (start, lambda cfg, c1, branch: process._start(
+                cfg, tuple(v.value for v in c1.coords), branch)):
+            with pytest.raises(ExtensionOverflowError) as exc:
+                solve(cfg, c1, branch)
+            assert str(exc.value) == message
 
 
 def test_config_type_and_tangencies_match_the_separate_solvers():
@@ -403,8 +409,9 @@ def sample_starts_reference(cfg, num_starts, seed):
     return out[:num_starts]
 
 
-@pytest.mark.parametrize("spec", ["Fp:11", "Fq:3^3:1,2,0,1", "Q"])
+@pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:3^3:1,2,0,1", "Q", "Qsqrt:2"])
 def test_sample_starts_match_the_list_reference(spec):
+    import porism.process as process
     field = parse_field_spec(spec)
     rng = random.Random(spec)
     draw = random_smooth_pair if field.size is not None else char0_pair
@@ -412,7 +419,11 @@ def test_sample_starts_match_the_list_reference(spec):
     configs += tangent_configs(field, rng)
     for cfg in configs:
         for n, seed in ((1, 0), (5, 7), (12, 31)):
-            assert sample_starts(cfg, n, seed) == sample_starts_reference(cfg, n, seed)
+            want = sample_starts_reference(cfg, n, seed)
+            assert sample_starts(cfg, n, seed) == want
+            # the raw draw is point_at on the same shuffled parameters
+            assert process._sample_starts(cfg, n, seed) == [
+                tuple(v.value for v in p.coords) for p in want]
 
 
 def test_sample_starts_builds_only_the_points_it_visits(monkeypatch):
@@ -538,7 +549,8 @@ def test_porism_check_walks_no_start_on_an_earlier_closed_cycle(spec, monkeypatc
     wrapped = process._orbit
 
     def counted(cfg, initial, *args):
-        walked.append((cfg.field, initial.c, initial.d))
+        c, d = initial
+        walked.append((cfg.field, _point(cfg.field, c), _point(cfg.field, d)))
         return wrapped(cfg, initial, *args)
     configs, rng = sharing_configs(spec)
     shared = 0
@@ -599,14 +611,14 @@ def test_sample_starts_leaves_every_point_but_the_tangencies(p):
 
 
 def lifted_starts(cfg, num_starts, seed):
-    """The lifted (config, state) pairs of both branches of the sampled
+    """The lifted (config, raw state) pairs of both branches of the sampled
     starts."""
     out = []
     for c1 in sample_starts(cfg, num_starts, seed):
         for branch in ("min", "max"):
             lifted_cfg, initial, lifted = start(cfg, c1, branch)
             if lifted:
-                out.append((lifted_cfg, initial))
+                out.append((lifted_cfg, _raw_state(initial)))
     return out
 
 
@@ -792,3 +804,77 @@ def test_porism_check_over_f11_lifts_the_pair_once(F11, monkeypatch):
     report = porism_check(cfg, num_starts=10, seed=0)
     assert report.passed and all(report.periods)
     assert len(calls) <= 2
+
+
+def every_point(cfg):
+    """Every point of the outer conic over a finite field, by its
+    parametrization."""
+    field = cfg.field
+    par = parametrize(cfg.outer, find_point(cfg.outer))
+    params = [P1Point.infinity(field)] + [P1Point.affine(e) for e in field.elements()]
+    return [par.point_at(t) for t in params]
+
+
+def raw_start_cases(cfg, c1):
+    """start on both branches matches the geometric reference, and ``_start``
+    on raw values matches start; returns the cases met: roots in the field
+    or lifted, a tangency point (a double contact), and a contact point at
+    infinity (alpha = 0)."""
+    import porism.process as process
+    field = cfg.field
+    raw = tuple(v.value for v in c1.coords)
+    ds = []
+    for branch in ("min", "max"):
+        lifted_cfg, state, lifted = assert_start_matches_reference(cfg, c1, branch)
+        assert process._start(cfg, raw, branch) == (lifted_cfg, _raw_state(state))
+        ds.append(state.d)
+    cases = {"lifted" if lifted else "in field"}
+    if c1 in cfg.in_field_tangencies():
+        assert ds == [c1, c1] and not lifted
+        cases.add("tangency")
+    grad, value = cfg.inner._forms()
+    if value(_span(field, grad(raw))[0]) == field.zero.value:
+        cases.add("at infinity")
+    return cases
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:3^3:1,2,0,1"])
+def test_raw_start_matches_the_reference_from_every_point_of_the_outer_conic(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random("every-point:" + spec)
+    configs = [PonceletConfig(*random_smooth_pair(field, rng)) for _ in range(4)]
+    cases = set()
+    for cfg in configs + tangent_configs(field, rng):
+        for c1 in every_point(cfg):
+            cases |= raw_start_cases(cfg, c1)
+    assert cases == {"in field", "lifted", "tangency", "at infinity"}
+
+
+def test_raw_start_matches_the_reference_on_a_criterion_5_pair(Q):
+    cfg = make_config(Q, 0, 2, 1)  # x^2 + 2y^2 - yz with x^2 - yz
+    assert cfg.intersection_type in ((3, 1), (4,))
+    cases = set()
+    for c1 in sample_starts(cfg, 12, seed=1) + cfg.in_field_tangencies():
+        cases |= raw_start_cases(cfg, c1)
+    assert {"in field", "lifted", "tangency"} <= cases
+
+
+def test_porism_check_builds_no_point_per_start(F13, monkeypatch):
+    rng = random.Random("no-points")
+    while True:
+        cfg = PonceletConfig(*random_smooth_pair(F13, rng))
+        if sum(start(cfg, c1)[2] for c1 in sample_starts(cfg, 10, 0)) >= 3:
+            break
+    cfg = PonceletConfig(cfg.outer, cfg.inner)  # no lift kept yet
+    built = {ProjPoint: 0, P1Point: 0}
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    report = porism_check(cfg, num_starts=10, seed=0)
+    assert len(report.periods) == 10 and report.passed
+    # find_point's point, the tangencies lifted with the config, and the
+    # parameters of the tangencies the draw leaves out
+    assert built[ProjPoint] <= 1 + len(cfg.tangencies)
+    assert built[P1Point] <= len(cfg.in_field_tangencies())
