@@ -239,7 +239,7 @@ def cmd_ecurve(args):
         "shape": shp.tag,
         "singular_points": [{"u": point_json(u), "v": point_json(v)}
                             for u, v in shp.singular],
-        "reducible": shp.factors is not None,
+        "reducible": shp.reducible,
     }
     if shp.factors is not None:
         data["factors"] = [[[str(c) for c in row] for row in f.m]

@@ -18,13 +18,13 @@ transversal components for (2,2), two in double contact for (4).  The
 singular points are the tangency parameters, over the multiple roots.
 """
 
-from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
-                     TheoremViolation)
-from .fields import lift_to_quadratic_extension
+from .errors import (DegenerateInputError, ExtensionOverflowError,
+                     FieldMismatchError, NotOnConicError, TheoremViolation)
+from .fields import FieldElement, lift_to_quadratic_extension
 from .poly import Polynomial, gcd, squarefree_decomposition
 from .projective import P1Point, ProjPoint, ConicParametrization, find_point, \
-    parametrize, normal_form_conic, Conic, _canonical_elements, \
-    _multiplicities, _repeated_params
+    parametrize, normal_form_conic, Conic, _canonical, _canonical_elements, \
+    _multiplicities, _p1, _repeated_params, _values
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
@@ -45,7 +45,7 @@ class BiquadraticForm:
     Library-built instances remember the two parametrizations whose
     incidence condition they encode."""
 
-    __slots__ = ("field", "h", "outer_par", "inner_par")
+    __slots__ = ("field", "h", "outer_par", "inner_par", "_raw_maps")
 
     def __init__(self, field, h, outer_par=None, inner_par=None):
         if len(h) != 3 or any(len(row) != 3 for row in h):
@@ -56,6 +56,14 @@ class BiquadraticForm:
         self.h = (flat[:3], flat[3:6], flat[6:])
         self.outer_par = outer_par
         self.inner_par = inner_par
+        self._raw_maps = None
+
+    def _raw(self):
+        """``_fibers`` of the form, built once per form."""
+        if self._raw_maps is None:
+            self._raw_maps = _fibers(self.field,
+                                     [[c.value for c in row] for row in self.h])
+        return self._raw_maps
 
     def evaluate(self, u, v):
         """Value at a pair of P^1 points (well defined up to the canonical
@@ -158,7 +166,7 @@ def _monomials(p):
 def _contract(rows, monomials):
     """sum_j row[j] monomials[j] for each row: a form's coefficient array
     against the P^1 monomials of a point over the form's own field.  The
-    sum starts at its first term, not at zero, which keeps ``nu`` cheap."""
+    sum starts at its first term, so it needs no zero of the field."""
     out = []
     for row in rows:
         first, *rest = [c * m for c, m in zip(row, monomials)]
@@ -188,10 +196,19 @@ def build_E(outer, inner, outer_par=None, inner_par=None, seed=0):
         outer_par = parametrize(outer, find_point(outer, seed))
     if inner_par is None:
         inner_par = parametrize(inner, find_point(inner, seed + 1))
-    h = [[inner.bilinear([outer_par.c[r][i] for r in range(3)],
-                         [inner_par.c[s][j] for s in range(3)])
-          for j in range(3)] for i in range(3)]
-    return BiquadraticForm(outer.field, h, outer_par, inner_par)
+    field = outer.field
+    h = [[FieldElement(field, x) for x in row]
+         for row in _incidence_rows(inner, outer_par, inner_par)]
+    return BiquadraticForm(field, h, outer_par, inner_par)
+
+
+def _incidence_rows(inner, outer_par, inner_par):
+    """``build_E``'s h on raw values over the inner conic's field, unscaled:
+    h[i][j] = grad(c_i) . d_j, for parametrizations over it or below."""
+    field, grad = inner.field, inner._forms()[0]
+    c_cols, d_cols = ([[field(row[j]).value for row in par.c] for j in range(3)]
+                      for par in (outer_par, inner_par))
+    return [[field._dot(grad(c), d) for d in d_cols] for c in c_cols]
 
 
 def build_E_normalized(t, a, b):
@@ -311,7 +328,8 @@ def is_reducible(H, branch=None):
 
 class ECurveShape:
     """Shape report for the incidence curve: one of the five tags together
-    with the form, its singular points and (when split) the components."""
+    with the form, its singular points and (when split) the components,
+    unless they need a second quadratic step above Q."""
 
     __slots__ = ("tag", "form", "singular", "factors", "lifted_split")
 
@@ -321,6 +339,10 @@ class ECurveShape:
         self.singular = singular
         self.factors = factors
         self.lifted_split = lifted_split
+
+    @property
+    def reducible(self):
+        return self.tag in (SHAPE_SPLIT_TRANSVERSAL, SHAPE_SPLIT_DOUBLE)
 
     def __repr__(self):
         return f"ECurveShape({self.tag!r}, {len(self.singular)} singular)"
@@ -337,58 +359,83 @@ def shape(outer, inner, seed=0):
     if len(singular) != count:
         raise TheoremViolation(f"{tag} curve with {len(singular)} "
                                "singular points")
-    split = is_reducible(H, branch)
+    try:
+        split = is_reducible(H, branch)
+    except ExtensionOverflowError:  # components over Q(sqrt d)(sqrt lc)
+        split = None
     if split is None:
         return ECurveShape(tag, H, singular)
     return ECurveShape(tag, H, singular, split[:2], split[2])
 
 
-def _other_root(field, q, known):
-    """Vieta: the second root of the binary quadratic q0 v'^2 + q1 v v' +
-    q2 v^2 given one root, projectively (the root at infinity included)."""
-    C, B, A = q
-    s, w = known.coords
-    if w.is_zero():
-        # the known root at infinity forces A = 0
-        if not B.is_zero():
-            return P1Point(field, (-C, B))
-        if C.is_zero():
-            raise DegenerateInputError("fiber quadratic vanishes identically")
-        return P1Point.infinity(field)
-    if A.is_zero() and B.is_zero():
-        raise DegenerateInputError("fiber quadratic vanishes identically")
-    return P1Point(field, (-(B * w) - A * s, A * w))
+def _fibers(field, h):
+    """The fibers of the raw coefficient array h, with the involution on
+    them: ``in_v(u)``, h's columns against the monomials (b^2, ab, a^2) of
+    u = (a : b), as ``fiber_in_v``; ``in_u(v)``, h's rows against v's, as
+    ``fiber_in_u``; and ``_involution(field)``."""
+    mul, dot = field._mul, field._dot
+
+    def fiber(rows):
+        def at(p):
+            m = (mul(p[1], p[1]), mul(p[0], p[1]), mul(p[0], p[0]))
+            return tuple([dot(r, m) for r in rows])
+        return at
+    return fiber(list(zip(*h))), fiber(h), _involution(field)
 
 
-def _prepare(H, p, check):
-    """u, v of p = (u, v), both over H's field; p is on H if ``check``."""
-    u, v = p
-    if u.field != v.field:
-        raise FieldMismatchError("the two parameters live over different fields")
-    if check and not H.contains(u, v):
-        raise NotOnConicError("point does not lie on the incidence curve")
-    return u, v
+def _involution(field):
+    """Vieta on raw values: ``other(q, known, check)`` is the second root of
+    q0 w^2 + q1 sw + q2 s^2 in (s : w), given its canonical root ``known``,
+    the root (1 : 0) at infinity included; ``check`` first tests, by one
+    dot, that ``known`` is a root."""
+    zero = field.zero.value
+    mul, neg, dot = field._mul, field._neg, field._dot
+
+    def other(q, known, check=True):
+        C, B, A = q
+        s, w = known
+        if check and dot(q, (mul(w, w), mul(s, w), mul(s, s))) != zero:
+            raise NotOnConicError("point does not lie on the incidence curve")
+        if w != zero:  # the roots sum to -B/A
+            r = (neg(dot((B, A), (w, s))), mul(A, w))
+        elif B != zero:  # A = 0, so the finite root is -C/B
+            r = (neg(C), B)
+        else:  # a double root at infinity, unless q vanishes
+            r = known if C != zero else (zero, zero)
+        return _canonical(field, r, "fiber quadratic vanishes identically")
+    return other
+
+
+def _move(H, p, check, *moved):
+    """p = (u, v) with coordinate k = 0 (u) or 1 (v) of ``moved`` in turn
+    sent to the other root of its fiber; only the first move checks."""
+    if p[0].field != H.field or p[1].field != H.field:
+        raise FieldMismatchError("the parameters must lie over the form's field")
+    in_v, in_u, other = H._raw()
+    p = [_values(x) for x in p]
+    for k in moved:
+        p[k] = other(in_u(p[1]) if k == 0 else in_v(p[0]), p[k], check)
+        check = False
+    return _p1(H.field, p[0]), _p1(H.field, p[1])
 
 
 def sigma(H, p, check=True):
     """The involution fixing u: v goes to the other root of the fiber."""
-    u, v = _prepare(H, p, check)
-    return (u, _other_root(u.field, H.fiber_in_v(u), v))
+    return _move(H, p, check, 1)
 
 
 def tau(H, p, check=True):
     """The involution fixing v: u goes to the other root of the fiber."""
-    u, v = _prepare(H, p, check)
-    return (_other_root(u.field, H.fiber_in_u(v), u), v)
+    return _move(H, p, check, 0)
 
 
 def nu(H, p, check=True):
     """The step map sigma o tau; its fixed points are the singular points."""
-    return sigma(H, tau(H, p, check=check), check=False)
+    return _move(H, p, check, 0, 1)
 
 
 def nu_inverse(H, p, check=True):
-    return tau(H, sigma(H, p, check=check), check=False)
+    return _move(H, p, check, 1, 0)
 
 
 def state_to_params(H, state):

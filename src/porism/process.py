@@ -1,26 +1,25 @@
 """The Poncelet process as an exact iterated map on pairs (c, d).
 
 A state holds c on the outer conic C and d on the inner conic D with c on
-the tangent of D at d.  One step takes the second intersection of the
-current tangent line with C, then the second contact point of D seen from
-the new c -- both by Vieta, so after the (possibly lifting) initial branch
-choice everything stays in one field.  The step map is invertible, so orbit
-closure is detected by first return to the initial state.  ``start`` solves
-for the initial contact point and ``run`` iterates the step, both on raw
-field values; ``polar``/``intersect_line_conic`` and the geometric ``step``
-and ``step_inverse`` are their reference.  The raw geometry they use (the
-conic's gradient and value, the canonical scale, the span of a line) is
-``projective``'s own, so this module keeps none of its own.  ``porism_check``
-keeps its starts raw from draw to verdict, walks each closed cycle once,
-however many of its starts lie on it, and a lifted start's half way round.
+the tangent of D at d.  ``start`` solves for the initial contact point d1
+on raw values, lifting the pair one quadratic step when the two candidates
+are conjugate.  The walk is then nu = sigma o tau on E's raw parameters
+(u, v), the step of the incidence curve ``ecurve`` builds: both
+involutions are Vieta on a fiber, so everything stays in one field.  The
+step map is invertible, so orbit closure is detected by first return to the
+initial state.  ``polar``/``intersect_line_conic`` and the geometric
+``step`` and ``step_inverse`` are the reference.  ``porism_check`` walks
+each closed cycle once, however many of its starts lie on it, and a lifted
+start's half way round.
 """
 
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DegenerateInputError, NotOnConicError, TheoremViolation
+from .ecurve import _fibers, _incidence_rows
+from .errors import NotOnConicError, TheoremViolation
 from .poly import _monic_quadratic_roots
-from .projective import (_canonical, _point, _span,
+from .projective import (_canonical, _point, _span, _values,
                          _type_and_tangencies, other_intersection, parametrize,
                          polar, tangent_at, find_point)
 
@@ -33,7 +32,7 @@ class PonceletConfig:
     """A validated pair of smooth distinct conics with cached tangency data."""
 
     __slots__ = ("outer", "inner", "field", "tangencies", "intersection_type",
-                 "_lifted")
+                 "inner_par", "_lifted")
 
     def __init__(self, outer, inner, seed=0):
         if outer.field.char == 2:
@@ -44,8 +43,9 @@ class PonceletConfig:
         self.inner = inner
         self.field = outer.field
         self._lifted = None
-        self.intersection_type, self.tangencies = _type_and_tangencies(
-            outer, inner, seed)
+        # inner_par, over the pair's field, is the one E is pulled back along
+        self.intersection_type, self.tangencies, self.inner_par = \
+            _type_and_tangencies(outer, inner, seed)
 
     def in_field_tangencies(self):
         return [p for p in self.tangencies if p.field == self.field]
@@ -60,6 +60,7 @@ class PonceletConfig:
         lifted.inner = self.inner.lift(new_field)
         lifted.field = new_field
         lifted.intersection_type = self.intersection_type
+        lifted.inner_par = self.inner_par
         lifted.tangencies = [p.lift(new_field) if new_field.contains(p.field)
                              else p for p in self.tangencies]
         return lifted
@@ -98,7 +99,7 @@ def start(cfg, c1, branch="min"):
         raise ValueError("branch must be 'min' or 'max'")
     if not cfg.outer.contains(c1):
         raise NotOnConicError("initial point must lie on the outer conic")
-    new_cfg, (c, d) = _start(cfg, tuple(v.value for v in c1.coords), branch)
+    new_cfg, (c, d) = _start(cfg, _values(c1), branch)
     ext = new_cfg.field
     return new_cfg, PonceletState(_point(ext, c), _point(ext, d), 1), ext != cfg.field
 
@@ -165,15 +166,20 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=KEEP_ORBIT):
 
     The step map is a bijection, so the orbit is a pure cycle and comparing
     against the initial state alone detects the period.  The orbit is
-    iterated on raw field values (``_orbit``); ``step`` is the reference it
-    reproduces, and states are built only for the kept prefix.
+    iterated as nu on E's raw parameters (``_orbit``), with the outer conic
+    parametrized through c1; ``step`` is the reference it reproduces, and
+    states are built only for the kept prefix.
     """
     max_steps = _step_budget(cfg, max_steps)
-    cfg, initial, lifted = start(cfg, c1, branch)
-    period, kept, _ = _orbit(cfg, _raw_state(initial), max_steps, keep_orbit)
+    lifted_cfg, initial, lifted = start(cfg, c1, branch)
+    E = _Incidence(cfg, parametrize(cfg.outer, c1), lifted_cfg)
+    (c, d), field = _raw_state(initial), E.field
+    period, kept, _ = _orbit(E, (E.outer[1](c), E.inner[1](d)), max_steps,
+                             keep_orbit)
     orbit = [initial] + [
-        PonceletState(_point(cfg.field, c), _point(cfg.field, d), i)
-        for i, (c, d) in enumerate(kept, start=2)]
+        PonceletState(_point(field, E.outer[0](u)),
+                      _point(field, E.inner[0](v)), i)
+        for i, (u, v) in enumerate(kept, start=2)]
     return ProcessResult("closed" if period else "open", period=period,
                          steps=period or max_steps, lifted=lifted,
                          orbit=orbit[:keep_orbit])
@@ -188,94 +194,93 @@ def _step_budget(cfg, max_steps):
 
 
 def _raw_state(state):
-    return (tuple(v.value for v in state.c.coords),
-            tuple(v.value for v in state.d.coords))
+    return _values(state.c), _values(state.d)
 
 
-def _orbit(cfg, initial, max_steps, keep, watch=(), fold=False):
-    """``step`` iterated from the raw state ``initial`` = (c, d) on tuples of
-    raw field values, with the same incidence checks.  A tangency start is
-    fixed by the step, so it closes at step 1; any other orbit meeting a
-    tangency state is a theorem violation.  Returns (period, or 0 if the
-    orbit stays open, the raw (c, d) pairs of the states with index
-    2 .. keep, and the raw states of ``watch`` that the walk met, in the
-    order met).
+class _Incidence:
+    """E of ``cfg``'s pair, pulled back along ``outer_par`` and the config's
+    ``inner_par`` (both over cfg's field K), on raw values over the field
+    of ``lifted``, cfg or its lift: E's ``fibers`` and involution, the raw
+    (``point_at``, ``param_of``) of both parametrizations, and E's singular
+    points, the tangency points' (u, v).  Over K's quadratic extension each
+    K-value v is embedded once, as (v, K's zero)."""
 
-    ``fold`` is for a lifted start P = (c1, d1): c1 in the base field K,
-    d1 conjugate, and ``cfg`` over K's quadratic extension.  The step is
-    nu = tau o sigma, where sigma moves c along the tangent at d and tau
-    moves d to the other contact point seen from c.  Both involutions are
-    defined over K, so they commute with the Galois involution phi, and
-    phi(P) = tau(P).  Write Q_k = nu^k(P) = (c_k, d_k).
-    - tau nu^k tau = nu^{-k} gives phi(Q_k) = tau(Q_{-k}), so
-      phi(c_k) = c_{-k}; and sigma(Q_k) = tau(Q_{k+1}) gives
-      phi(d_k) = d_{-k-1}.
-    - So c_k lies in K iff Q_k = Q_{-k}, that is iff the period n divides
-      2k, and d_k lies in K iff Q_k = Q_{-k-1}, that is iff n divides
-      2k + 1.  The other state with the same c, or the same d, would give
-      P = tau(P), but d1 is not in K.
-    - Unless Q_k = P closes first (n = 1), the first k >= 1 with c_k in K
-      gives n = 2k and the first with d_k in K gives n = 2k + 1.  The walk
+    __slots__ = ("field", "fibers", "outer", "inner", "singular")
+
+    def __init__(self, cfg, outer_par, lifted=None):
+        lifted = lifted or cfg
+        field = self.field = lifted.field
+        h = _incidence_rows(cfg.inner, outer_par, cfg.inner_par)
+        embed, base, zero = None, cfg.field, cfg.field.zero.value
+        if field != base:
+            def embed(c):
+                return base(c).value, zero
+            h = [[(v, zero) for v in row] for row in h]
+        self.fibers = _fibers(field, h)
+        self.outer = outer_par._maps(field, embed)
+        self.inner = cfg.inner_par._maps(field, embed)
+        self.singular = {(self.outer[1](t), self.inner[1](t)) for t in (
+            _values(p) for p in lifted.tangencies if p.field == field)}
+
+
+def _orbit(E, initial, max_steps, keep, watch=(), fold=False):
+    """nu = sigma o tau on ``E`` (an ``_Incidence``) from the raw parameters
+    ``initial`` = (u, v) of a state (c, d); ``step`` is its reference.  tau
+    moves c along the tangent at d and sigma moves d to the other contact
+    point seen from c, each by E's involution, which checks that its known
+    root is a root of its fiber.  A tangency start is a singular point of
+    E, fixed by nu, so it closes at step 1; any other orbit meeting one is
+    a theorem violation.  Returns (period, or 0 if the orbit stays open,
+    the raw (u, v) of the states with index 2 .. keep, and the raw states
+    of ``watch`` that the walk met, in the order met).
+
+    ``fold`` is for a lifted start P = (u1, v1): c1 in the base field K, d1
+    conjugate, and ``E`` over K's quadratic extension.  Both involutions
+    are defined over K, so they commute with the Galois involution phi, and
+    phi(P) = sigma(P).  Write Q_k = nu^k(P) = (u_k, v_k).
+    - sigma nu^k sigma = nu^{-k} gives phi(Q_k) = sigma(Q_{-k}), so
+      phi(u_k) = u_{-k}; and sigma(Q_{k+1}) = tau(Q_k) gives
+      phi(v_k) = v_{-k-1}.
+    - This needs both parametrizations over K: then E's form is, and u_k
+      lies in K iff c_k does, and v_k iff d_k does.  A parametrization
+      through the conjugate d1 would give neither.
+    - So u_k lies in K iff Q_k = Q_{-k}, that is iff the period n divides
+      2k, and v_k lies in K iff Q_k = Q_{-k-1}, that is iff n divides
+      2k + 1.  The other state with the same u, or the same v, would give
+      P = sigma(P), but d1 is not in K.
+    - Unless Q_k = P closes first (n = 1), the first k >= 1 with u_k in K
+      gives n = 2k and the first with v_k in K gives n = 2k + 1.  The walk
       stops there, at k = floor(n/2), and returns n if n <= max_steps,
       else 0: the verdict of the whole walk.
-    - Every unwalked state Q_{-j} is phi tau(Q_j), so the incidence checks
-      and the tangency canary on the walked half hold for the other half.
-    - The states of the cycle whose c lies in K, all that a start of
+    - Every unwalked state Q_{-j} is phi sigma(Q_j), so the incidence
+      checks and the tangency canary on the walked half hold for the other
+      half.
+    - The states of the cycle whose u lies in K, all that a start of
       ``porism_check`` can be, are P and, for even n, the last one walked,
       which ``watch`` sees before the walk stops.
-    A coordinate lies in K when its second raw component is K's zero."""
-    field = cfg.field
-    mul, neg, dot = field._mul, field._neg, field._dot
-    zero, one = field.zero.value, field.one.value
-    kzero = zero[1] if fold else None
-
-    def in_k(p):
-        return p[0][1] == kzero and p[1][1] == kzero and p[2][1] == kzero
-
-    def other(value, g, line, p):
-        # Second point of line /\ conic through the canonical point p, with
-        # g = grad(p): Vieta on p and o = line x e_k, where p_k = 1.
-        if dot(g, p) != zero or dot(line, p) != zero:
-            raise DegenerateInputError(
-                "known point must lie on both the line and the conic")
-        l0, l1, l2 = line
-        if p[0] == one:
-            o = (zero, l2, neg(l1))
-        elif p[1] == one:
-            o = (neg(l2), zero, l0)
-        else:
-            o = (l1, neg(l0), zero)
-        beta = dot(g, o)
-        if beta == zero:
-            return p
-        w = (neg(value(o)), beta)
-        return _canonical(field, [dot(w, ab) for ab in zip(p, o)])
-
-    grad_c, value_c = cfg.outer._forms()
-    grad_d, value_d = cfg.inner._forms()
-    c0, d0 = c, d = initial
-    tangent = grad_d(d)
+    A canonical (a : b) has a = 0 or 1, so it lies in K when b's second
+    raw component is K's zero."""
+    in_v, in_u, other = E.fibers
+    singular = E.singular
+    kzero = E.field.zero.value[1] if fold else None
+    u, v = initial
     kept, met = [], []
     for i in range(1, max_steps + 1):
-        c = other(value_c, grad_c(c), tangent, c)
-        d = other(value_d, tangent, grad_d(c), d)
-        tangent = grad_d(d)
-        if c == c0 and d == d0:
+        u = other(in_u(v), u)
+        v = other(in_v(u), v)
+        state = (u, v)
+        if state == initial:
             return i, kept, met
-        if watch and (c, d) in watch:
-            met.append((c, d))
-        if c == d:
-            # the conics are tangent at c when their gradients are parallel
-            g = grad_c(c)
-            if all(mul(g[j], tangent[k]) == mul(g[k], tangent[j])
-                   for j, k in ((0, 1), (0, 2), (1, 2))):
-                raise TheoremViolation(
-                    "orbit of a non-tangency start hit a tangency point; "
-                    "this contradicts invertibility of the step map")
+        if watch and state in watch:
+            met.append(state)
+        if singular and state in singular:
+            raise TheoremViolation(
+                "orbit of a non-tangency start hit a tangency point; "
+                "this contradicts invertibility of the step map")
         if i < keep:
-            kept.append((c, d))
+            kept.append(state)
         if fold:
-            n = 2 * i if in_k(c) else 2 * i + 1 if in_k(d) else 0
+            n = 2 * i if u[1][1] == kzero else 2 * i + 1 if v[1][1] == kzero else 0
             if n:
                 return (n if n <= max_steps else 0), kept, met
     return 0, kept, met
@@ -283,21 +288,25 @@ def _orbit(cfg, initial, max_steps, keep, watch=(), fold=False):
 
 def sample_starts(cfg, num_starts, seed):
     """Deterministic sample of points of the outer conic away from the
-    tangency points, via the conic's parametrization: ``_sample_starts`` as points."""
-    return [_point(cfg.field, c) for c in _sample_starts(cfg, num_starts, seed)]
+    tangency points, via the conic's parametrization: ``_sample_starts``'
+    parameters mapped to points."""
+    par, params = _sample_starts(cfg, num_starts, seed)
+    point_at = par._maps(cfg.field)[0]
+    return [_point(cfg.field, point_at(u)) for u in params]
 
 
 def _sample_starts(cfg, num_starts, seed):
-    """The sampled starts' raw coordinates: a drawn (a : b), canonical and not
-    a tangency's, goes to ``point_at``'s c_r0 b^2 + c_r1 ab + c_r2 a^2."""
+    """The outer conic's parametrization through ``find_point`` and the
+    sampled starts' raw parameters: drawn (a : b), canonical and not a
+    tangency's."""
     if num_starts < 1:
         raise ValueError("num_starts must be at least 1")
     rng = random.Random(seed)
     par = parametrize(cfg.outer, find_point(cfg.outer, seed))
     field = cfg.field
     one, zero = field.one.value, field.zero.value
-    excluded = {tuple(v.value for v in par.param_of(p).coords)
-                for p in cfg.in_field_tangencies()}
+    param_of = par._maps(field)[1]
+    excluded = {param_of(_values(p)) for p in cfg.in_field_tangencies()}
     if field.size is not None:
         # the shuffle of [infinity, affine(element(0)), ...] moves indices,
         # so shuffle the indices and reach only the parameters it visits
@@ -315,18 +324,14 @@ def _sample_starts(cfg, num_starts, seed):
         while len(seen) < 4 * num_starts + 8:
             seen.add(Fraction(rng.randrange(-50, 51), rng.randrange(1, 12)))
         params = [(one, zero)] + [(field(v).value, one) for v in sorted(seen)]
-    rows = [[c.value for c in row] for row in par.c]
-    mul, dot = field._mul, field._dot
     out = []
     for t in params:
-        a, b = t = _canonical(field, t)
-        if t in excluded:
-            continue
-        ab = (mul(b, b), mul(a, b), mul(a, a))
-        out.append(_canonical(field, [dot(row, ab) for row in rows]))
-        if len(out) == num_starts:
-            break
-    return out
+        t = _canonical(field, t)
+        if t not in excluded:
+            out.append(t)
+            if len(out) == num_starts:
+                break
+    return par, out
 
 
 @dataclass
@@ -353,21 +358,32 @@ def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
     cycle that a start can be, so each later start it meets over an equal
     field has its period and is not walked; an open walk is a prefix and
     settles only its own start.  A lifted start is walked only to its
-    Galois mirror (``_orbit``'s ``fold``)."""
-    starts = _sample_starts(cfg, num_starts, seed)
+    Galois mirror (``_orbit``'s ``fold``).  Starts are walked on E pulled
+    back along the draw's parametrization, whose drawn parameters are the
+    starts' u."""
+    par, params = _sample_starts(cfg, num_starts, seed)
     max_steps = _step_budget(cfg, max_steps)
-    solved = [_start(cfg, c1) for c1 in starts]
-    pending = {}  # field -> {raw initial state: index} of the unsettled starts
-    for i, (start_cfg, initial) in enumerate(solved):
-        pending.setdefault(start_cfg.field, {})[initial] = i
+    point_at, zero = par._maps(cfg.field)[0], cfg.field.zero.value
+    # field -> (E, {raw initial (u, v): index} of its unsettled starts)
+    curves, solved = {}, []
+    for u in params:
+        start_cfg, (_, d1) = _start(cfg, point_at(u))
+        if start_cfg.field not in curves:
+            curves[start_cfg.field] = _Incidence(cfg, par, start_cfg), {}
+        E, watch = curves[start_cfg.field]
+        if E.field != cfg.field:
+            u = tuple((x, zero) for x in u)
+        initial = u, E.inner[1](d1)
+        watch[initial] = len(solved)
+        solved.append((E, initial))
     periods = [None] * len(solved)
-    for i, (start_cfg, initial) in enumerate(solved):
+    for i, (E, initial) in enumerate(solved):
         if periods[i] is not None:
             continue
-        watch = pending[start_cfg.field]
+        watch = curves[E.field][1]
         del watch[initial]
-        periods[i], _, met = _orbit(start_cfg, initial, max_steps, 0, watch,
-                                    start_cfg.field != cfg.field)
+        periods[i], _, met = _orbit(E, initial, max_steps, 0, watch,
+                                    E.field != cfg.field)
         if periods[i]:
             for state in met:
                 periods[watch.pop(state)] = periods[i]

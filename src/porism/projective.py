@@ -47,6 +47,15 @@ def _point(field, raw):
     return ProjPoint(field, [FieldElement(field, v) for v in raw])
 
 
+def _p1(field, raw):
+    return P1Point(field, [FieldElement(field, v) for v in raw])
+
+
+def _values(p):
+    """The raw coordinates of a point of P^1 or P^2."""
+    return tuple(c.value for c in p.coords)
+
+
 def _span(field, line):
     """Two distinct points spanning a line, as raw values: the first two
     distinct nonzero crosses of the line with e_0, e_1, e_2, canonical."""
@@ -444,7 +453,7 @@ class ConicParametrization:
     through a base point: three binary quadratic forms q_r(a, b), stored as
     affine coefficient triples c[r][j] of u^j with u = a/b."""
 
-    __slots__ = ("conic", "base", "c", "span_idx", "axis")
+    __slots__ = ("conic", "base", "tangent", "c", "span_idx", "axis")
 
     def __init__(self, conic, base):
         if not conic.contains(base):
@@ -459,7 +468,7 @@ class ConicParametrization:
         f0 = conic.evaluate(e_i)
         f1 = conic.bilinear(e_i, e_j)
         f2 = conic.evaluate(e_j)
-        grad = conic.gradient(base.coords)
+        grad = self.tangent = conic.gradient(base.coords)
         g0, g1 = grad[i], grad[j]
         c = [[field.zero] * 3 for _ in range(3)]
         for r in range(3):
@@ -477,24 +486,37 @@ class ConicParametrization:
         self.span_idx = (i, j)
         self.axis = k
 
+    def _maps(self, field, embed=None):
+        """``point_at`` and ``param_of`` on raw values over ``field``, the
+        conic's field or one above it, whose raw value of an element of the
+        conic's field is ``embed``'s (``field``'s coercion when not given).
+        The line through the base b and p meets x_k = 0 at
+        x = b_k p - p_k b, or at (t_j : -t_i) for the tangent t at p = b."""
+        mul, neg, dot = field._mul, field._neg, field._dot
+        val = embed or (lambda c: field(c).value)
+        rows = [[val(c) for c in row] for row in self.c]
+        b = tuple(val(c) for c in self.base.coords)
+        t = [val(g) for g in self.tangent]
+        k, (i, j) = self.axis, self.span_idx
+
+        def point_at(u):
+            m = (mul(u[1], u[1]), mul(u[0], u[1]), mul(u[0], u[0]))
+            return _canonical(field, [dot(row, m) for row in rows])
+
+        def param_of(p):
+            if p == b:
+                return _canonical(field, (neg(t[i]), t[j]))
+            w = (b[k], neg(p[k]))
+            return _canonical(field, [dot(w, (p[r], b[r])) for r in (j, i)])
+        return point_at, param_of
+
     def point_at(self, p1):
         """The conic point with parameter p1; exact in any tower extension."""
-        a, b = p1.coords
-        field = p1.field
-        coords = [field(self.c[r][0]) * b * b + field(self.c[r][1]) * a * b
-                  + field(self.c[r][2]) * a * a for r in range(3)]
-        return ProjPoint(field, coords)
+        return _point(p1.field, self._maps(p1.field)[0](_values(p1)))
 
     def param_of(self, point):
-        """Inverse map: the parameter of a conic point over the conic's
-        field."""
-        field = point.field
-        line = (tangent_at(self.conic, self.base) if point == self.base
-                else line_through(self.base, point))
-        axis = [field.one if r == self.axis else field.zero for r in range(3)]
-        x = _cross(list(line.coeffs), axis)
-        i, j = self.span_idx
-        return P1Point(field, (x[j], x[i]))
+        """Inverse map: the parameter of a conic point."""
+        return _p1(point.field, self._maps(point.field)[1](_values(point)))
 
 
 def parametrize(conic, base):
@@ -590,10 +612,10 @@ def _repeated_params(field, at_inf, parts):
 
 def _type_and_tangencies(c, d, seed):
     """``multiplicity_structure`` and ``tangency_points`` of the pair from
-    one pullback."""
+    one pullback, and the parametrization of d it pulls back along."""
     par, at_inf, parts = _pullback(c, d, seed)
     pts = [par.point_at(t) for t in _repeated_params(c.field, at_inf, parts)]
-    return _multiplicities(at_inf, parts), pts
+    return _multiplicities(at_inf, parts), pts, par
 
 
 class NormalizedPair:
@@ -689,7 +711,7 @@ def classify(c, d, seed=0):
     the pullback quartic; when the pair is tangent the result is
     cross-checked against the normal-form criteria.
     """
-    mults, pts = _type_and_tangencies(c, d, seed)
+    mults, pts, _ = _type_and_tangencies(c, d, seed)
     if mults[0] >= 2:
         normal_form(c, d, seed, mults, pts)
     return mults
@@ -701,7 +723,7 @@ def normal_form(c, d, seed=0, mults=None, points=None):
     given, are the pair's type and tangency points (as ``PonceletConfig``
     holds them) and are not computed again."""
     if mults is None:
-        mults, points = _type_and_tangencies(c, d, seed)
+        mults, points, _ = _type_and_tangencies(c, d, seed)
     if mults[0] < 2:
         raise DegenerateInputError("conics are nowhere tangent; "
                                    "nothing to normalize")

@@ -7,8 +7,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import porism
-from porism import cli, ecurve, projective
+from porism import cli, ecurve, process, projective
+from porism.errors import TheoremViolation
 
 SRC = os.path.dirname(porism.__file__)
 
@@ -127,3 +130,37 @@ def test_ecurve_singular_count_canary_fires_under_python_O():
     assert got.returncode == 2, got.stderr
     assert "theorem violation: node curve with 0 singular points" in got.stderr
     assert got.stdout == ""
+
+
+# the Euler triangle pair over Q, from (4 : 0 : 1): period 3
+TRIANGLE = ('{"outer": {"field": "Q", "coeffs": [1, 1, -16, 0, 0, 0]}, '
+            '"inner": {"field": "Q", "coeffs": [1, 1, "7/4", 0, -4, 0]}, '
+            '"c1": [4, 0, 1]}')
+
+
+def force_a_tangency_hit(monkeypatch):
+    """Put the state of each walk's first step into E's singular set."""
+    wrapped = process._orbit
+
+    def forced(E, initial, *args):
+        in_v, in_u, other = E.fibers
+        u = other(in_u(initial[1]), initial[0])
+        E.singular = E.singular | {(u, other(in_v(u), initial[1]))}
+        return wrapped(E, initial, *args)
+    monkeypatch.setattr(process, "_orbit", forced)
+
+
+def test_a_walk_onto_a_singular_point_of_e_fires_its_canary(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(TRIANGLE))
+    assert cli.main(["run", "-", "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["period"] == 3
+    outer, inner = cli.read_pair(json.loads(NODE_PAIR))
+    cfg = process.PonceletConfig(outer, inner)
+    assert process.porism_check(cfg).passed
+    force_a_tangency_hit(monkeypatch)
+    message = "orbit of a non-tangency start hit a tangency point"
+    with pytest.raises(TheoremViolation, match=message):
+        process.porism_check(cfg)
+    monkeypatch.setattr("sys.stdin", io.StringIO(TRIANGLE))
+    assert cli.main(["run", "-", "--json"]) == cli.EXIT_VIOLATION
+    assert f"theorem violation: {message}" in capsys.readouterr().err

@@ -594,3 +594,20 @@ def test_a_json_integer_field_takes_only_integers(tmp_path, capsys, command,
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"].startswith(prefix + ": ")
+
+
+def test_ecurve_reports_a_split_whose_components_need_a_second_root(tmp_path, capsys):
+    # x^2 - 3yz with x^2 - yz, type (2,2): the components need sqrt(24),
+    # one quadratic step above Q but a second one above Q(sqrt 2)
+    for spec, factored in (("Qsqrt:2", False), ("Q", True)):
+        obj = {"outer": {"field": spec, "coeffs": [1, 0, 0, 0, 0, -3]},
+               "inner": {"field": spec, "coeffs": [1, 0, 0, 0, 0, -1]}}
+        path = write_json(tmp_path, "pair.json", obj)
+        code, out, err = run_cli(capsys, "ecurve", path, "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["shape"] == "two components, transversal"
+        assert data["reducible"] is True and len(data["singular_points"]) == 2
+        assert ("factors" in data) is ("split_lifted" in data) is factored
+        if factored:
+            assert data["split_lifted"] is True

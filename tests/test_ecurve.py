@@ -94,6 +94,48 @@ def test_maps_reject_points_off_curve(F7):
                if not H.contains(u, v))
     with pytest.raises(NotOnConicError):
         nu(H, off)
+    # the first move checks, by one dot on the fiber, for every map
+    for move in (sigma, tau, nu_inverse):
+        with pytest.raises(NotOnConicError):
+            move(H, off)
+
+
+def brute_force_other_root(q, known):
+    """The other root of the fiber quadratic q0 w^2 + q1 sw + q2 s^2 among
+    all points (s : w) of P^1, or ``known`` itself at a double root."""
+    field = known.field
+    p1 = [P1Point.infinity(field)] + [P1Point.affine(e) for e in field.elements()]
+    roots = [r for r in p1 if sum((c * m for c, m in zip(
+        q, (r.coords[1] ** 2, r.coords[0] * r.coords[1], r.coords[0] ** 2))),
+        start=field.zero).is_zero()]
+    assert known in roots and 1 <= len(roots) <= 2
+    return next((r for r in roots if r != known), known)
+
+
+def test_raw_involution_matches_brute_force_roots_on_every_point(F13):
+    # sigma and tau on every point of E, for random pairs and normal pairs
+    # (whose (u, v) = (inf, inf) fibers have A = B = 0 for a = 0)
+    rng = random.Random("vieta")
+    forms = [build_E(*random_smooth_pair(F13, rng)) for _ in range(4)]
+    forms += [build_E_normalized(F13(t), F13(a), F13(b))
+              for t, a, b in ((0, 0, 2), (3, 0, 1), (2, 5, 7), (0, 1, 1))]
+    cases = set()
+    for H in forms:
+        for u, v in all_points(H):
+            for q, known, got in ((H.fiber_in_v(u), v, sigma(H, (u, v))[1]),
+                                  (H.fiber_in_u(v), u, tau(H, (u, v))[0])):
+                want = brute_force_other_root(q, known)
+                assert got == want
+                C, B, A = q
+                if known.coords[1].is_zero():
+                    cases.add("infinity, B = 0" if B.is_zero() else
+                              "infinity, B != 0")
+                elif A.is_zero():
+                    cases.add("A = 0, finite")
+                if want == known:
+                    cases.add("double root")
+    assert cases == {"infinity, B = 0", "infinity, B != 0", "A = 0, finite",
+                     "double root"}
 
 
 def test_singular_points_are_tangencies(F13):

@@ -6,7 +6,8 @@ import pytest
 
 from porism.errors import ExtensionOverflowError, NotOnConicError
 from porism.fields import (FieldElement, PrimeField, QuadRationalField,
-                           RationalField, parse_field_spec)
+                           RationalField, _quadratic_extension,
+                           parse_field_spec)
 from porism.poly import binary_form_roots
 from porism.process import (PonceletConfig, PonceletState, ProcessResult,
                             _raw_state, is_tangency_state, porism_check, run,
@@ -422,7 +423,9 @@ def test_sample_starts_match_the_list_reference(spec):
             want = sample_starts_reference(cfg, n, seed)
             assert sample_starts(cfg, n, seed) == want
             # the raw draw is point_at on the same shuffled parameters
-            assert process._sample_starts(cfg, n, seed) == [
+            par, params = process._sample_starts(cfg, n, seed)
+            point_at = par._maps(cfg.field)[0]
+            assert [point_at(u) for u in params] == [
                 tuple(v.value for v in p.coords) for p in want]
 
 
@@ -548,10 +551,11 @@ def test_porism_check_walks_no_start_on_an_earlier_closed_cycle(spec, monkeypatc
     walked = []
     wrapped = process._orbit
 
-    def counted(cfg, initial, *args):
-        c, d = initial
-        walked.append((cfg.field, _point(cfg.field, c), _point(cfg.field, d)))
-        return wrapped(cfg, initial, *args)
+    def counted(E, initial, *args):
+        u, v = initial
+        walked.append((E.field, _point(E.field, E.outer[0](u)),
+                       _point(E.field, E.inner[0](v))))
+        return wrapped(E, initial, *args)
     configs, rng = sharing_configs(spec)
     shared = 0
     for cfg in configs:
@@ -611,25 +615,29 @@ def test_sample_starts_leaves_every_point_but_the_tangencies(p):
 
 
 def lifted_starts(cfg, num_starts, seed):
-    """The lifted (config, raw state) pairs of both branches of the sampled
-    starts."""
+    """The lifted (E, raw (u, v)) pairs of both branches of the sampled
+    starts, on E pulled back along the draw's parametrization."""
+    import porism.process as process
+    par = process._sample_starts(cfg, num_starts, seed)[0]
     out = []
     for c1 in sample_starts(cfg, num_starts, seed):
         for branch in ("min", "max"):
             lifted_cfg, initial, lifted = start(cfg, c1, branch)
             if lifted:
-                out.append((lifted_cfg, _raw_state(initial)))
+                E = process._Incidence(cfg, par, lifted_cfg)
+                c, d = _raw_state(initial)
+                out.append((E, (E.outer[1](c), E.inner[1](d))))
     return out
 
 
-def assert_fold_matches_the_full_walk(lifted_cfg, initial, budget):
+def assert_fold_matches_the_full_walk(E, initial, budget):
     """The folded walk's verdict equals the full walk's at the budget and at
     n - 1, n and n + 1 for the period n; returns n."""
     import porism.process as process
-    n = process._orbit(lifted_cfg, initial, budget, 0)[0]
+    n = process._orbit(E, initial, budget, 0)[0]
     for max_steps in {budget, max(n - 1, 0), n, n + 1}:
-        assert process._orbit(lifted_cfg, initial, max_steps, 0, (), True)[0] \
-            == process._orbit(lifted_cfg, initial, max_steps, 0)[0]
+        assert process._orbit(E, initial, max_steps, 0, (), True)[0] \
+            == process._orbit(E, initial, max_steps, 0)[0]
     return n
 
 
@@ -642,9 +650,9 @@ def test_folded_walk_of_a_lifted_start_has_the_full_walks_period(spec):
     configs = [PonceletConfig(*random_smooth_pair(field, rng)) for _ in range(6)]
     periods = []
     for cfg in configs + tangent_configs(field, rng):
-        for lifted_cfg, initial in lifted_starts(cfg, 6, rng.randrange(100)):
+        for E, initial in lifted_starts(cfg, 6, rng.randrange(100)):
             periods.append(assert_fold_matches_the_full_walk(
-                lifted_cfg, initial, hasse))
+                E, initial, hasse))
     # every lifted orbit closes, with periods of both parities
     assert periods and all(periods)
     assert {n % 2 for n in periods} == {0, 1}
@@ -659,36 +667,35 @@ def test_folded_walk_over_q_has_the_full_walks_period(Q):
                Conic(Q, [1, 1, -1, 0, -2, 0]))
     periods = []
     for outer, inner in (euler, fuss, circles):
-        for lifted_cfg, initial in lifted_starts(PonceletConfig(outer, inner), 2, 1):
-            assert isinstance(lifted_cfg.field, QuadRationalField)
-            periods.append(assert_fold_matches_the_full_walk(
-                lifted_cfg, initial, 6))
+        for E, initial in lifted_starts(PonceletConfig(outer, inner), 2, 1):
+            assert isinstance(E.field, QuadRationalField)
+            periods.append(assert_fold_matches_the_full_walk(E, initial, 6))
     assert set(periods) == {3, 4, 0}
 
 
-def test_folded_walk_stops_at_half_the_period(monkeypatch):
+def test_folded_walk_stops_at_half_the_period():
     import porism.process as process
-    canonical = process._canonical
     calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return canonical(*args)
     walked = 0
     for spec in ("Fp:13", "Fq:3^3:1,2,0,1"):
         field = parse_field_spec(spec)
         rng = random.Random("half:" + spec)
         for _ in range(4):
             cfg = PonceletConfig(*random_smooth_pair(field, rng))
-            for lifted_cfg, initial in lifted_starts(cfg, 4, rng.randrange(100)):
-                n = process._orbit(lifted_cfg, initial, 2 * field.size, 0)[0]
+            for E, initial in lifted_starts(cfg, 4, rng.randrange(100)):
+                n = process._orbit(E, initial, 2 * field.size, 0)[0]
+                # count the involution's calls, two a step
+                in_v, in_u, other = E.fibers
+
+                def counted(*args, _other=other):
+                    calls.append(args)
+                    return _other(*args)
+                E.fibers = in_v, in_u, counted
                 calls.clear()
-                monkeypatch.setattr(process, "_canonical", counted)
-                folded = process._orbit(lifted_cfg, initial, 2 * field.size,
+                folded = process._orbit(E, initial, 2 * field.size,
                                         0, (), True)[0]
-                monkeypatch.setattr(process, "_canonical", canonical)
                 assert folded == n
-                assert len(calls) <= 2 * (n // 2) + 2
+                assert 2 * (n // 2) <= len(calls) <= 2 * (n // 2) + 2
                 walked += 1
     assert walked >= 10
 
@@ -878,3 +885,18 @@ def test_porism_check_builds_no_point_per_start(F13, monkeypatch):
     # parameters of the tangencies the draw leaves out
     assert built[ProjPoint] <= 1 + len(cfg.tangencies)
     assert built[P1Point] <= len(cfg.in_field_tangencies())
+
+
+@pytest.mark.parametrize("spec", ["Fp:13", "Fq:3^3:1,2,0,1"])
+def test_run_on_a_lifted_config_matches_step(spec):
+    # a lifted config keeps the inner parametrization of its base field,
+    # which E is pulled back along after an embedding
+    field = parse_field_spec(spec)
+    rng = random.Random("lifted-config:" + spec)
+    for _ in range(3):
+        cfg = PonceletConfig(*random_smooth_pair(field, rng))
+        ext = cfg.lift(_quadratic_extension(field))
+        for c1 in sample_starts(cfg, 2, rng.randrange(100)):
+            for branch in ("min", "max"):
+                assert_run_matches_step(ext, c1.lift(ext.field), branch=branch,
+                                        max_steps=4 * field.size)

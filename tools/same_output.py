@@ -23,7 +23,11 @@ which puts the walk of starts lifted to Q(sqrt d) under it; and each
 ternary (n = 3) form of the structure round's ``char2-normalize``
 operations is also run as ``porism char2-strange-point`` on the conic with
 the same coefficients (missing ones are 0), which puts the char-2
-smoothness test under it.  Each seed also runs ``porism sweep --count 3
+smoothness test under it.  Each ``porism-check`` operation of the check
+round is also run with ``--max-steps 64``, above F_{3^3}'s Hasse bound of
+38, which puts the closed walks the default budget of 10 * char leaves open
+(F_{3^3} periods up to 38, long folded walks) under the comparison.  Each
+seed also runs ``porism sweep --count 3
 --num-starts 4 --seed <seed>`` over each of ``SWEEP_FIELDS``, with the
 ``elapsed_ms`` timing field of its records removed, which puts the random
 pairs, the sweep's own pass rule and its writer under it.  Every operation's
@@ -54,9 +58,10 @@ prog = types.SimpleNamespace(cli=porism.cli, projective=porism.projective)
 MONOMIALS = ("0,0", "1,1", "2,2", "0,1", "0,2", "1,2")
 rows = []
 
-def also(op, command, suffix, text, shown=None):
+def also(op, command, suffix, text, shown=None, extra=()):
     # the operation's input run as another command
-    code, out = workloads.call_cli(porism.cli.main, [command, *op.argv[1:]], text)
+    code, out = workloads.call_cli(porism.cli.main,
+                                   [command, *op.argv[1:], *extra], text)
     rows.append([name, seed, op.label + suffix, shown or command, code, out])
 
 for name in sys.argv[1].split(","):
@@ -77,6 +82,8 @@ for name in sys.argv[1].split(","):
                          "coeffs": [form.get(key, "0") for key in MONOMIALS]}
                 also(op, "char2-strange-point", " strange-point", json.dumps(conic))
             if command == "porism-check":
+                also(op, command, " max-steps 64", op.text,
+                     "porism-check --max-steps 64", ("--max-steps", "64"))
                 for branch in ("min", "max"):
                     also(op, "run", " run " + branch,
                          json.dumps(dict(op.obj, branch=branch)), "run " + branch)
