@@ -14,7 +14,7 @@ sqrt(a) = a^(2^(k-1)).
 """
 
 from .errors import DegenerateInputError, TheoremViolation
-from .fields import ExtensionField
+from .fields import ExtensionField, FieldElement
 from .projective import ProjPoint, tangent_at
 
 
@@ -203,84 +203,93 @@ def symplectic_normalize(q):
     pairs; each pair's binary quadratic is split into two linear factors
     (adjoining at most one quadratic extension per split, recorded in the
     result); the radical of the polar form collapses to a single square
-    term since x -> x^2 is additive."""
-    field = q.field
-    n = q.n
-    vectors = [[field.one if r == k else field.zero for r in range(n)]
-               for k in range(n)]
-    remaining = list(vectors)
-    pairs = []
-    lifted = False
+    term since x -> x^2 is additive.  The basis vectors are lists of raw
+    values, on which q(v) = v.(Uv) and B_q(u, v) = u.(Bv) are fused dots,
+    with U the upper triangle of q's coefficients and B = U + U^T."""
+    field, n = q.field, q.n
+    zero, one = field.zero.value, field.one.value
+    upper = [[zero] * n for _ in range(n)]
+    for (i, j), a in q.coeffs.items():
+        upper[i][j] = a.value
+    remaining = [[one if r == k else zero for r in range(n)] for k in range(n)]
+    columns, lifted = [], False
 
-    def relift(new_field):
-        nonlocal field, q, remaining, pairs, lifted
-        conv = lambda v: [new_field(c) for c in v]
-        q = q.map_field(new_field)
-        remaining = [conv(v) for v in remaining]
-        pairs = [(conv(u), conv(w)) for u, w in pairs]
-        field = new_field
-        lifted = True
+    def forms(field):
+        add, dot = field._add, field._dot
+        polar = [[add(x, y) for x, y in zip(row, col)]
+                 for row, col in zip(upper, zip(*upper))]
 
+        def times_polar(v):
+            return [dot(row, v) for row in polar]
+
+        def value(v):
+            return dot(v, [dot(row, v) for row in upper])
+        return dot, times_polar, value
+
+    dot, times_polar, value = forms(field)
     while True:
+        # the first pair a < b, in order, with B(r_a, r_b) = (B r_a).r_b != 0
         found = None
-        for a in range(len(remaining)):
-            for b in range(a + 1, len(remaining)):
-                if not q.polar(remaining[a], remaining[b]).is_zero():
-                    found = (a, b)
-                    break
-            if found:
+        for a, r in enumerate(remaining):
+            bv = times_polar(r)
+            b = next((b for b in range(a + 1, len(remaining))
+                      if dot(bv, remaining[b]) != zero), None)
+            if b is not None:
+                found = a, b, bv
                 break
-        if not found:
+        if found is None:
             break
-        a, b = found
+        a, b, bv = found
         u = remaining.pop(b)
         v = remaining.pop(a)
-        scale = q.polar(v, u).inv()
-        w = [scale * c for c in u]
+        scale = field._inv(dot(bv, u))
+        w = [field._mul(scale, c) for c in u]
+        bw = times_polar(w)
         # make the rest of the basis polar-orthogonal to the pair (v, w)
         for idx, r in enumerate(remaining):
-            cu = q.polar(r, w)
-            cw = q.polar(r, v)
-            remaining[idx] = [rc + cu * vc + cw * wc
-                              for rc, vc, wc in zip(r, v, w)]
-        alpha = q.evaluate(v)
-        beta = q.evaluate(w)
-        factors, new_field = _split_hyperbolic(alpha, beta)
+            c = (one, dot(r, bw), dot(r, bv))
+            remaining[idx] = [dot(c, x) for x in zip(r, v, w)]
+        factors, new_field = _split_hyperbolic(FieldElement(field, value(v)),
+                                               FieldElement(field, value(w)))
         if new_field != field:
-            relift(new_field)
-            v = [field(c) for c in v]
-            w = [field(c) for c in w]
-        inv = _inv2(factors, field)
-        u2 = [inv[0][0] * vc + inv[1][0] * wc for vc, wc in zip(v, w)]
-        w2 = [inv[0][1] * vc + inv[1][1] * wc for vc, wc in zip(v, w)]
-        pairs.append((u2, w2))
+            def lift(vec, old=field):
+                return [new_field(FieldElement(old, x)).value for x in vec]
+            upper, remaining, columns, v, w = (
+                [lift(x) for x in upper], [lift(x) for x in remaining],
+                [lift(x) for x in columns], lift(v), lift(w))
+            field, lifted = new_field, True
+            zero, one = field.zero.value, field.one.value
+            dot, times_polar, value = forms(field)
+        (i00, i01), (i10, i11) = ([x.value for x in row]
+                                  for row in _inv2(factors, field))
+        columns.append([dot((i00, i10), x) for x in zip(v, w)])
+        columns.append([dot((i01, i11), x) for x in zip(v, w)])
 
     # the radical: the polar form vanishes, so q restricts to a square
-    square_vec = None
-    rest = []
+    l, square_vec, rest = len(columns) // 2, None, []
     for r in remaining:
-        val = q.evaluate(r)
-        if val.is_zero():
+        val = value(r)
+        if val == zero:
             rest.append(r)
-        elif square_vec is None:
-            root = field.sqrt(val)
-            inv = root.inv()
-            square_vec = [inv * c for c in r]
+            continue
+        root = field.sqrt(FieldElement(field, val)).value
+        if square_vec is None:
+            square_vec = [field._mul(field._inv(root), c) for c in r]
+            columns.append(square_vec)
         else:
-            root = field.sqrt(val)
-            rest.append([rc + root * sc for rc, sc in zip(r, square_vec)])
-    columns = []
-    for u2, w2 in pairs:
-        columns.append(u2)
-        columns.append(w2)
-    if square_vec is not None:
-        columns.append(square_vec)
-    columns.extend(rest)
-    result = CanonicalForm2(field, n, len(pairs), square_vec is not None,
-                            tuple(tuple(c) for c in columns), lifted)
-    if q.transform(result.columns) != result.canonical_form():
-        raise TheoremViolation("basis does not give the canonical form")
-    return result
+            rest.append([dot((one, root), x) for x in zip(r, square_vec)])
+    columns += rest
+    # q(Pz) has the canonical coefficients: q(e_k) and B(e_k, e_m), k < m
+    images = [times_polar(c) for c in columns]
+    square = 2 * l if square_vec is not None else None
+    for k, col in enumerate(columns):
+        mate = k + 1 if k % 2 == 0 and k < 2 * l else None
+        if value(col) != (one if k == square else zero) or any(
+                dot(col, images[m]) != (one if m == mate else zero)
+                for m in range(k + 1, n)):
+            raise TheoremViolation("basis does not give the canonical form")
+    return CanonicalForm2(field, n, l, square_vec is not None, tuple(
+        tuple(FieldElement(field, x) for x in c) for c in columns), lifted)
 
 
 def is_irreducible_conic(conic):

@@ -22,9 +22,8 @@ from .errors import (DegenerateInputError, ExtensionOverflowError,
                      FieldMismatchError, NotOnConicError, TheoremViolation)
 from .fields import FieldElement, lift_to_quadratic_extension
 from .poly import Polynomial, gcd, squarefree_decomposition
-from .projective import P1Point, ProjPoint, ConicParametrization, find_point, \
-    parametrize, normal_form_conic, Conic, _canonical, _canonical_elements, \
-    _multiplicities, _p1, _repeated_params, _values
+from .projective import P1Point, find_point, parametrize, _canonical, \
+    _canonical_elements, _multiplicities, _p1, _repeated_params, _values
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
@@ -209,27 +208,6 @@ def _incidence_rows(inner, outer_par, inner_par):
     c_cols, d_cols = ([[field(row[j]).value for row in par.c] for j in range(3)]
                       for par in (outer_par, inner_par))
     return [[field._dot(grad(c), d) for d in d_cols] for c in c_cols]
-
-
-def build_E_normalized(t, a, b):
-    """The incidence form of the normal-form pair, which comes out as
-    b u^2 - 2b uv + (1 + tu + au^2) v^2 on the nose."""
-    field = t.field
-    if b.is_zero():
-        raise DegenerateInputError("b = 0 makes the outer conic singular")
-    outer = normal_form_conic(t, a, b)
-    inner = Conic(field, [field.one, field.zero, field.zero,
-                          field.zero, field.zero, -field.one])
-    base = ProjPoint(field, [field.zero, field.zero, field.one])
-    H = build_E(outer, inner,
-                ConicParametrization(outer, base),
-                ConicParametrization(inner, base))
-    expected = ((field.zero, field.zero, field.one),
-                (field.zero, -(b + b), field(t)),
-                (field(b), field.zero, field(a)))
-    if H.h != expected:
-        raise TheoremViolation(f"normal-form incidence form is {H!r}")
-    return H
 
 
 def _double_root_of_fiber(field, q):

@@ -75,10 +75,8 @@ class Polynomial:
         if isinstance(other, (int, FieldElement)):
             return Polynomial(self.field, [c * other for c in self.coeffs])
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.field, [])
-        return _from_values(self.field, _poly_dot(
-            self.field, (self._values(),), (other._values(),)))
+        return _from_values(self.field, _prod(self.field, self._values(),
+                                              other._values()))
 
     __rmul__ = __mul__
 
@@ -107,14 +105,10 @@ class Polynomial:
 
     def __pow__(self, n, mod=None):
         """self ** n; ``pow(self, n, mod)`` reduces after each product."""
-        reduce = (lambda f: f) if mod is None else (lambda f: f % mod)
-        result, base = Polynomial(self.field, [1]), reduce(self)
-        while n:
-            if n & 1:
-                result = reduce(result * base)
-            base = reduce(base * base)
-            n >>= 1
-        return result
+        m = None if mod is None else self._coerce(mod)._values()
+        if m == []:
+            raise ZeroDivisionError("polynomial division by zero")
+        return _from_values(self.field, _power(self.field, self._values(), n, m))
 
     def __call__(self, x):
         acc = self.field.zero
@@ -126,10 +120,6 @@ class Polynomial:
         if self.is_zero() or self.lc == self.field.one:
             return self
         return self * self.lc.inv()
-
-    def derivative(self):
-        return Polynomial(self.field, [self.coeffs[i] * i
-                                       for i in range(1, len(self.coeffs))])
 
     def map_field(self, new_field):
         """Embed the coefficients into a larger field of the tower."""
@@ -152,17 +142,68 @@ def _from_values(field, values):
 
 def gcd(f, g):
     """Monic greatest common divisor; gcd(0, 0) = 0."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    return _from_values(f.field, _gcd(f.field, f._values(), f._coerce(g)._values()))
 
 
-def _pth_root(f):
+# Factoring over a finite field runs on raw coefficient lists, low degree
+# first and trimmed, through the field's raw arithmetic and ``_poly_dot``/
+# ``_poly_divmod``, which work on plain ints over F_p; Polynomials are built
+# only for the factors returned.
+
+def _monic(field, f):
+    lead = f[-1]
+    if lead == field.one.value:
+        return f
+    inv, mul = field._inv(lead), field._mul
+    return [mul(c, inv) for c in f]
+
+
+def _prod(field, f, g):
+    return _poly_dot(field, (f,), (g,)) if f and g else []
+
+
+def _mod(field, f, g):
+    return _poly_divmod(field, f, g)[1]
+
+
+def _trim(field, f):
+    """The list f without its trailing zeros."""
+    zero = field.zero.value
+    while f and f[-1] == zero:
+        f.pop()
+    return f
+
+
+def _add(field, f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    return _trim(field, [*map(field._add, f, g), *f[len(g):]])
+
+
+def _gcd(field, f, g):
+    while g:
+        f, g = g, _mod(field, f, g)
+    return _monic(field, f) if f else f
+
+
+def _power(field, f, n, m=None):
+    """f^n by square-and-multiply, reduced modulo m after each product when
+    m is given."""
+    def reduce(g):
+        return g if m is None else _mod(field, g, m)
+    result, base = [field.one.value], reduce(f)
+    while n:
+        if n & 1:
+            result = reduce(_prod(field, result, base))
+        base = reduce(_prod(field, base, base))
+        n >>= 1
+    return result
+
+
+def _pth_root(field, f):
     """For f with f' = 0 over a finite field of char p, the g with g^p = f."""
-    p = f.field.char
-    q = f.field.size
-    coeffs = [f[i * p] ** (q // p) for i in range(f.degree // p + 1)]
-    return Polynomial(f.field, coeffs)
+    p, pw, e = field.char, field._pow, field.size // field.char
+    return [pw(c, e) for c in f[::p]]
 
 
 def squarefree_decomposition(f):
@@ -170,112 +211,110 @@ def squarefree_decomposition(f):
     f = lc(f) * prod g_i^{m_i}."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    f = f.monic()
+    return [(_from_values(f.field, g), m)
+            for g, m in _squarefree(f.field, f._values())]
+
+
+def _squarefree(field, f):
+    """``squarefree_decomposition`` on raw lists: Yun's loop on f and its
+    derivative, with a p-th root where the derivative vanishes."""
     parts = {}
-    _sff(f, 1, parts)
+    _sff(field, _monic(field, f), 1, parts)
     return [(g, m) for m, g in sorted(parts.items())]
 
 
-def _sff(f, scale, parts):
-    if f.degree == 0:
+def _sff(field, f, scale, parts):
+    if len(f) == 1:
         return
-    df = f.derivative()
-    if df.is_zero():
+    mul, canon = field._mul, field._canon
+    df = _trim(field, [mul(c, canon(i)) for i, c in enumerate(f[1:], 1)])
+    if not df:
         # inseparable: f = g(x^p)^1 with every exponent divisible by p
-        _sff(_pth_root(f), scale * f.field.char, parts)
+        _sff(field, _pth_root(field, f), scale * field.char, parts)
         return
-    c = gcd(f, df)
-    w = f // c
+    c = _gcd(field, f, df)
+    w = _poly_divmod(field, f, c)[0]
     i = 1
-    while w.degree > 0:
-        y = gcd(w, c)
-        z = w // y
-        if z.degree > 0:
+    while len(w) > 1:
+        y = _gcd(field, w, c)
+        z = _poly_divmod(field, w, y)[0]
+        if len(z) > 1:
             m = i * scale
-            parts[m] = parts.get(m, Polynomial(f.field, [1])) * z
+            parts[m] = _prod(field, parts.get(m, [field.one.value]), z)
         w = y
-        c = c // y
+        c = _poly_divmod(field, c, y)[0]
         i += 1
-    if c.degree > 0:
-        _sff(_pth_root(c), scale * f.field.char, parts)
+    if len(c) > 1:
+        _sff(field, _pth_root(field, c), scale * field.char, parts)
 
 
-def _ddf(f):
+def _ddf(field, f):
     """Distinct-degree factorization of a monic squarefree f over a finite
     field: list of (product-of-irreducibles-of-degree-d, d)."""
-    q = f.field.size
-    out = []
-    x = Polynomial.x(f.field)
-    xq = x
-    d = 0
-    rest = f
-    while rest.degree > 2 * d:
+    q, zero, one = field.size, field.zero.value, field.one.value
+    out, xq, d, rest = [], [zero, one], 0, f
+    while len(rest) - 1 > 2 * d:
         d += 1
-        xq = pow(xq, q, rest)
-        g = gcd(rest, xq - x)
-        if g.degree > 0:
+        xq = _power(field, xq, q, rest)
+        g = _gcd(field, rest, _add(field, xq, [zero, field._neg(one)]))
+        if len(g) > 1:
             out.append((g, d))
-            rest = rest // g
-            xq = xq % rest
-    if rest.degree > 0:
-        out.append((rest, rest.degree))
+            rest = _poly_divmod(field, rest, g)[0]
+            xq = _mod(field, xq, rest)
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
     return out
 
 
-def _random_poly(field, max_degree, rng):
-    return Polynomial(field, [field.element(rng.randrange(field.size))
-                              for _ in range(rng.randrange(1, max_degree + 1) + 1)])
-
-
-def _edf(f, d, rng):
-    """Cantor-Zassenhaus split of a monic product of irreducibles of degree d."""
-    if f.degree == d:
+def _edf(field, f, d, rng):
+    """Cantor-Zassenhaus split of a monic product of irreducibles of degree
+    d, drawing random polynomials of degree below f's from ``rng``."""
+    if len(f) - 1 == d:
         return [f]
-    q = f.field.size
+    q, minus_one = field.size, [field._neg(field.one.value)]
     while True:
-        h = _random_poly(f.field, f.degree - 1, rng)
-        if h.degree < 1:
+        h = _trim(field, [field.element(rng.randrange(q)).value
+                          for _ in range(rng.randrange(1, len(f) - 1) + 1)])
+        if len(h) < 2:
             continue
-        if f.field.char == 2:
+        if field.char == 2:
             # trace map over F_2
-            k = q.bit_length() - 1
-            t = Polynomial(f.field, [])
-            term = h % f
-            for _ in range(k * d):
-                t = t + term
-                term = term * term % f
+            t, term = [], _mod(field, h, f)
+            for _ in range((q.bit_length() - 1) * d):
+                t = _add(field, t, term)
+                term = _mod(field, _prod(field, term, term), f)
         else:
-            t = pow(h, (q ** d - 1) // 2, f) - Polynomial(f.field, [1])
-        g = gcd(f, t)
-        if 0 < g.degree < f.degree:
-            return _edf(g, d, rng) + _edf(f // g, d, rng)
+            t = _add(field, _power(field, h, (q ** d - 1) // 2, f), minus_one)
+        g = _gcd(field, f, t)
+        if 1 < len(g) < len(f):
+            return (_edf(field, g, d, rng)
+                    + _edf(field, _poly_divmod(field, f, g)[0], d, rng))
 
 
 def factor(f):
     """Full factorization over a finite field: list of (monic irreducible,
     multiplicity), sorted canonically.  The equal-degree split draws from
     ``random.Random(0)``; the sorted result does not depend on the draws."""
-    if f.field.size is None:
+    field = f.field
+    if field.size is None:
         raise ValueError("factor() requires a finite field")
     if f.degree < 1:
         return []
-    if f.degree == 2 and f.field.char != 2:
-        roots = quadratic_roots(*f.coeffs)
+    raw = _monic(field, f._values())
+    if f.degree == 2 and field.char != 2:
+        _, roots = _monic_quadratic_roots(field, raw[0], raw[1], lift=False)
         if not roots:
-            return [(f.monic(), 1)]
-        lines = [(Polynomial(f.field, [-r, 1]), m) for r, m in roots]
-        lines.sort(key=lambda gm: gm[0][0].sort_key())
-        return lines
-    rng = random.Random(0)
-    out = []
-    for part, mult in squarefree_decomposition(f):
-        for block, d in _ddf(part):
-            for irr in _edf(block, d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda gm: (gm[0].degree, [c.sort_key() for c in gm[0].coeffs]))
-    if sum(g.degree * m for g, m in out) != f.degree:
-        raise TheoremViolation("factor degrees do not add up")
-    return out
+            return [(_from_values(field, raw), 1)]
+        out = [([field._neg(r), field.one.value], 3 - len(roots)) for r in roots]
+    else:
+        rng = random.Random(0)
+        out = [(irr, mult) for part, mult in _squarefree(field, raw)
+               for block, d in _ddf(field, part)
+               for irr in _edf(field, block, d, rng)]
+        if sum((len(g) - 1) * m for g, m in out) != f.degree:
+            raise TheoremViolation("factor degrees do not add up")
+    out.sort(key=lambda gm: (len(gm[0]), [field._sort_key(c) for c in gm[0]]))
+    return [(_from_values(field, g), m) for g, m in out]
 
 
 def _monic_quadratic_roots(field, c0, c1, lift=True):
@@ -298,19 +337,6 @@ def _monic_quadratic_roots(field, c0, c1, lift=True):
     if s == big.zero.value:
         return big, [mul(neg(c1), half)]
     return big, [mul(add(s, neg(c1)), half), mul(neg(add(c1, s)), half)]
-
-
-def quadratic_roots(c0, c1, c2):
-    """The roots of c2 t^2 + c1 t + c0, c2 nonzero, in the coefficients'
-    field of characteristic other than two, as (root, multiplicity) pairs:
-    (-c1 + s)/(2 c2), then (-c1 - s)/(2 c2), with s the canonical square
-    root of the discriminant; one double root when it is zero, and none
-    when it is not a square: u/c2 for u^2 + c1 u + c0 c2's roots u."""
-    field = c2.field
-    _, roots = _monic_quadratic_roots(field, (c0 * c2).value, c1.value, lift=False)
-    inv = field._inv(c2.value)
-    return [(FieldElement(field, field._mul(u, inv)), 3 - len(roots))
-            for u in roots]
 
 
 @dataclass(frozen=True)
@@ -343,7 +369,7 @@ def adjoin_quadratic_roots(c0, c1):
     """The roots of t^2 + c1 t + c0 in its field K or, when they are
     conjugate over K, in ``lift_to_quadratic_extension``'s field: K's one
     quadratic extension over a finite K, Q(sqrt(c1^2 - 4 c0)) over Q, an
-    error above Q; (s - c1)/2, then (-c1 - s)/2, ``quadratic_roots``' order."""
+    error above Q; (s - c1)/2, then (-c1 - s)/2."""
     big, roots = _monic_quadratic_roots(c0.field, c0.value, c1.value)
     return [FieldElement(big, r) for r in roots]
 

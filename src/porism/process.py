@@ -7,8 +7,10 @@ are conjugate.  The walk is then nu = sigma o tau on E's raw parameters
 (u, v), the step of the incidence curve ``ecurve`` builds: both
 involutions are Vieta on a fiber, so everything stays in one field.  The
 step map is invertible, so orbit closure is detected by first return to the
-initial state.  ``polar``/``intersect_line_conic`` and the geometric
-``step`` and ``step_inverse`` are the reference.  ``porism_check`` walks
+initial state.  The geometric ``step``, on ``polar`` and
+``other_intersection``, is the walk's reference; the tests keep the start's
+(``intersect_line_conic`` on the polar) and ``step_inverse`` in
+``tests/reference.py``.  ``porism_check`` walks
 each closed cycle once, however many of its starts lie on it, and a lifted
 start's half way round.
 """
@@ -107,8 +109,8 @@ def start(cfg, c1, branch="min"):
 def _start(cfg, c1, branch="min"):
     """``start`` on raw values: (possibly lifted config, raw (c1, d1)).  d1 is
     a root of F on the polar of c1, a binary quadratic made monic and solved
-    by ``poly._monic_quadratic_roots``, or p0 at a drop in degree;
-    ``polar``/``intersect_line_conic`` are the reference."""
+    by ``poly._monic_quadratic_roots``, or p0 at a drop in degree; the
+    tests check it against ``intersect_line_conic`` on the polar."""
     field = cfg.field
     zero, mul = field.zero.value, field._mul
     grad, value = cfg.inner._forms()
@@ -150,15 +152,6 @@ def step(cfg, state):
     c2 = other_intersection(cfg.outer, line, state.c)
     d2 = other_intersection(cfg.inner, polar(cfg.inner, c2), state.d)
     return PonceletState(c2, d2, state.index + 1)
-
-
-def step_inverse(cfg, state):
-    """The inverse map (the two involutions applied in the other order)."""
-    if is_tangency_state(cfg, state):
-        return PonceletState(state.c, state.d, state.index - 1)
-    d0 = other_intersection(cfg.inner, polar(cfg.inner, state.c), state.d)
-    c0 = other_intersection(cfg.outer, tangent_at(cfg.inner, d0), state.c)
-    return PonceletState(c0, d0, state.index - 1)
 
 
 def run(cfg, c1, branch="min", max_steps=None, keep_orbit=KEEP_ORBIT):

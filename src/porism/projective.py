@@ -20,7 +20,7 @@ import random
 from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
                      TheoremViolation)
 from .fields import FieldElement
-from .poly import (Polynomial, binary_form_roots, quadratic_roots,
+from .poly import (Polynomial, _monic_quadratic_roots, binary_form_roots,
                    roots_in_closure, squarefree_decomposition)
 
 
@@ -128,12 +128,6 @@ class ProjLine:
         return "{" + ":".join(str(c) for c in self.coeffs) + "}"
 
 
-def _cross(u, v):
-    return [u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0]]
-
-
 class Conic:
     """A plane conic given by six coefficients of
     a00 x^2 + a11 y^2 + a22 z^2 + a01 xy + a02 xz + a12 yz."""
@@ -202,13 +196,12 @@ class Conic:
         return Conic(new_field, self.coeffs)
 
     def transform_by_matrix(self, n):
-        """The conic with form F(N v); i.e. pull back along v -> N v.  With
-        w_k the columns of N, the coefficient of v_k^2 is F(w_k) and that of
-        v_k v_l is B(w_k, w_l)."""
-        f, b = self.evaluate, self.bilinear
-        w0, w1, w2 = ([row[k] for row in n] for k in range(3))
-        return Conic(self.field, [f(w0), f(w1), f(w2),
-                                  b(w0, w1), b(w0, w2), b(w1, w2)])
+        """The conic with form F(N v); i.e. pull back along v -> N v: the
+        polarization of F on the columns of N."""
+        field = self.field
+        columns = [[field(row[k]).value for row in n] for k in range(3)]
+        return Conic(field, [FieldElement(field, v)
+                             for v in _polarize(self, columns)])
 
     def __eq__(self, other):
         return (isinstance(other, Conic) and self.field == other.field
@@ -219,6 +212,18 @@ class Conic:
 
     def __repr__(self):
         return "Conic(" + ", ".join(str(c) for c in self.coeffs) + ")"
+
+
+def _polarize(conic, columns):
+    """F(w_k), then B(w_k, w_l) for k < l, on three columns of raw values:
+    the coefficients of F(t_0 w_0 + t_1 w_1 + t_2 w_2) in the conic's
+    monomial order."""
+    grad, value = conic._forms()
+    dot = conic.field._dot
+    w0, w1, w2 = columns
+    g0, g1 = grad(w0), grad(w1)
+    return (value(w0), value(w1), value(w2), dot(g0, w1), dot(g0, w2),
+            dot(g1, w2))
 
 
 def _det3(field, m):
@@ -279,18 +284,6 @@ class ProjTransform:
         """self after other."""
         return ProjTransform(self.field, _matmul(self.matrix, other.matrix))
 
-    def is_identity(self):
-        m = self.matrix
-        d = m[0][0]
-        if d.is_zero():
-            return False
-        for i in range(3):
-            for j in range(3):
-                want = d if i == j else self.field.zero
-                if m[i][j] != want:
-                    return False
-        return True
-
     def __call__(self, obj):
         return apply_transform(self, obj)
 
@@ -306,12 +299,6 @@ def apply_transform(m, obj):
     if isinstance(obj, Conic):
         return obj.transform_by_matrix(m.inverse_matrix())
     raise TypeError(f"cannot transform {obj!r}")
-
-
-def line_through(p, q):
-    if p == q:
-        raise DegenerateInputError("no unique line through a repeated point")
-    return ProjLine(p.field, _cross(list(p.coords), list(q.coords)))
 
 
 def tangent_at(conic, p):
@@ -330,26 +317,6 @@ def polar(conic, q):
     if conic.field.char == 2:
         raise ValueError("polars are undefined in characteristic two")
     return ProjLine(conic.field, conic.gradient(q.coords))
-
-
-def intersect_line_conic(conic, line):
-    """Intersection points with multiplicities summing to 2; points may lie
-    in a quadratic extension (reported in their own field, which the
-    spanning points are lifted into)."""
-    p0, p1 = line.span()
-    alpha = conic.evaluate(p0.coords)
-    gamma = conic.evaluate(p1.coords)
-    beta = conic.bilinear(p0.coords, p1.coords)
-    roots = binary_form_roots(conic.field, [gamma, beta, alpha], 2)
-    out = []
-    for t, mult in roots.entries:
-        # parameter t = s/w for the point s*p0 + w*p1
-        big = t.field
-        coords = [t * big(a) + big(b) for a, b in zip(p0.coords, p1.coords)]
-        out.append((ProjPoint(t.field, coords), mult))
-    if roots.at_infinity:
-        out.append((p0, roots.at_infinity))
-    return out
 
 
 def other_intersection(conic, line, known):
@@ -372,28 +339,28 @@ def find_point(conic, seed=0):
     characteristic 0 one of the bounded search [x : y : 1] with
     y = n/d, |n| <= 12, 1 <= d <= 4."""
     field = conic.field
-    one, zero = field.one, field.zero
-    for coords in ([zero, zero, one], [zero, one, zero], [one, zero, zero],
-                   [one, one, one], [one, one, zero], [one, zero, one],
-                   [zero, one, one]):
-        if conic.evaluate(coords).is_zero():
-            return ProjPoint(field, coords)
+    one, zero = field.one.value, field.zero.value
+    value = conic._forms()[1]
+    for raw in ((zero, zero, one), (zero, one, zero), (one, zero, zero),
+                (one, one, one), (one, one, zero), (one, zero, one),
+                (zero, one, one)):
+        if value(raw) == zero:
+            return _point(field, raw)
     if field.size is not None:
         rng = random.Random(seed)
         while True:
-            y = field.element(rng.randrange(field.size))
-            z = field.element(rng.randrange(field.size))
-            if y.is_zero() and z.is_zero():
+            y = field.element(rng.randrange(field.size)).value
+            z = field.element(rng.randrange(field.size)).value
+            if y == zero and z == zero:
                 continue
             p = _solve_on_line(conic, y, z)
             if p is not None:
                 return p
     # characteristic 0: bounded search over small rationals
     from fractions import Fraction
-    candidates = [field(Fraction(n, d)) for d in (1, 2, 3, 4)
-                  for n in range(-12, 13)]
-    for y in candidates:
-        p = _solve_on_line(conic, y, field.one)
+    for y in (field(Fraction(n, d)).value for d in (1, 2, 3, 4)
+              for n in range(-12, 13)):
+        p = _solve_on_line(conic, y, one)
         if p is not None:
             return p
     raise ValueError("no rational point [x : y : 1] with y = n/d, |n| <= 12, "
@@ -401,16 +368,20 @@ def find_point(conic, seed=0):
 
 
 def _solve_on_line(conic, y, z):
-    """A conic point of the form [x : y : z] with the given y, z, if the
-    resulting quadratic in x has an in-field root: F(x e_0 + w) with
-    w = [0 : y : z] is a x^2 + b x + c with a = F(e_0), b = B(e_0, w) and
-    c = F(w).  The one caller, ``find_point``, tries [1 : 0 : 0] first, so
-    a = a00 is nonzero here."""
+    """A conic point [x : y : z] with the given raw y, z, if the resulting
+    quadratic in x has an in-field root: F(x e_0 + w) with w = [0 : y : z]
+    is a x^2 + b x + c with a = a00, b = a01 y + a02 z and c = F(w), whose
+    root (s - b)/(2a) is u/a for the first root u of u^2 + b u + ac.  The
+    one caller, ``find_point``, tries [1 : 0 : 0] first, so a is nonzero
+    here."""
     field = conic.field
-    e0, w = [field.one, field.zero, field.zero], [field.zero, y, z]
-    a, b, c = conic.evaluate(e0), conic.bilinear(e0, w), conic.evaluate(w)
-    roots = quadratic_roots(c, b, a)
-    return ProjPoint(field, [roots[0][0], y, z]) if roots else None
+    a00, _, _, a01, a02, _ = (c.value for c in conic.coeffs)
+    w = (field.zero.value, y, z)
+    b, c = field._dot((a01, a02), (y, z)), conic._forms()[1](w)
+    _, roots = _monic_quadratic_roots(field, field._mul(c, a00), b, lift=False)
+    if not roots:
+        return None
+    return _point(field, (field._mul(roots[0], field._inv(a00)), y, z))
 
 
 class P1Point:
@@ -456,33 +427,28 @@ class ConicParametrization:
     __slots__ = ("conic", "base", "tangent", "c", "span_idx", "axis")
 
     def __init__(self, conic, base):
-        if not conic.contains(base):
-            raise NotOnConicError("base point must lie on the conic")
         field = conic.field
+        add, neg, mul = field._add, field._neg, field._mul
+        zero, one = field.zero.value, field.one.value
+        grad, value = conic._forms()
+        b = [field(x).value for x in base.coords]
+        if value(b) != zero:
+            raise NotOnConicError("base point must lie on the conic")
         # cut the pencil with the coordinate line x_k = 0 missing the base
-        k = max(i for i in range(3) if not base.coords[i].is_zero())
+        k = max(r for r in range(3) if b[r] != zero)
         i, j = [r for r in range(3) if r != k]
-        e_i = [field.one if r == i else field.zero for r in range(3)]
-        e_j = [field.one if r == j else field.zero for r in range(3)]
-        # F(m(u)) for m(u) = e_i + u e_j, and the linear form grad(base).m(u)
-        f0 = conic.evaluate(e_i)
-        f1 = conic.bilinear(e_i, e_j)
-        f2 = conic.evaluate(e_j)
-        grad = self.tangent = conic.gradient(base.coords)
-        g0, g1 = grad[i], grad[j]
-        c = [[field.zero] * 3 for _ in range(3)]
-        for r in range(3):
-            # base_r * F(m(u)) - m_r(u) * (grad . m(u))
-            c[r][0] = base.coords[r] * f0
-            c[r][1] = base.coords[r] * f1
-            c[r][2] = base.coords[r] * f2
-        c[i][0] = c[i][0] - g0
-        c[i][1] = c[i][1] - g1
-        c[j][1] = c[j][1] - g0
-        c[j][2] = c[j][2] - g1
+        e_i, e_j = ([one if r == s else zero for r in range(3)] for s in (i, j))
+        # base_r * F(m(u)) - m_r(u) * (t . m(u)) for m(u) = e_i + u e_j and
+        # the tangent t at the base
+        f = (value(e_i), field._dot(grad(e_i), e_j), value(e_j))
+        t = grad(b)
+        c = [[mul(x, fm) for fm in f] for x in b]
+        c[i][0], c[i][1] = add(c[i][0], neg(t[i])), add(c[i][1], neg(t[j]))
+        c[j][1], c[j][2] = add(c[j][1], neg(t[i])), add(c[j][2], neg(t[j]))
         self.conic = conic
         self.base = base
-        self.c = c
+        self.tangent = [FieldElement(field, v) for v in t]
+        self.c = [[FieldElement(field, v) for v in row] for row in c]
         self.span_idx = (i, j)
         self.axis = k
 
@@ -531,10 +497,12 @@ def pullback_quartic(conic, par):
     """Coefficients (low-to-high, length 5) of the binary quartic
     F_conic(par(u)) in the affine parameter u: with w_j the coefficient
     columns, par(u) = w_0 + u w_1 + u^2 w_2 and the quartic is read off the
-    polarization of F."""
-    f, b = conic.evaluate, conic.bilinear
-    w0, w1, w2 = ([row[j] for row in par.c] for j in range(3))
-    return [f(w0), b(w0, w1), f(w1) + b(w0, w2), b(w1, w2), f(w2)]
+    polarization of F on the columns' raw values."""
+    field = conic.field
+    f0, f1, f2, b01, b02, b12 = _polarize(
+        conic, [[field(row[j]).value for row in par.c] for j in range(3)])
+    return [FieldElement(field, v)
+            for v in (f0, b01, field._add(f1, b02), b12, f2)]
 
 
 def _check_pair(c, d):
@@ -551,17 +519,25 @@ def intersect_conics(c, d, seed=0):
     points may live in tower extensions of degree up to 4."""
     _check_pair(c, d)
     par = parametrize(d, find_point(d, seed))
-    quartic = pullback_quartic(c, par)
-    roots = binary_form_roots(c.field, quartic, 4)
-    out = []
-    for t, mult in roots.entries:
-        pt = par.point_at(P1Point.affine(t))
-        out.append((pt, mult))
+    roots = binary_form_roots(c.field, pullback_quartic(c, par), 4)
+    params = [(t.field, (t.value, t.field.one.value)) for t, _ in roots.entries]
+    mults = [m for _, m in roots.entries]
     if roots.at_infinity:
-        out.append((par.point_at(P1Point.infinity(c.field)), roots.at_infinity))
-    if sum(m for _, m in out) != 4:
+        params.append((c.field, (c.field.one.value, c.field.zero.value)))
+        mults.append(roots.at_infinity)
+    if sum(mults) != 4:
         raise TheoremViolation("intersection multiplicities do not sum to 4")
-    return out
+    return list(zip(_points_at(par, params), mults))
+
+
+def _points_at(par, params):
+    """The points of ``par`` at raw parameters (field, (a, b)), through one
+    ``_maps`` per field."""
+    maps = {}
+    for field, _ in params:
+        if field not in maps:
+            maps[field] = par._maps(field)[0]
+    return [_point(field, maps[field](u)) for field, u in params]
 
 
 def _pullback(c, d, seed):
@@ -579,14 +555,6 @@ def _multiplicities(at_inf, parts):
     for part, m in parts:
         mults.extend([m] * part.degree)
     return tuple(sorted(mults, reverse=True))
-
-
-def multiplicity_structure(c, d, seed=0):
-    """The sorted multiset of intersection multiplicities, computed from the
-    squarefree structure of the pullback quartic -- no root finding, so it
-    works over Q even when the points are far outside the tower."""
-    _, at_inf, parts = _pullback(c, d, seed)
-    return _multiplicities(at_inf, parts)
 
 
 def tangency_points(c, d, seed=0):
@@ -611,10 +579,12 @@ def _repeated_params(field, at_inf, parts):
 
 
 def _type_and_tangencies(c, d, seed):
-    """``multiplicity_structure`` and ``tangency_points`` of the pair from
-    one pullback, and the parametrization of d it pulls back along."""
+    """The sorted intersection multiplicities and ``tangency_points`` of the
+    pair from one pullback, and the parametrization of d it pulls back
+    along."""
     par, at_inf, parts = _pullback(c, d, seed)
-    pts = [par.point_at(t) for t in _repeated_params(c.field, at_inf, parts)]
+    pts = _points_at(par, [(t.field, _values(t))
+                           for t in _repeated_params(c.field, at_inf, parts)])
     return _multiplicities(at_inf, parts), pts, par
 
 

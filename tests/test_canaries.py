@@ -164,3 +164,31 @@ def test_a_walk_onto_a_singular_point_of_e_fires_its_canary(monkeypatch, capsys)
     monkeypatch.setattr("sys.stdin", io.StringIO(TRIANGLE))
     assert cli.main(["run", "-", "--json"]) == cli.EXIT_VIOLATION
     assert f"theorem violation: {message}" in capsys.readouterr().err
+
+
+CHAR2_CANARY = """
+import porism.char2 as char2
+from porism.errors import TheoremViolation
+from porism.fields import binary_field
+
+assert False, "asserts are stripped under -O"
+F8 = binary_field(3)
+q = char2.QuadraticForm2(F8, 2, {(0, 0): 1, (0, 1): 1})   # x0^2 + x0 x1
+print(char2.symplectic_normalize(q))
+# a corrupted basis: the pair (v, w) kept as it is, q(v) = 1 not split off
+char2._inv2 = lambda m, field: ((field.one, field.zero), (field.zero, field.one))
+try:
+    char2.symplectic_normalize(q)
+except TheoremViolation as exc:
+    print("TheoremViolation:", exc)
+"""
+
+
+def test_a_corrupted_char2_basis_fires_its_canary_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    got = subprocess.run([sys.executable, "-O", "-c", CHAR2_CANARY], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.splitlines() == [
+        "CanonicalForm2(l=1, lifted=False)",
+        "TheoremViolation: basis does not give the canonical form"]

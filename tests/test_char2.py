@@ -101,6 +101,30 @@ def test_normalize_random_forms():
                 assert 2 * can.l + (1 if can.has_square_term else 0) <= n
 
 
+def test_symplectic_normalize_matches_the_wrapped_reference():
+    # symplectic_normalize runs on raw vectors; tests/reference.py keeps it
+    # on FieldElements and QuadraticForm2's polar and evaluate
+    import reference
+    rng = random.Random("char2-oracle")
+    seen = {"lifted": 0, "square": 0}
+    for k in (3, 4):
+        field = binary_field(k)
+        for n in range(2, 6):
+            for i in range(16):
+                q = random_form(field, n, rng)
+                if i % 2:  # sparse forms have degenerate polar forms
+                    q = QuadraticForm2(field, n, {key: v for key, v in q.coeffs.items()
+                                                  if rng.random() < 0.4})
+                got, want = symplectic_normalize(q), reference.symplectic_normalize(q)
+                assert ((got.field, got.l, got.has_square_term, got.lifted, got.columns)
+                        == (want.field, want.l, want.has_square_term, want.lifted,
+                            want.columns)), q
+                seen["lifted"] += got.lifted
+                seen["square"] += got.has_square_term
+    # Artin-Schreier lifts and square terms are both exercised
+    assert seen["lifted"] >= 10 and seen["square"] >= 10, seen
+
+
 def test_invariants_stable_under_basis_change():
     F8 = binary_field(3)
     rng = random.Random(6)

@@ -5,7 +5,7 @@ import pytest
 
 from porism.ecurve import (SHAPE_CUSP, SHAPE_NODE, SHAPE_SMOOTH,
                            SHAPE_SPLIT_DOUBLE, SHAPE_SPLIT_TRANSVERSAL,
-                           BiquadraticForm, build_E, build_E_normalized,
+                           BiquadraticForm, build_E,
                            is_reducible, nu, nu_inverse, params_to_state,
                            shape, sigma, singular_points, state_to_params,
                            tau)
@@ -16,6 +16,7 @@ from porism.projective import (Conic, P1Point, classify, normal_form_conic,
                                tangency_points)
 
 from conftest import random_smooth_conic, random_smooth_pair
+from reference import build_E_normalized
 
 
 def normal_pair(field, t, a, b):

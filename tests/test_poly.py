@@ -7,8 +7,9 @@ import pytest
 from porism.fields import (PrimeField, RationalField, lift_to_quadratic_extension,
                            parse_field_spec)
 from porism.poly import (Polynomial, adjoin_quadratic_roots, binary_form_roots,
-                         factor, gcd, quadratic_roots, roots_in_closure,
-                         squarefree_decomposition)
+                         factor, gcd, roots_in_closure, squarefree_decomposition)
+
+from reference import quadratic_roots
 
 
 def P(field, *coeffs):
@@ -110,7 +111,7 @@ def test_binary_form_roots_at_infinity(F7):
 
 def _factor_by_ddf_edf(f, seed=0):
     """factor()'s general route: squarefree parts, DDF, then EDF."""
-    from porism.poly import _ddf, _edf
+    from reference import _ddf, _edf
     rng = random.Random(seed)
     out = [(irr, mult) for part, mult in squarefree_decomposition(f)
            for block, d in _ddf(part) for irr in _edf(block, d, rng)]
@@ -240,3 +241,41 @@ def test_adjoin_quadratic_roots_lands_in_the_one_quadratic_extension(p):
             assert r * r + big(c1) * r + big(c0) == 0
         assert roots == [r for r, _ in quadratic_roots(big(c0), big(c1), big.one)]
     assert irreducible == p * (p - 1) // 2
+
+
+def _inseparable(field, rng):
+    """g(x^p) h^2 for random monic g and h of degree 1 or 2: a polynomial
+    whose squarefree decomposition needs a p-th root."""
+    p = field.char
+    g, h = ([field.element(rng.randrange(field.size))
+             for _ in range(rng.randrange(1, 3))] + [field.one] for _ in range(2))
+    spread = [field.zero] * (p * (len(g) - 1) + 1)
+    spread[::p] = g
+    h = Polynomial(field, h)
+    return Polynomial(field, spread) * h * h
+
+
+def test_factoring_matches_the_wrapped_reference():
+    # factor and squarefree_decomposition run on raw values; tests/reference.py
+    # keeps the pipeline on Polynomials, with the same random stream
+    import reference
+    F5 = PrimeField(5)
+    cases = [Polynomial(F5, list(c) + [1])
+             for d in range(5) for c in product(range(5), repeat=d)]
+    for spec in ("Fp:7", "Fp:13", "Fq:5^2:2,0,1", "Fq:3^3:1,2,0,1"):
+        field = parse_field_spec(spec)
+        rng = random.Random(spec)
+        draw = lambda degree: Polynomial(field, [
+            field.element(rng.randrange(field.size)) for _ in range(degree + 1)])
+        for _ in range(25):
+            f = draw(rng.randrange(1, 7))
+            cases += [f, f * f * draw(rng.randrange(0, 3)), _inseparable(field, rng)]
+    inseparable = 0
+    for f in cases:
+        if f.is_zero():
+            continue
+        want = reference.squarefree_decomposition(f)
+        assert squarefree_decomposition(f) == want, f
+        assert factor(f) == reference.factor(f), f
+        inseparable += any(m % f.field.char == 0 for _, m in want)
+    assert inseparable >= 75  # a multiplicity divisible by p: a p-th root

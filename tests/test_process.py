@@ -11,13 +11,13 @@ from porism.fields import (FieldElement, PrimeField, QuadRationalField,
 from porism.poly import binary_form_roots
 from porism.process import (PonceletConfig, PonceletState, ProcessResult,
                             _raw_state, is_tangency_state, porism_check, run,
-                            sample_starts, start, step, step_inverse)
+                            sample_starts, start, step)
 from porism.projective import (Conic, P1Point, ProjPoint, _point, _span,
-                               find_point, intersect_line_conic,
-                               multiplicity_structure, normal_form_conic,
-                               parametrize, polar, tangency_points)
+                               find_point, normal_form_conic, parametrize,
+                               polar, tangency_points)
 
 from conftest import random_smooth_pair
+from reference import intersect_line_conic, multiplicity_structure, step_inverse
 
 
 def make_config(field, t, a, b, seed=0):
