@@ -17,8 +17,8 @@ a degree-2 tower.
 
 Polynomials on any field's raw values have one product (``_poly_dot``), one
 division (``_poly_divmod``) and one extended Euclid (``_poly_inverse``),
-shared by both kernels and ``porism.poly``; over F_p the product and the
-division run on plain ints.
+shared by both kernels (every inverse above degree 3 is the Euclid's) and
+``porism.poly``; over F_p the product and the division run on plain ints.
 
 Elements are immutable and stored in canonical form (residues reduced,
 fractions in lowest terms, coefficient tuples padded to full length), so
@@ -414,7 +414,9 @@ def _prime_kernel(base, modulus):
     """add, neg, mul, inv and dot of F_p[x]/(modulus), base = F_p, for a monic
     modulus of degree k as int residues, low degree first, on tuples of k
     residues with one % p per output coefficient; dot sums its products
-    unreduced and folds them through the reduction rows once."""
+    unreduced and folds them through the reduction rows once.  inv is the
+    conj/norm formula in degree 2, the cofactor formula in degree 3 and
+    ``_poly_inverse`` above."""
     p = base.p
     k = len(modulus) - 1
     # rows[i] is x^(k+i) reduced modulo the modulus, for i = 0 .. k-2
@@ -524,37 +526,7 @@ def _prime_kernel(base, modulus):
         return dot((a,), (b,))
 
     def inv(a):
-        # ``_poly_inverse``'s extended Euclid on int lists, one % p per
-        # coefficient, with r_i = s_i a modulo the modulus: 2x faster in
-        # F_{13^4} than ``_poly_inverse``
-        r0, r1 = list(modulus), list(a)
-        while r1 and not r1[-1]:
-            r1.pop()
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            lead = pow(r1[-1], -1, p)
-            quot, rem = [0] * (len(r0) - len(r1) + 1), r0[:]
-            while len(rem) >= len(r1):
-                c = rem.pop() * lead % p
-                shift = len(rem) - len(r1) + 1
-                quot[shift] = c
-                for i, x in enumerate(r1[:-1], shift):
-                    rem[i] = (rem[i] - c * x) % p
-                while rem and not rem[-1]:
-                    rem.pop()
-            if not rem:
-                raise ZeroDivisionError("element shares a factor with the modulus")
-            # s0 - quot s1, whose degree is that of quot s1
-            s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
-            for i, x in enumerate(quot):
-                if x:
-                    for j, y in enumerate(s1, i):
-                        s[j] = (s[j] - x * y) % p
-            r0, r1, s0, s1 = r1, rem, s1, s
-        c = pow(r1[0], -1, p)
-        return tuple([x * c % p for x in s1] + [0] * (k - len(s1)))
+        return tuple(_poly_inverse(base, a, modulus))
 
     return add, neg, mul, inv, dot
 

@@ -132,7 +132,7 @@ class Conic:
     """A plane conic given by six coefficients of
     a00 x^2 + a11 y^2 + a22 z^2 + a01 xy + a02 xz + a12 yz."""
 
-    __slots__ = ("field", "coeffs", "_raw")
+    __slots__ = ("field", "coeffs", "_raw", "_smooth")
 
     def __init__(self, field, coeffs):
         if len(coeffs) != 6:
@@ -140,7 +140,7 @@ class Conic:
         self.field = field
         self.coeffs = _canonical_elements(field, coeffs,
                                           "zero quadratic form is not a conic")
-        self._raw = None
+        self._raw = self._smooth = None
 
     def _forms(self):
         """The gradient and the value of the form on points given as tuples
@@ -177,14 +177,16 @@ class Conic:
 
     def is_smooth(self):
         """Whether the gradient's matrix, 2A for the symmetric matrix A, has
-        a nonzero determinant; odd characteristic only."""
+        a nonzero determinant, decided once per conic; odd characteristic."""
         field = self.field
         if field.char == 2:
             raise ValueError("use char2 tools for characteristic two")
-        one, zero = field.one.value, field.zero.value
-        rows = map(self._forms()[0], ((one, zero, zero), (zero, one, zero),
-                                      (zero, zero, one)))
-        return _det3(field, rows) != zero
+        if self._smooth is None:
+            one, zero = field.one.value, field.zero.value
+            rows = map(self._forms()[0], ((one, zero, zero), (zero, one, zero),
+                                          (zero, zero, one)))
+            self._smooth = _det3(field, rows) != zero
+        return self._smooth
 
     def bilinear(self, u, v):
         """2 u^T A v without halving: grad F(u) . v, which is the polynomial
@@ -626,15 +628,16 @@ def normalize_tangent_pair(c, d, p):
     tc, td = tangent_at(c, p), tangent_at(d, p)
     if tc != td:
         raise DegenerateInputError("conics are not tangent at p")
-    # first change: p -> [0:0:1], common tangent -> {y = 0}
+    # p -> [0:0:1] and the common tangent -> {y = 0} by adj(B), for the
+    # basis B with columns e1, e_k, p; D pulls back by B itself, since
+    # adj(adj B) = det(B) B gives the same conic
     s0, s1 = tc.span()
     e1 = s0 if s0 != p else s1
     k = tc.coeffs.index(field.one)  # the tangent's pivot: e_k is off it
     e2 = [field.one if r == k else field.zero for r in range(3)]
     cols = [list(e1.coords), e2, list(p.coords)]
     basis = [[cols[j][i] for j in range(3)] for i in range(3)]
-    m1 = ProjTransform(field, basis).inverse()
-    d1 = apply_transform(m1, d)
+    d1 = d.transform_by_matrix(basis)
     # By the tangent-pair lemma the transformed D reads
     # x^2 + t2 xy + a2 y^2 - b2 yz (z^2 and xz coefficients vanish).
     a00, a11, a22, a01, a02, a12 = d1.coeffs
@@ -643,13 +646,11 @@ def normalize_tangent_pair(c, d, p):
     t2, a2, b2 = a01, a11, -a12
     two_inv = field(2).inv()
     z, o = field.zero, field.one
-    m2 = ProjTransform(field, [
-        [o, t2 * two_inv, z],
-        [z, o, z],
-        [z, -a2 + t2 * t2 * two_inv * two_inv, b2]])
-    m = m2.compose(m1)
-    c_new = apply_transform(m, c)
-    d_new = apply_transform(m, d)
+    m2 = [[o, t2 * two_inv, z], [z, o, z],
+          [z, -a2 + t2 * t2 * two_inv * two_inv, b2]]
+    m = ProjTransform(field, _matmul(m2, _adjugate(basis)))
+    back = m.inverse_matrix()
+    c_new, d_new = c.transform_by_matrix(back), d.transform_by_matrix(back)
     if d_new != Conic(field, [1, 0, 0, 0, 0, -1]):
         raise TheoremViolation(f"inner conic not in normal form: {d_new!r}")
     a00, a11, a22, a01, a02, a12 = c_new.coeffs
@@ -713,8 +714,7 @@ def tangency_data(c, d, seed=0, points=None):
     pts = tangency_points(c, d, seed) if points is None else points
     if not pts:
         return c, d, [], False
-    big = max((p.field for p in pts), key=lambda f: 0 if f == c.field else 1)
+    big = pts[0].field  # at most two points, a Galois-stable set: one field
     if big == c.field:
         return c, d, pts, False
-    return (c.lift(big), d.lift(big),
-            [p.lift(big) if p.field != big else p for p in pts], True)
+    return c.lift(big), d.lift(big), pts, True

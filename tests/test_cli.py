@@ -64,6 +64,38 @@ def test_normalize_identity_for_normal_pair(tmp_path, capsys):
     assert data["matrix"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
+NORMALIZE_GOLDEN = [
+    # F_13, type (2,1,1)
+    ({"outer": {"field": "Fp:13", "coeffs": ["-3", "2", "3", "2", "-2", "-1"]},
+      "inner": {"field": "Fp:13", "coeffs": ["3", "-3", "2", "0", "3", "0"]}},
+     {"t": "8", "a": "1", "b": "5", "delta": "2",
+      "matrix": [["12", "8", "3"], ["12", "3", "1"], ["7", "11", "8"]]}),
+    # F_13, type (2,2) with conjugate tangency points: the transform lies
+    # over F_{13^2}
+    ({"outer": {"field": "Fp:13", "coeffs": ["-2", "-1", "-3", "2", "3", "0"]},
+      "inner": {"field": "Fp:13", "coeffs": ["1", "3", "-3", "-1", "3", "0"]}},
+     {"t": "6,3", "a": "1,5", "b": "7,0", "delta": "0,0",
+      "matrix": [["7,12", "2,2", "7,10"], ["6,6", "0,5", "1,0"],
+                 ["10,8", "2,8", "12,8"]]}),
+    # Q, type (3,1): x^2 + 2xy + 3y^2 - yz and x^2 - yz pulled back by the
+    # integer matrix [[1, 1, 0], [0, 1, 2], [1, 0, 1]]
+    ({"outer": {"field": "Q", "coeffs": ["1", "6", "10", "3", "2", "15"]},
+      "inner": {"field": "Q", "coeffs": ["1", "1", "-2", "1", "-2", "-1"]}},
+     {"t": "2", "a": "5/2", "b": "1", "delta": "4",
+      "matrix": [["1/2", "5/8", "1/4"], ["0", "1/2", "1"],
+                 ["3/4", "9/32", "9/16"]]}),
+]
+
+
+@pytest.mark.parametrize("pair,want", NORMALIZE_GOLDEN)
+def test_normalize_golden_output(tmp_path, capsys, pair, want):
+    path = write_json(tmp_path, "pair.json", pair)
+    code, out, _ = run_cli(capsys, "normalize", path, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert {key: data[key] for key in want} == want
+
+
 def test_run_closed_triangle(tmp_path, capsys):
     path = write_json(tmp_path, "pair.json", PAIR_Q_TRIANGLE)
     code, out, _ = run_cli(capsys, "run", path, "--json")

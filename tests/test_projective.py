@@ -168,6 +168,33 @@ def test_tangency_points_over_q(Q):
         assert z.is_zero() and (x * x + y * y).is_zero()
 
 
+def test_tangency_points_share_one_field(Q):
+    # tangency_data lifts to the first point's field: at most two points, a
+    # Galois-stable set, so both lie over the base field or both above it
+    pairs = [(Conic(Q, [1, 1, -4, 0, 0, 0]), Conic(Q, [1, 1, -1, 0, 0, 0]))]
+    for spec in ("Fp:3", "Fp:5", "Fp:7", "Fq:3^2:1,0,1", "Fp:13",
+                 "Fq:3^3:1,2,0,1"):
+        field = parse_field_spec(spec)
+        d = Conic(field, [1, 0, 0, 0, 0, -1])
+        triples = product(field.elements(), repeat=3)
+        if field.size == 27:
+            rng = random.Random(spec)
+            triples = [[field.element(rng.randrange(27)) for _ in range(3)]
+                       for _ in range(200)]
+        for t, a, b in triples:
+            c = normal_form_conic(t, a, b)
+            if c.is_smooth() and c != d:
+                pairs.append((c, d))
+    fields = set()
+    for c, d in pairs:
+        pts = tangency_points(c, d)
+        assert len({p.field for p in pts}) == 1
+        c_l, d_l, _, _ = tangency_data(c, d, points=pts)
+        assert c_l.field == d_l.field == pts[0].field
+        fields.add(pts[0].field == c.field)
+    assert fields == {False, True}
+
+
 def test_transform_group_operations(F11):
     m = ProjTransform(F11, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
     assert is_identity(m.compose(m.inverse()))

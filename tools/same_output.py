@@ -19,7 +19,10 @@ first ``svgfig.MAX_CHORDS`` chords of an open run, and the rational point
 each conic is parametrized from; a start lifted to Q(sqrt d) with d < 0,
 or a polygon vertex at infinity, gives its exit-1 line instead), and as
 ``porism porism-check`` with the same input, seed and ``--max-steps``,
-which puts the walk of starts lifted to Q(sqrt d) under it; and each
+which puts the walk of starts lifted to Q(sqrt d) under it, and as
+``porism classify`` and ``porism normalize`` with the same input and seed,
+which puts the intersection type over Q and, for the tangent pairs, the
+normal form and its transform matrix over Q under it; and each
 ternary (n = 3) form of the structure round's ``char2-normalize``
 operations is also run as ``porism char2-strange-point`` on the conic with
 the same coefficients (missing ones are 0), which puts the char-2
@@ -74,7 +77,8 @@ for name in sys.argv[1].split(","):
             if command == "classify":
                 also(op, "normalize", " normalize", op.text)
             if command == "run":
-                for other in ("ecurve", "render-svg", "porism-check"):
+                for other in ("ecurve", "render-svg", "porism-check",
+                              "classify", "normalize"):
                     also(op, other, " " + other, op.text)
             if command == "char2-normalize" and op.obj["n"] == 3:
                 form = op.obj["coeffs"]
