@@ -6,7 +6,8 @@ char2-normalize, char2-strange-point, sweep, render-svg.
 All geometric input is JSON (a file path argument, or - for stdin); conics
 are {"field": "<spec>", "coeffs": [a00, a11, a22, a01, a02, a12]} in the
 monomial order x^2, y^2, z^2, xy, xz, yz, with each coefficient an integer
-or the field's canonical element string.  Exit codes: 0 success / PASS,
+or the field's canonical element string; an inner conic's field, when
+given, is the outer's.  Exit codes: 0 success / PASS,
 1 usage or input error, 2 theorem violation (a bug canary: the underlying
 statements are proved, so 2 should never happen).  Errors are reported as
 one JSON line {"error": ...} on standard error.
@@ -69,11 +70,21 @@ def _json_int(value):
     return value
 
 
+def _array(value, name):
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be an array")
+    return value
+
+
 def read_conic(obj, field=None):
+    """A smooth conic over its named field or ``field``, which it may name."""
     try:
         if field is None:
             field = parse_field_spec(obj["field"])
-        coeffs = obj["coeffs"]
+        elif "field" in obj and obj["field"] != field.spec_string() \
+                and parse_field_spec(obj["field"]) != field:
+            raise CliError("conics over different fields")
+        coeffs = _array(obj["coeffs"], "coeffs")
         if len(coeffs) != 6:
             raise CliError("a conic needs six coefficients")
         conic = Conic(field, [parse_element(field, c) for c in coeffs])
@@ -169,8 +180,8 @@ def cmd_normalize(args):
 def _start_point(cfg, obj, seed):
     if "c1" in obj:
         try:
-            c1 = ProjPoint(cfg.field,
-                           [parse_element(cfg.field, c) for c in obj["c1"]])
+            c1 = ProjPoint(cfg.field, [parse_element(cfg.field, c)
+                                       for c in _array(obj["c1"], "c1")])
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad start point: {exc}")
         if not cfg.outer.contains(c1):
@@ -298,7 +309,8 @@ def cmd_char2_strange_point(args):
     if field.char != 2:
         raise CliError("char2-strange-point needs a characteristic-2 field")
     try:
-        conic = Conic(field, [parse_element(field, c) for c in obj["coeffs"]])
+        conic = Conic(field, [parse_element(field, c)
+                              for c in _array(obj["coeffs"], "coeffs")])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad conic JSON: {exc}")
     try:

@@ -22,8 +22,8 @@ from .errors import (DegenerateInputError, ExtensionOverflowError,
                      FieldMismatchError, NotOnConicError, TheoremViolation)
 from .fields import FieldElement, lift_to_quadratic_extension
 from .poly import Polynomial, gcd, squarefree_decomposition
-from .projective import P1Point, find_point, parametrize, _canonical, \
-    _canonical_elements, _multiplicities, _p1, _repeated_params, _values
+from .projective import P1Point, find_point, parametrize, _Canonical, \
+    _canonical, _multiplicities, _p1, _repeated_params, _values
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
@@ -38,39 +38,78 @@ _SHAPES = {(1, 1, 1, 1): (SHAPE_SMOOTH, 0), (2, 1, 1): (SHAPE_NODE, 1),
            (4,): (SHAPE_SPLIT_DOUBLE, 1)}
 
 
-class BiquadraticForm:
+class _Bihomogeneous(_Canonical):
+    """A bihomogeneous form sum c_ij u^i v^j of bidegree (n, n), its
+    coefficients row-major in ``coeffs``, read off as a raw contraction
+    against the P^1 monomials of the form's ``_fibers``."""
+
+    __slots__ = ("_maps",)
+    _all_zero = "zero form"
+
+    def __init__(self, field, rows):
+        if any(len(row) != self._degree + 1 for row in rows):
+            raise ValueError(self._wrong_size)
+        super().__init__(field, [c for row in rows for c in row])
+        self._maps = None
+
+    @property
+    def _rows(self):
+        k = self._degree + 1
+        return tuple(self.coeffs[i:i + k] for i in range(0, k * k, k))
+
+    def lift(self, new_field):
+        return type(self)(new_field, self._rows)
+
+    def _raw(self):
+        """``_fibers`` of the form, built once per form."""
+        if self._maps is None:
+            self._maps = _fibers(self.field, [[c.value for c in row]
+                                              for row in self._rows])
+        return self._maps
+
+    def _fiber_at(self, k, p):
+        """``_raw()[k]`` at the P^1 point p, coerced into the form's field."""
+        return self._raw()[k]([self.field(c).value for c in p.coords])
+
+    def evaluate(self, u, v):
+        """Value at P^1 points u, v: the fiber over u against v's monomials."""
+        field = self.field
+        at = _contraction(field, self._degree)([self._fiber_at(0, u)])
+        return FieldElement(field, at([field(c).value for c in v.coords])[0])
+
+    def contains(self, u, v):
+        return self.evaluate(u, v).is_zero()
+
+    def fiber_in_v(self, u):
+        """Coefficients (q0, .., qn) of the binary form sum_j q_j v^j v'^(n-j)
+        cut out on the fiber over u: the columns against u's monomials."""
+        return tuple(FieldElement(self.field, x) for x in self._fiber_at(0, u))
+
+    def fiber_in_u(self, v):
+        """The same over v: the rows against v's monomials."""
+        return tuple(FieldElement(self.field, x) for x in self._fiber_at(1, v))
+
+    def __repr__(self):
+        k = self._degree + 1
+        return " + ".join(f"({c})u^{i // k}v^{i % k}"
+                          for i, c in enumerate(self.coeffs) if not c.is_zero())
+
+
+class BiquadraticForm(_Bihomogeneous):
     """A bihomogeneous form sum h[i][j] u^i v^j of bidegree (2,2), stored in
     canonical scale (first nonzero coefficient in row-major order is one).
     Library-built instances remember the two parametrizations whose
     incidence condition they encode."""
 
-    __slots__ = ("field", "h", "outer_par", "inner_par", "_raw_maps")
+    __slots__ = ("outer_par", "inner_par")
+    _degree, _size = 2, 9
+    _wrong_size = "a biquadratic form needs a 3x3 coefficient array"
+    _all_zero = "zero form is not a curve"
+    h = _Bihomogeneous._rows
 
     def __init__(self, field, h, outer_par=None, inner_par=None):
-        if len(h) != 3 or any(len(row) != 3 for row in h):
-            raise ValueError("a biquadratic form needs a 3x3 coefficient array")
-        self.field = field
-        flat = _canonical_elements(field, [c for row in h for c in row],
-                                   "zero form is not a curve")
-        self.h = (flat[:3], flat[3:6], flat[6:])
-        self.outer_par = outer_par
-        self.inner_par = inner_par
-        self._raw_maps = None
-
-    def _raw(self):
-        """``_fibers`` of the form, built once per form."""
-        if self._raw_maps is None:
-            self._raw_maps = _fibers(self.field,
-                                     [[c.value for c in row] for row in self.h])
-        return self._raw_maps
-
-    def evaluate(self, u, v):
-        """Value at a pair of P^1 points (well defined up to the canonical
-        scale of the arguments)."""
-        return _contract([self.fiber_in_v(u)], _monomials(v))[0]
-
-    def contains(self, u, v):
-        return self.evaluate(u, v).is_zero()
+        super().__init__(field, h)
+        self.outer_par, self.inner_par = outer_par, inner_par
 
     def partials(self, u, v):
         """The four bihomogeneous partial derivatives at ((a:b),(c:d)),
@@ -84,93 +123,26 @@ class BiquadraticForm:
         partials imply H = 0, so membership need not be checked first."""
         return all(p.is_zero() for p in self.partials(u, v))
 
-    def fiber_in_v(self, u):
-        """Coefficients (q0, q1, q2) of the binary quadratic
-        sum_j q_j v^j v'^(2-j) cut out on the fiber over u: h's columns
-        against u's monomials."""
-        return _contract(zip(*self.h), _monomials(u))
-
-    def fiber_in_u(self, v):
-        """The same over v: h's rows against v's monomials."""
-        return _contract(self.h, _monomials(v))
-
     def lift(self, new_field):
         return BiquadraticForm(new_field, self.h, self.outer_par, self.inner_par)
 
-    def __eq__(self, other):
-        return (isinstance(other, BiquadraticForm)
-                and self.field == other.field and self.h == other.h)
 
-    def __hash__(self):
-        return hash((self.field, self.h))
-
-    def __repr__(self):
-        terms = []
-        for i in range(3):
-            for j in range(3):
-                if not self.h[i][j].is_zero():
-                    terms.append(f"({self.h[i][j]})u^{i}v^{j}")
-        return " + ".join(terms) if terms else "0"
-
-
-class BilinearFactor:
+class BilinearFactor(_Bihomogeneous):
     """A bidegree-(1,1) form sum m[i][j] u^i v^j, canonically scaled; the
     components of a reducible incidence curve."""
 
-    __slots__ = ("field", "m")
-
-    def __init__(self, field, m):
-        self.field = field
-        flat = _canonical_elements(field, [c for row in m for c in row], "zero form")
-        self.m = (flat[:2], flat[2:])
-
-    def evaluate(self, u, v):
-        (a, b), (c, d) = u.coords, v.coords
-        return _contract([(b, a)], _contract(self.m, (d, c)))[0]
-
-    def contains(self, u, v):
-        return self.evaluate(u, v).is_zero()
+    __slots__ = ()
+    _degree, _size = 1, 4
+    _wrong_size = "a bilinear factor needs a 2x2 coefficient array"
+    m = _Bihomogeneous._rows
 
     def product(self, other):
         """The bidegree-(2,2) form this factor times another."""
-        field = self.field
-        h = [[field.zero] * 3 for _ in range(3)]
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        h[i + k][j + l] = h[i + k][j + l] \
-                            + self.m[i][j] * other.m[k][l]
+        h = [[self.field.zero] * 3 for _ in range(3)]
+        for x, a in enumerate(self.coeffs):  # x = 2i + j for a = m[i][j]
+            for y, b in enumerate(other.coeffs):
+                h[x // 2 + y // 2][x % 2 + y % 2] += a * b
         return h
-
-    def __eq__(self, other):
-        return (isinstance(other, BilinearFactor)
-                and self.field == other.field and self.m == other.m)
-
-    def __hash__(self):
-        return hash((self.field, "factor", self.m))
-
-    def __repr__(self):
-        terms = [f"({self.m[i][j]})u^{i}v^{j}"
-                 for i in range(2) for j in range(2)
-                 if not self.m[i][j].is_zero()]
-        return " + ".join(terms)
-
-
-def _monomials(p):
-    a, b = p.coords
-    return (b * b, a * b, a * a)
-
-
-def _contract(rows, monomials):
-    """sum_j row[j] monomials[j] for each row: a form's coefficient array
-    against the P^1 monomials of a point over the form's own field.  The
-    sum starts at its first term, so it needs no zero of the field."""
-    out = []
-    for row in rows:
-        first, *rest = [c * m for c, m in zip(row, monomials)]
-        out.append(sum(rest, first))
-    return tuple(out)
 
 
 def _binary_partials(q, p):
@@ -291,12 +263,9 @@ def is_reducible(H, branch=None):
         qw, rw = divmod(p_w, content)
         if not (rv.is_zero() and rw.is_zero()):
             raise TheoremViolation("content does not divide the factor forms")
-        m = [[field.zero, field.zero], [field.zero, field.zero]]
-        for k, c in enumerate(qv.coeffs):
-            m[k][1] = c
-        for k, c in enumerate(qw.coeffs):
-            m[k][0] = c
-        raw.append(BilinearFactor(field, m))
+        # row k of the factor is (qw_k, qv_k), both of degree at most one
+        qw, qv = ([*q.coeffs, field.zero, field.zero][:2] for q in (qw, qv))
+        raw.append(BilinearFactor(field, list(zip(qw, qv))))
     f1, f2 = raw
     if BiquadraticForm(field, f1.product(f2)).h != H.h:
         raise TheoremViolation("the split factors do not multiply back to "
@@ -346,18 +315,29 @@ def shape(outer, inner, seed=0):
     return ECurveShape(tag, H, singular, split[:2], split[2])
 
 
-def _fibers(field, h):
-    """The fibers of the raw coefficient array h, with the involution on
-    them: ``in_v(u)``, h's columns against the monomials (b^2, ab, a^2) of
-    u = (a : b), as ``fiber_in_v``; ``in_u(v)``, h's rows against v's, as
-    ``fiber_in_u``; and ``_involution(field)``."""
+def _contraction(field, degree):
+    """``fiber(rows)``: the raw map p -> (sum_j row[j] m_j for each row) on
+    the monomials m of p = (a : b) in the degree, (b, a) or (b^2, ab, a^2),
+    chosen here so that the map does not branch."""
     mul, dot = field._mul, field._dot
 
     def fiber(rows):
+        if degree == 1:
+            return lambda p: tuple([dot(r, (p[1], p[0])) for r in rows])
+
         def at(p):
             m = (mul(p[1], p[1]), mul(p[0], p[1]), mul(p[0], p[0]))
             return tuple([dot(r, m) for r in rows])
         return at
+    return fiber
+
+
+def _fibers(field, h):
+    """The fibers of the raw coefficient array h of a bidegree-(n, n) form,
+    with the involution on them: ``in_v(u)``, h's columns against u's
+    monomials, as ``fiber_in_v``; ``in_u(v)``, h's rows against v's, as
+    ``fiber_in_u``; and ``_involution(field)``."""
+    fiber = _contraction(field, len(h) - 1)
     return fiber(list(zip(*h))), fiber(h), _involution(field)
 
 

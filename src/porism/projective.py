@@ -37,12 +37,6 @@ def _canonical(field, raw, message="all coordinates are zero"):
     return tuple([mul(v, s) for v in raw])
 
 
-def _canonical_elements(field, values, message="all coordinates are zero"):
-    """``values`` coerced into the field and scaled by ``_canonical``."""
-    raw = _canonical(field, [field(v).value for v in values], message)
-    return tuple(FieldElement(field, v) for v in raw)
-
-
 def _point(field, raw):
     return ProjPoint(field, [FieldElement(field, v) for v in raw])
 
@@ -68,44 +62,55 @@ def _span(field, line):
     return pts[:2]
 
 
-class ProjPoint:
-    """A point of P^2 in canonical homogeneous coordinates."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        if len(coords) != 3:
-            raise ValueError("a projective point needs three coordinates")
-        self.field = field
-        self.coords = _canonical_elements(field, coords)
-
-    def lift(self, new_field):
-        return ProjPoint(new_field, self.coords)
-
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjPoint) and self.field == other.field
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.field, self.coords))
-
-    def __repr__(self):
-        return "[" + ":".join(str(c) for c in self.coords) + "]"
-
-
-class ProjLine:
-    """The line l0*x + l1*y + l2*z = 0, canonicalized like a point."""
+class _Canonical:
+    """Coefficients over one field in canonical projective scale, the first
+    nonzero one equal to one, so that equality (same class, field and
+    coefficients) and hashing are structural.  A subclass names its length,
+    its two errors and the brackets and separator of its repr."""
 
     __slots__ = ("field", "coeffs")
+    _all_zero = "all coordinates are zero"
+    _brackets = "[", ":", "]"
 
-    def __init__(self, field, coeffs):
-        if len(coeffs) != 3:
-            raise ValueError("a projective line needs three coefficients")
+    def __init__(self, field, values):
+        if len(values) != self._size:
+            raise ValueError(self._wrong_size)
+        raw = _canonical(field, [field(v).value for v in values], self._all_zero)
         self.field = field
-        self.coeffs = _canonical_elements(field, coeffs)
+        self.coeffs = tuple(FieldElement(field, v) for v in raw)
+
+    def lift(self, new_field):
+        return type(self)(new_field, self.coeffs)
+
+    def sort_key(self):
+        return tuple(c.sort_key() for c in self.coeffs)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field == other.field
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
+
+    def __repr__(self):
+        left, sep, right = self._brackets
+        return left + sep.join(str(c) for c in self.coeffs) + right
+
+
+class ProjPoint(_Canonical):
+    """A point of P^2 in canonical homogeneous coordinates."""
+
+    __slots__ = ()
+    coords = _Canonical.coeffs  # the same slot, under a point's name
+    _size, _wrong_size = 3, "a projective point needs three coordinates"
+
+
+class ProjLine(_Canonical):
+    """The line l0*x + l1*y + l2*z = 0, canonicalized like a point."""
+
+    __slots__ = ()
+    _size, _wrong_size = 3, "a projective line needs three coefficients"
+    _brackets = "{", ":", "}"
 
     def contains(self, p):
         return sum((c * x for c, x in zip(self.coeffs, p.coords)),
@@ -117,29 +122,18 @@ class ProjLine:
         p0, p1 = _span(field, [c.value for c in self.coeffs])
         return _point(field, p0), _point(field, p1)
 
-    def __eq__(self, other):
-        return (isinstance(other, ProjLine) and self.field == other.field
-                and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.field, "line", self.coeffs))
-
-    def __repr__(self):
-        return "{" + ":".join(str(c) for c in self.coeffs) + "}"
-
-
-class Conic:
+class Conic(_Canonical):
     """A plane conic given by six coefficients of
     a00 x^2 + a11 y^2 + a22 z^2 + a01 xy + a02 xz + a12 yz."""
 
-    __slots__ = ("field", "coeffs", "_raw", "_smooth")
+    __slots__ = ("_raw", "_smooth")
+    _size, _wrong_size = 6, "a conic needs six coefficients"
+    _all_zero = "zero quadratic form is not a conic"
+    _brackets = "Conic(", ", ", ")"
 
     def __init__(self, field, coeffs):
-        if len(coeffs) != 6:
-            raise ValueError("a conic needs six coefficients")
-        self.field = field
-        self.coeffs = _canonical_elements(field, coeffs,
-                                          "zero quadratic form is not a conic")
+        super().__init__(field, coeffs)
         self._raw = self._smooth = None
 
     def _forms(self):
@@ -194,9 +188,6 @@ class Conic:
         return sum((g * x for g, x in zip(self.gradient(u), v)),
                    start=self.field.zero)
 
-    def lift(self, new_field):
-        return Conic(new_field, self.coeffs)
-
     def transform_by_matrix(self, n):
         """The conic with form F(N v); i.e. pull back along v -> N v: the
         polarization of F on the columns of N."""
@@ -204,16 +195,6 @@ class Conic:
         columns = [[field(row[k]).value for row in n] for k in range(3)]
         return Conic(field, [FieldElement(field, v)
                              for v in _polarize(self, columns)])
-
-    def __eq__(self, other):
-        return (isinstance(other, Conic) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, "conic", self.coeffs))
-
-    def __repr__(self):
-        return "Conic(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
 def _polarize(conic, columns):
@@ -386,15 +367,14 @@ def _solve_on_line(conic, y, z):
     return _point(field, (field._mul(roots[0], field._inv(a00)), y, z))
 
 
-class P1Point:
+class P1Point(_Canonical):
     """A point of P^1 as (a : b) with affine value a/b; infinity is (1 : 0)."""
 
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        a, b = coords
-        self.field = field
-        self.coords = _canonical_elements(field, (a, b), "both coordinates are zero")
+    __slots__ = ()
+    coords = _Canonical.coeffs  # the same slot, under a point's name
+    _size, _wrong_size = 2, "a point of P^1 needs two coordinates"
+    _all_zero = "both coordinates are zero"
+    _brackets = "(", ":", ")"
 
     @classmethod
     def infinity(cls, field):
@@ -403,22 +383,6 @@ class P1Point:
     @classmethod
     def affine(cls, value):
         return cls(value.field, (value, value.field.one))
-
-    def lift(self, new_field):
-        return P1Point(new_field, self.coords)
-
-    def sort_key(self):
-        return (self.coords[0].sort_key(), self.coords[1].sort_key())
-
-    def __eq__(self, other):
-        return (isinstance(other, P1Point) and self.field == other.field
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.field, "p1", self.coords))
-
-    def __repr__(self):
-        return f"({self.coords[0]}:{self.coords[1]})"
 
 
 class ConicParametrization:

@@ -27,6 +27,29 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_every_private_helper_is_used_in_the_library():
+    # a _-prefixed function or class (dunders aside) is dead unless some
+    # name or attribute in the library reads it outside its own definition
+    trees = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                trees.append((name, ast.parse(fh.read(), name)))
+
+    def reads(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    everywhere = [r for _, tree in trees for r in reads(tree)]
+    dead = [f"{name}:{node.lineno} {node.name}" for name, tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and everywhere.count(node.name) == reads(node).count(node.name)]
+    assert dead == []
+
+
 CANARY = """
 import porism.projective as projective
 from porism.errors import TheoremViolation

@@ -643,3 +643,33 @@ def test_ecurve_reports_a_split_whose_components_need_a_second_root(tmp_path, ca
         assert ("factors" in data) is ("split_lifted" in data) is factored
         if factored:
             assert data["split_lifted"] is True
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("classify", dict(PAIR_F5_TYPE4, outer={"field": "Fp:5", "coeffs": "110004"}),
+     "bad conic JSON: coeffs must be an array"),
+    ("run", dict(PAIR_F5_TYPE4, c1="001"), "bad start point: c1 must be an array"),
+    ("char2-strange-point", {"field": "F2k:3", "coeffs": "001100"},
+     "bad conic JSON: coeffs must be an array"),
+], ids=["classify", "run-c1", "char2-strange-point"])
+def test_a_json_string_is_not_a_list_of_coordinates(tmp_path, capsys, command,
+                                                    obj, message):
+    # a string of six digits is not six one-digit coefficients
+    path = write_json(tmp_path, "input.json", obj)
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == message
+
+
+def test_an_inner_conic_over_another_field_is_an_input_error(tmp_path, capsys):
+    obj = {"outer": {"field": "Fp:13", "coeffs": [1, 1, 0, 0, 0, -1]},
+           "inner": {"field": "Fp:7", "coeffs": [1, 0, 0, 0, 0, -1]}}
+    code, out, err = run_cli(capsys, "classify", write_json(tmp_path, "a.json", obj))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "conics over different fields"}
+    # another spelling of the outer conic's field, or none, is that field
+    for named in ({"field": "Fp:013"}, {}):
+        obj["inner"] = dict(named, coeffs=[1, 0, 0, 0, 0, -1])
+        code, out, err = run_cli(capsys, "classify",
+                                 write_json(tmp_path, "b.json", obj))
+        assert (code, err) == (0, "") and out.startswith("type: (4)\n")

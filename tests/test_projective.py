@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -291,6 +292,43 @@ def test_zero_inputs_keep_their_messages(F5):
             (lambda: BilinearFactor(F5, [[0] * 2] * 2), "zero form")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
+
+
+def test_the_canonical_scale_classes_share_one_protocol(F5):
+    # per class: input, its repr, a wrong-length input and its message
+    from porism.ecurve import BilinearFactor, BiquadraticForm
+    table = [
+        (ProjPoint, [2, 4, 1], "[1:2:3]",
+         [1, 2], "a projective point needs three coordinates"),
+        (ProjLine, [2, 4, 1], "{1:2:3}",
+         [1, 2], "a projective line needs three coefficients"),
+        (Conic, [2, 1, 1, 0, 0, 0], "Conic(1, 3, 3, 0, 0, 0)",
+         [1] * 5, "a conic needs six coefficients"),
+        (P1Point, [2, 1], "(1:3)",
+         [1, 2, 3], "a point of P^1 needs two coordinates"),
+        (BiquadraticForm, [[0, 1, 2], [3, 0, 0], [0, 0, 1]],
+         "(1)u^0v^1 + (2)u^0v^2 + (3)u^1v^0 + (1)u^2v^2",
+         [[1] * 3, [1] * 3], "a biquadratic form needs a 3x3 coefficient array"),
+        (BilinearFactor, [[2, 1], [0, 3]], "(1)u^0v^0 + (3)u^0v^1 + (4)u^1v^1",
+         [[1, 2], [3]], "a bilinear factor needs a 2x2 coefficient array")]
+    big = parse_field_spec("Fq:5^2:2,0,1")
+
+    def scaled(values, s):
+        return [scaled(v, s) if isinstance(v, list) else s * v for v in values]
+
+    built = [cls(F5, values) for cls, values, *_ in table]
+    for (cls, values, text, short, message), x in zip(table, built):
+        assert repr(x) == text
+        twin = cls(F5, scaled(values, 3))
+        assert twin == x and hash(twin) == hash(x)
+        assert [y for y in built if y == x] == [x]
+        up = x.lift(big)
+        assert type(up) is cls and up.field == big
+        assert up.coeffs == tuple(big(c) for c in x.coeffs)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(F5, short)
+    assert ProjPoint(F5, [1, 2, 3]) != ProjLine(F5, [1, 2, 3])
+    assert ProjLine(F5, [1, 2, 3]) != ProjPoint(F5, [1, 2, 3])
 
 
 def test_pullback_quartic_is_the_form_on_the_unscaled_parametrization(Q):
