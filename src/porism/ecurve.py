@@ -23,7 +23,7 @@ from .errors import (DegenerateInputError, ExtensionOverflowError,
 from .fields import FieldElement, lift_to_quadratic_extension
 from .poly import Polynomial, gcd, squarefree_decomposition
 from .projective import P1Point, find_point, parametrize, _Canonical, \
-    _canonical, _multiplicities, _p1, _repeated_params, _values
+    _multiplicities, _p1, _repeated_params, _values
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
@@ -73,9 +73,9 @@ class _Bihomogeneous(_Canonical):
 
     def evaluate(self, u, v):
         """Value at P^1 points u, v: the fiber over u against v's monomials."""
-        field = self.field
-        at = _contraction(field, self._degree)([self._fiber_at(0, u)])
-        return FieldElement(field, at([field(c).value for c in v.coords])[0])
+        field, mono = self.field, self._raw()[3]
+        return FieldElement(field, field._dot(
+            self._fiber_at(0, u), mono([field(c).value for c in v.coords])))
 
     def contains(self, u, v):
         return self.evaluate(u, v).is_zero()
@@ -315,52 +315,56 @@ def shape(outer, inner, seed=0):
     return ECurveShape(tag, H, singular, split[:2], split[2])
 
 
-def _contraction(field, degree):
-    """``fiber(rows)``: the raw map p -> (sum_j row[j] m_j for each row) on
-    the monomials m of p = (a : b) in the degree, (b, a) or (b^2, ab, a^2),
-    chosen here so that the map does not branch."""
-    mul, dot = field._mul, field._dot
-
-    def fiber(rows):
-        if degree == 1:
-            return lambda p: tuple([dot(r, (p[1], p[0])) for r in rows])
-
-        def at(p):
-            m = (mul(p[1], p[1]), mul(p[0], p[1]), mul(p[0], p[0]))
-            return tuple([dot(r, m) for r in rows])
-        return at
-    return fiber
+def _monomials(field, degree):
+    """The raw map p -> the monomials of p = (a : b) in the degree, (b, a)
+    or (b^2, ab, a^2)."""
+    if degree == 1:
+        return lambda p: (p[1], p[0])
+    mul = field._mul
+    return lambda p: (mul(p[1], p[1]), mul(p[0], p[1]), mul(p[0], p[0]))
 
 
 def _fibers(field, h):
-    """The fibers of the raw coefficient array h of a bidegree-(n, n) form,
-    with the involution on them: ``in_v(u)``, h's columns against u's
-    monomials, as ``fiber_in_v``; ``in_u(v)``, h's rows against v's, as
-    ``fiber_in_u``; and ``_involution(field)``."""
-    fiber = _contraction(field, len(h) - 1)
-    return fiber(list(zip(*h))), fiber(h), _involution(field)
+    """The fibers of the raw coefficient array h of a bidegree-(n, n) form
+    and the involution on them: ``in_v(u)``, h's columns against u's
+    monomials (``fiber_in_v``), ``in_u(v)``, its rows against v's
+    (``fiber_in_u``), ``_involution(field, h, columns)`` and ``_monomials``."""
+    mono, dot = _monomials(field, len(h) - 1), field._dot
+    cols = list(zip(*h))
+
+    def fiber(rows):
+        return lambda p: tuple([dot(r, m) for m in (mono(p),) for r in rows])
+    return fiber(cols), fiber(h), _involution(field, h, cols), mono
 
 
-def _involution(field):
-    """Vieta on raw values: ``other(q, known, check)`` is the second root of
-    q0 w^2 + q1 sw + q2 s^2 in (s : w), given its canonical root ``known``,
-    the root (1 : 0) at infinity included; ``check`` first tests, by one
-    dot, that ``known`` is a root."""
-    zero = field.zero.value
-    mul, neg, dot = field._mul, field._neg, field._dot
+def _involution(field, h, cols):
+    """Vieta on the fibers q0 w^2 + q1 sw + q2 s^2 of the raw (2,2) array h:
+    ``other(k, m, p, mp, check)`` sends coordinate k (0 for u, 1 for v) of
+    a point of E, a root p = (s : w) of h's rows (k = 0) or columns against
+    the other coordinate's monomials m, to the other root, canonical, with
+    its monomials (w^2, sw, s^2), p's being mp; on (1 : t) they cost one
+    product.  ``check`` first tests, by one dot, that p is a root."""
+    zero, one = field.zero.value, field.one.value
+    mul, neg, dot, inv = field._mul, field._neg, field._dot, field._inv
 
-    def other(q, known, check=True):
-        C, B, A = q
-        s, w = known
-        if check and dot(q, (mul(w, w), mul(s, w), mul(s, s))) != zero:
+    def other(k, m, p, mp, check=True):
+        r0, r1, r2 = (h, cols)[k]
+        q = C, B, A = dot(r0, m), dot(r1, m), dot(r2, m)
+        if check and dot(q, mp) != zero:
             raise NotOnConicError("point does not lie on the incidence curve")
+        s, w = p
         if w != zero:  # the roots sum to -B/A
-            r = (neg(dot((B, A), (w, s))), mul(A, w))
-        elif B != zero:  # A = 0, so the finite root is -C/B
-            r = (neg(C), B)
-        else:  # a double root at infinity, unless q vanishes
-            r = known if C != zero else (zero, zero)
-        return _canonical(field, r, "fiber quadratic vanishes identically")
+            a, b = neg(dot((B, A), (w, s))), mul(A, w)
+        elif B != zero or C == zero:  # A = 0: the root -C/B, unless q = 0
+            a, b = neg(C), B
+        else:  # a double root at infinity
+            return p, mp
+        if a != zero:
+            t = mul(b, inv(a))
+            return (one, t), (mul(t, t), t, one)
+        if b == zero:
+            raise ValueError("fiber quadratic vanishes identically")
+        return (zero, one), (one, zero, zero)
     return other
 
 
@@ -369,10 +373,11 @@ def _move(H, p, check, *moved):
     sent to the other root of its fiber; only the first move checks."""
     if p[0].field != H.field or p[1].field != H.field:
         raise FieldMismatchError("the parameters must lie over the form's field")
-    in_v, in_u, other = H._raw()
+    _, _, other, mono = H._raw()
     p = [_values(x) for x in p]
+    m = [mono(x) for x in p]
     for k in moved:
-        p[k] = other(in_u(p[1]) if k == 0 else in_v(p[0]), p[k], check)
+        p[k], m[k] = other(k, m[1 - k], p[k], m[k], check)
         check = False
     return _p1(H.field, p[0]), _p1(H.field, p[1])
 

@@ -848,9 +848,14 @@ def check_digits(value):
 
 def parse_field_spec(s):
     """Parse the CLI field-spec strings: Fp:13, Fq:5^2:3,0,1, F2k:3, Q,
-    Qsqrt:2."""
+    Qsqrt:2; one field object per spec string (the last 256 are kept)."""
     if not isinstance(s, str):
         raise ValueError(f"a field spec is a string, not {s!r}")
+    return _parse_field_spec(s)
+
+
+@lru_cache(maxsize=256)
+def _parse_field_spec(s):
     check_digits(s)
     if s == "Q":
         return RationalField()

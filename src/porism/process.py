@@ -3,23 +3,24 @@
 A state holds c on the outer conic C and d on the inner conic D with c on
 the tangent of D at d.  ``start`` solves for the initial contact point d1
 on raw values, lifting the pair one quadratic step when the two candidates
-are conjugate.  The walk is then nu = sigma o tau on E's raw parameters
-(u, v), the step of the incidence curve ``ecurve`` builds: both
-involutions are Vieta on a fiber, so everything stays in one field.  The
-step map is invertible, so orbit closure is detected by first return to the
-initial state.  The geometric ``step``, on ``polar`` and
-``other_intersection``, is the walk's reference; the tests keep the start's
-(``intersect_line_conic`` on the polar) and ``step_inverse`` in
-``tests/reference.py``.  ``porism_check`` walks
-each closed cycle once, however many of its starts lie on it, and a lifted
-start's half way round.
+are conjugate; ``porism_check`` solves its starts on E's fiber instead.
+The walk is then nu = sigma o tau on E's raw parameters (u, v), the step
+of the incidence curve ``ecurve`` builds: both involutions are Vieta on a
+fiber, so everything stays in one field.  The step map is invertible, so
+orbit closure is detected by first return to the initial state.  The
+geometric ``step``, on ``polar`` and ``other_intersection``, is the walk's
+reference; the tests keep the start's (``intersect_line_conic`` on the
+polar) and ``step_inverse`` in ``tests/reference.py``.  ``porism_check``
+walks each closed cycle once, however many of its starts lie on it, and a
+lifted start's half way round.
 """
 
 import random
+from copy import copy
 from dataclasses import dataclass, field as dc_field
 
 from .ecurve import _fibers, _incidence_rows
-from .errors import NotOnConicError, TheoremViolation
+from .errors import ExtensionOverflowError, NotOnConicError, TheoremViolation
 from .poly import _monic_quadratic_roots
 from .projective import (_canonical, _point, _span, _values,
                          _type_and_tangencies, other_intersection, parametrize,
@@ -109,21 +110,15 @@ def start(cfg, c1, branch="min"):
 def _start(cfg, c1, branch="min"):
     """``start`` on raw values: (possibly lifted config, raw (c1, d1)).  d1 is
     a root of F on the polar of c1, a binary quadratic made monic and solved
-    by ``poly._monic_quadratic_roots``, or p0 at a drop in degree; the
-    tests check it against ``intersect_line_conic`` on the polar."""
-    field = cfg.field
-    zero, mul = field.zero.value, field._mul
+    by ``_quadratic_roots``, or p0 at a drop in degree; the tests check it
+    against ``intersect_line_conic`` on the polar."""
+    field, zero = cfg.field, cfg.field.zero.value
     grad, value = cfg.inner._forms()
     # the polar of c1 is its gradient line; span it as ProjLine.span does
     p0, p1 = _span(field, grad(c1))
-    # F(t p0 + p1) = alpha t^2 + beta t + gamma
-    alpha, beta, gamma = value(p0), field._dot(grad(p0), p1), value(p1)
-    if alpha != zero:
-        inv = field._inv(alpha)
-        ext, ts = _monic_quadratic_roots(field, mul(gamma, inv), mul(beta, inv))
-    else:
-        ext, ts = field, [] if beta == zero else [
-            mul(field._neg(gamma), field._inv(beta))]
+    # F(t p0 + p1) = alpha t^2 + beta t + gamma, with p0 at t = infinity
+    ext, ts, at_p0 = _quadratic_roots(
+        field, value(p0), field._dot(grad(p0), p1), value(p1))
     if ext is not field:
         # conjugate roots: both candidates already lie in ext
         p0, p1, c1 = (tuple((v, zero) for v in p) for p in (p0, p1, c1))
@@ -131,10 +126,23 @@ def _start(cfg, c1, branch="min"):
     add, mul = ext._add, ext._mul
     pts = [_canonical(ext, [add(mul(t, a), b) for a, b in zip(p0, p1)])
            for t in ts]
-    if alpha == zero:
+    if at_p0:
         pts.append(p0)
     pts.sort(key=lambda p: tuple(map(ext._sort_key, p)))
     return cfg, (c1, pts[0] if branch == "min" else pts[-1])
+
+
+def _quadratic_roots(field, a, b, c):
+    """(field, finite roots t, whether t = infinity is one) of a t^2 + b t
+    + c: ``poly._monic_quadratic_roots``, over K's quadratic extension when
+    conjugate, or -c/b and infinity for a = 0."""
+    zero, mul, inv = field.zero.value, field._mul, field._inv
+    if a != zero:
+        s = inv(a)
+        return (*_monic_quadratic_roots(field, mul(c, s), mul(b, s)), False)
+    if b == zero == c:
+        raise ValueError("fiber quadratic vanishes identically")
+    return field, [mul(field._neg(c), inv(b))] if b != zero else [], True
 
 
 def is_tangency_state(cfg, state):
@@ -165,7 +173,9 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=KEEP_ORBIT):
     """
     max_steps = _step_budget(cfg, max_steps)
     lifted_cfg, initial, lifted = start(cfg, c1, branch)
-    E = _Incidence(cfg, parametrize(cfg.outer, c1), lifted_cfg)
+    E = _Incidence(cfg, parametrize(cfg.outer, c1))
+    if lifted:
+        E = E.lift(lifted_cfg.field)
     (c, d), field = _raw_state(initial), E.field
     period, kept, _ = _orbit(E, (E.outer[1](c), E.inner[1](d)), max_steps,
                              keep_orbit)
@@ -192,28 +202,36 @@ def _raw_state(state):
 
 class _Incidence:
     """E of ``cfg``'s pair, pulled back along ``outer_par`` and the config's
-    ``inner_par`` (both over cfg's field K), on raw values over the field
-    of ``lifted``, cfg or its lift: E's ``fibers`` and involution, the raw
-    (``point_at``, ``param_of``) of both parametrizations, and E's singular
-    points, the tangency points' (u, v).  Over K's quadratic extension each
-    K-value v is embedded once, as (v, K's zero)."""
+    ``inner_par``, on raw values over cfg's field K: E's raw rows ``h``, its
+    ``fibers`` and involution, the raw (``point_at``, ``param_of``) of both
+    parametrizations, and E's singular points, the tangency points' (u, v).
+    ``lift`` moves it to K's quadratic extension."""
 
-    __slots__ = ("field", "fibers", "outer", "inner", "singular")
+    __slots__ = ("field", "h", "fibers", "outer", "inner", "singular",
+                 "_tangencies", "_pars")
 
-    def __init__(self, cfg, outer_par, lifted=None):
-        lifted = lifted or cfg
-        field = self.field = lifted.field
-        h = _incidence_rows(cfg.inner, outer_par, cfg.inner_par)
-        embed, base, zero = None, cfg.field, cfg.field.zero.value
-        if field != base:
-            def embed(c):
-                return base(c).value, zero
-            h = [[(v, zero) for v in row] for row in h]
-        self.fibers = _fibers(field, h)
-        self.outer = outer_par._maps(field, embed)
-        self.inner = cfg.inner_par._maps(field, embed)
-        self.singular = {(self.outer[1](t), self.inner[1](t)) for t in (
-            _values(p) for p in lifted.tangencies if p.field == field)}
+    def __init__(self, cfg, outer_par):
+        self._tangencies, self._pars = cfg.tangencies, (outer_par, cfg.inner_par)
+        self._build(cfg.field, _incidence_rows(cfg.inner, outer_par,
+                                               cfg.inner_par), None, set())
+
+    def lift(self, ext):
+        """This E over K's quadratic extension ``ext``, each K-value v of its
+        rows and singular points embedded once, as (v, K's zero)."""
+        base, zero, lifted = self.field, self.field.zero.value, copy(self)
+        lifted._build(ext, [[(v, zero) for v in row] for row in self.h],
+                      lambda c: (base(c).value, zero),
+                      {tuple(tuple((x, zero) for x in t) for t in p)
+                       for p in self.singular})
+        return lifted
+
+    def _build(self, field, h, embed, singular):
+        """E over ``field``: tangencies over it join ``singular``."""
+        self.field, self.h, self.fibers = field, h, _fibers(field, h)
+        self.outer, self.inner = (par._maps(field, embed) for par in self._pars)
+        self.singular = singular | {
+            (self.outer[1](t), self.inner[1](t))
+            for t in (_values(p) for p in self._tangencies if p.field == field)}
 
 
 def _orbit(E, initial, max_steps, keep, watch=(), fold=False):
@@ -221,11 +239,12 @@ def _orbit(E, initial, max_steps, keep, watch=(), fold=False):
     ``initial`` = (u, v) of a state (c, d); ``step`` is its reference.  tau
     moves c along the tangent at d and sigma moves d to the other contact
     point seen from c, each by E's involution, which checks that its known
-    root is a root of its fiber.  A tangency start is a singular point of
-    E, fixed by nu, so it closes at step 1; any other orbit meeting one is
-    a theorem violation.  Returns (period, or 0 if the orbit stays open,
-    the raw (u, v) of the states with index 2 .. keep, and the raw states
-    of ``watch`` that the walk met, in the order met).
+    root is a root of its fiber; each parameter's monomials ride along, in
+    (u, mu, v, mv).  A tangency start is a singular point of E, fixed by
+    nu, so it closes at step 1; any other orbit meeting one is a theorem
+    violation.  Returns (period, or 0 if the orbit stays open, the raw
+    (u, v) of the states with index 2 .. keep, and the raw states of
+    ``watch`` that the walk met, in the order met).
 
     ``fold`` is for a lifted start P = (u1, v1): c1 in the base field K, d1
     conjugate, and ``E`` over K's quadratic extension.  Both involutions
@@ -253,14 +272,15 @@ def _orbit(E, initial, max_steps, keep, watch=(), fold=False):
       which ``watch`` sees before the walk stops.
     A canonical (a : b) has a = 0 or 1, so it lies in K when b's second
     raw component is K's zero."""
-    in_v, in_u, other = E.fibers
+    other, mono = E.fibers[2:]
     singular = E.singular
     kzero = E.field.zero.value[1] if fold else None
     u, v = initial
+    mu, mv = mono(u), mono(v)
     kept, met = [], []
     for i in range(1, max_steps + 1):
-        u = other(in_u(v), u)
-        v = other(in_v(u), v)
+        u, mu = other(0, mv, u, mu)
+        v, mv = other(1, mu, v, mv)
         state = (u, v)
         if state == initial:
             return i, kept, met
@@ -353,20 +373,30 @@ def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
     settles only its own start.  A lifted start is walked only to its
     Galois mirror (``_orbit``'s ``fold``).  Starts are walked on E pulled
     back along the draw's parametrization, whose drawn parameters are the
-    starts' u."""
+    starts' u; a start's v is the fiber's root, on E's lift if conjugate,
+    whose contact point sorts first (``start``'s min branch).  Over Q the
+    lift is named by the fiber's discriminant, not the polar's."""
     par, params = _sample_starts(cfg, num_starts, seed)
     max_steps = _step_budget(cfg, max_steps)
-    point_at, zero = par._maps(cfg.field)[0], cfg.field.zero.value
+    base = _Incidence(cfg, par)
+    in_v, zero, one = base.fibers[0], cfg.field.zero.value, cfg.field.one.value
     # field -> (E, {raw initial (u, v): index} of its unsettled starts)
-    curves, solved = {}, []
+    curves, solved = {cfg.field: (base, {})}, []
     for u in params:
-        start_cfg, (_, d1) = _start(cfg, point_at(u))
-        if start_cfg.field not in curves:
-            curves[start_cfg.field] = _Incidence(cfg, par, start_cfg), {}
-        E, watch = curves[start_cfg.field]
-        if E.field != cfg.field:
+        # E's fiber over u is C w^2 + B sw + A s^2 in v = (s : w)
+        try:
+            ext, ws, at_zero = _quadratic_roots(cfg.field, *in_v(u))
+        except ExtensionOverflowError:
+            _start(cfg, base.outer[0](u))  # raises start's own message
+            raise
+        vs = [(ext.one.value, w) for w in ws] + [(zero, one)] * at_zero
+        if ext not in curves:
+            curves[ext] = base.lift(ext), {}
+        E, watch = curves[ext]
+        if ext != cfg.field:
             u = tuple((x, zero) for x in u)
-        initial = u, E.inner[1](d1)
+        point_at, key = E.inner[0], ext._sort_key
+        initial = u, min(vs, key=lambda v: tuple(map(key, point_at(v))))
         watch[initial] = len(solved)
         solved.append((E, initial))
     periods = [None] * len(solved)

@@ -155,6 +155,49 @@ def test_ecurve_singular_count_canary_fires_under_python_O():
     assert got.stdout == ""
 
 
+KERNEL_CANARY = """
+import json, sys
+import porism.cli as cli
+import porism.process as process
+from porism.errors import NotOnConicError, TheoremViolation
+
+assert False, "asserts are stripped under -O"
+cfg = process.PonceletConfig(*cli.read_pair(json.loads(sys.argv[1])))
+field = cfg.field
+par, params = process._sample_starts(cfg, field.size + 1, 0)
+E = process._Incidence(cfg, par)
+in_v, _, other, mono = E.fibers
+u, v = next((u, (1, t)) for u in params for t in range(field.size)
+            if not field._dot(in_v(u), mono((1, t))))
+off = next((u, (1, t)) for t in range(field.size)
+           if field._dot(in_v(u), mono((1, t))))
+try:
+    process._orbit(E, off, 10, 0)
+except NotOnConicError as exc:
+    print("NotOnConicError:", exc)
+# the state after one step of (u, v) made a singular point of E
+u2, mu2 = other(0, mono(v), u, mono(u))
+E.singular = E.singular | {(u2, other(1, mu2, v, mono(v))[0])}
+try:
+    process._orbit(E, (u, v), 10 * field.size, 0)
+except TheoremViolation as exc:
+    print("TheoremViolation:", exc)
+"""
+
+
+def test_the_walk_kernels_canaries_fire_under_python_O():
+    # a state off E fails the kernel's incidence check, and an orbit forced
+    # through a singular point of E fires the tangency canary
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    got = subprocess.run([sys.executable, "-O", "-c", KERNEL_CANARY, NODE_PAIR],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.splitlines() == [
+        "NotOnConicError: point does not lie on the incidence curve",
+        "TheoremViolation: orbit of a non-tangency start hit a tangency "
+        "point; this contradicts invertibility of the step map"]
+
+
 # the Euler triangle pair over Q, from (4 : 0 : 1): period 3
 TRIANGLE = ('{"outer": {"field": "Q", "coeffs": [1, 1, -16, 0, 0, 0]}, '
             '"inner": {"field": "Q", "coeffs": [1, 1, "7/4", 0, -4, 0]}, '
@@ -166,9 +209,10 @@ def force_a_tangency_hit(monkeypatch):
     wrapped = process._orbit
 
     def forced(E, initial, *args):
-        in_v, in_u, other = E.fibers
-        u = other(in_u(initial[1]), initial[0])
-        E.singular = E.singular | {(u, other(in_v(u), initial[1]))}
+        other, mono = E.fibers[2:]
+        (u, v), (mu, mv) = initial, map(mono, initial)
+        u, mu = other(0, mv, u, mu)
+        E.singular = E.singular | {(u, other(1, mu, v, mv)[0])}
         return wrapped(E, initial, *args)
     monkeypatch.setattr(process, "_orbit", forced)
 

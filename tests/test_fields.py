@@ -10,9 +10,10 @@ from porism import char2, projective
 from porism.errors import (ExtensionOverflowError, FieldMismatchError,
                            TheoremViolation)
 from porism.fields import (ExtensionField, PrimeField, QuadRationalField,
-                           RationalField, _quadratic_extension,
-                           binary_field, lift_to_quadratic_extension,
-                           parse_element, parse_field_spec)
+                           RationalField, _parse_field_spec,
+                           _quadratic_extension, binary_field,
+                           lift_to_quadratic_extension, parse_element,
+                           parse_field_spec)
 from porism.poly import Polynomial, factor
 
 
@@ -164,6 +165,23 @@ def test_field_spec_round_trip():
         assert parse_field_spec(field.spec_string()) == field
     with pytest.raises(ValueError):
         parse_field_spec("Zmod:6")
+
+
+def test_a_field_spec_parses_to_one_field(monkeypatch):
+    spec = "Fq:7^3:4,0,0,1"  # x^3 + 4, irreducible over F_7
+    _parse_field_spec.cache_clear()
+    checks = []
+    wrapped = ExtensionField._is_irreducible
+
+    def counted(self):
+        checks.append(self.spec_string())
+        return wrapped(self)
+    monkeypatch.setattr(ExtensionField, "_is_irreducible", counted)
+    field = parse_field_spec(spec)
+    assert parse_field_spec(spec) is field and field.size == 343
+    assert checks == [spec]
+    with pytest.raises(ValueError, match="a field spec is a string, not 7"):
+        parse_field_spec(7)
 
 
 def test_element_render_parse_round_trip():
@@ -656,6 +674,7 @@ def test_binary_field_searches_for_its_modulus_once_per_k(monkeypatch):
         built.append(tuple(modulus))
         init(self, base, modulus, *args)
     binary_field.cache_clear()
+    _parse_field_spec.cache_clear()
     monkeypatch.setattr(ExtensionField, "__init__", counted)
     for k in range(2, 9):
         built.clear()

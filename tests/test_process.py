@@ -6,8 +6,8 @@ import pytest
 
 from porism.errors import ExtensionOverflowError, NotOnConicError
 from porism.fields import (FieldElement, PrimeField, QuadRationalField,
-                           RationalField, _quadratic_extension,
-                           parse_field_spec)
+                           RationalField, _fraction_sqrt,
+                           _quadratic_extension, parse_field_spec)
 from porism.poly import binary_form_roots
 from porism.process import (PonceletConfig, PonceletState, ProcessResult,
                             _raw_state, is_tangency_state, porism_check, run,
@@ -600,6 +600,87 @@ def test_porism_check_solves_every_start_before_it_walks(monkeypatch):
     assert walks == []
 
 
+def fiber_start_cases(cfg, num_starts, seed, monkeypatch):
+    """porism_check's initial (u, v) of every sampled start, against
+    ``_start``'s (u, inner param_of(d1)) on E pulled back along the draw's
+    parametrization; returns the cases met: roots in the field or lifted, a
+    fiber with C = 0 (its root (0 : 1)), and a double root.  Over Q a lift
+    is Q(sqrt d) with d the fiber's discriminant, which differs from the
+    polar's by a square factor k^2, so there the parameters are compared
+    through the isomorphism sqrt d -> k sqrt d' with k > 0, which keeps
+    the order of sort keys and so the min branch."""
+    import porism.process as process
+    walked = []
+
+    def open_walk(E, initial, *args):  # an open walk settles only its start
+        walked.append((E.field, initial))
+        return 0, [], []
+    monkeypatch.setattr(process, "_orbit", open_walk)
+    porism_check(cfg, num_starts, seed=seed)
+    monkeypatch.undo()
+    par, params = process._sample_starts(cfg, num_starts, seed)
+    base = process._Incidence(cfg, par)
+    zero = cfg.field.zero.value
+    assert len(walked) == len(params)
+    cases = set()
+    for u, (field, (got_u, got_v)) in zip(params, walked):
+        c1 = base.outer[0](u)
+        if base.fibers[0](u)[0] == zero:
+            cases.add("C = 0")
+        lifted_cfg, (_, d1) = process._start(cfg, c1)
+        ext = lifted_cfg.field
+        want_v = tuple(x.value for x in
+                       cfg.inner_par.param_of(_point(ext, d1)).coords)
+        if ext != cfg.field:
+            cases.add("lifted")
+            u = tuple((x, zero) for x in u)
+            if cfg.field.size is None:
+                k = _fraction_sqrt(field.d / ext.d)
+                assert k is not None and k > 0
+                field, got_v = ext, tuple((r, s * k) for r, s in got_v)
+        else:
+            cases.add("in field")
+        assert (field, got_u, got_v) == (ext, u, want_v)
+        if process._start(cfg, c1, "max")[1][1] == d1:
+            cases.add("double root")
+    return cases
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:5^2:2,0,1",
+                                  "Fq:3^3:1,2,0,1", "Q", "Qsqrt:2"])
+def test_porism_check_solves_each_start_on_the_fiber_as_start_does(
+        spec, monkeypatch):
+    field = parse_field_spec(spec)
+    rng = random.Random("fiber:" + spec)
+    finite = field.size is not None
+    draw = random_smooth_pair if finite else char0_pair
+    configs = [PonceletConfig(*draw(field, rng))
+               for _ in range(6 if finite else 12)]
+    configs += tangent_configs(field, rng)
+    cases, checked = set(), 0
+    for cfg in configs:
+        # every point of the outer conic over a finite field; over Q(sqrt 2)
+        # most starts need a second square root
+        num_starts = (field.size + 1 if finite else
+                      1 if isinstance(field, QuadRationalField) else 4)
+        seed = rng.randrange(100)
+        try:
+            cases |= fiber_start_cases(cfg, num_starts, seed, monkeypatch)
+        except ExtensionOverflowError as exc:
+            # over Q(sqrt 2), with start's message for the first start that
+            # needs a second square root
+            assert spec == "Qsqrt:2"
+            with pytest.raises(ExtensionOverflowError) as want:
+                for c1 in sample_starts(cfg, num_starts, seed):
+                    start(cfg, c1)
+            assert str(exc) == str(want.value)
+            continue
+        checked += 1
+    assert checked >= 6
+    assert cases == {"in field", "C = 0", "double root"} | (
+        set() if spec == "Qsqrt:2" else {"lifted"})
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_sample_starts_leaves_every_point_but_the_tangencies(p):
     field = PrimeField(p)
@@ -624,7 +705,7 @@ def lifted_starts(cfg, num_starts, seed):
         for branch in ("min", "max"):
             lifted_cfg, initial, lifted = start(cfg, c1, branch)
             if lifted:
-                E = process._Incidence(cfg, par, lifted_cfg)
+                E = process._Incidence(cfg, par).lift(lifted_cfg.field)
                 c, d = _raw_state(initial)
                 out.append((E, (E.outer[1](c), E.inner[1](d))))
     return out
@@ -685,12 +766,12 @@ def test_folded_walk_stops_at_half_the_period():
             for E, initial in lifted_starts(cfg, 4, rng.randrange(100)):
                 n = process._orbit(E, initial, 2 * field.size, 0)[0]
                 # count the involution's calls, two a step
-                in_v, in_u, other = E.fibers
+                in_v, in_u, other, mono = E.fibers
 
                 def counted(*args, _other=other):
                     calls.append(args)
                     return _other(*args)
-                E.fibers = in_v, in_u, counted
+                E.fibers = in_v, in_u, counted, mono
                 calls.clear()
                 folded = process._orbit(E, initial, 2 * field.size,
                                         0, (), True)[0]
