@@ -397,6 +397,9 @@ def sweep_one(field_spec, seed, index, num_starts, max_steps):
 
 
 def cmd_sweep(args):
+    for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1")
     if parse_field_spec(args.field).size is None:
         raise CliError("sweep draws random conics and needs a finite field")
     tasks = [(args.field, args.seed, i, args.num_starts, args.max_steps)

@@ -793,12 +793,35 @@ def _quadratic_extension(field):
     return ExtensionField(field, [-n, field.zero, field.one])
 
 
+# Trial divisor bound of ``_square_part``, complete below its cube
+_SQUARE_PART_BOUND = 10**5
+
+
+def _square_part(n):
+    """(k, d) with n = k^2 d and k > 0, for a nonzero int n: trial division
+    while f^3 <= the cofactor and f <= ``_SQUARE_PART_BOUND``, then an
+    exact-square test of the cofactor, which has at most two prime factors
+    unless the bound stopped the division; so d is squarefree for |n| below
+    the bound's cube, and above it may keep a square of a larger prime."""
+    k, d, c, f = 1, -1 if n < 0 else 1, abs(n), 2
+    while f ** 3 <= c and f <= _SQUARE_PART_BOUND:
+        while c % (f * f) == 0:
+            c, k = c // (f * f), k * f
+        if c % f == 0:
+            c, d = c // f, d * f
+        f += 1 if f == 2 else 2
+    r = isqrt(c)
+    return (k * r, d) if r * r == c else (k, d * c)
+
+
 def lift_to_quadratic_extension(a):
     """(new_field, the canonical sqrt(a) in it): one quadratic step up the
     tower for a non-square ``a``; a square or zero raises.  Over an odd
     finite K the step is ``_quadratic_extension(K)`` for every a, and sqrt(a)
-    is +-sqrt(a/n) x, from one square root in K.  Over Q it is Q(sqrt a);
-    a second step above Q raises.  ``new_field(elem)`` lifts K's elements."""
+    is +-sqrt(a/n) x, from one square root in K.  Over Q it is Q(sqrt d),
+    d the squarefree part of a's numerator times its denominator
+    (``_square_part``), and the root is -k sqrt(d) for a rational k > 0; a
+    second step above Q raises.  ``new_field(elem)`` lifts K's elements."""
     field = a.field
     if field.char == 2:
         raise ValueError("use char2 tools in characteristic two")
@@ -809,8 +832,9 @@ def lift_to_quadratic_extension(a):
             raise ExtensionOverflowError(
                 f"the square root of {a} needs a second quadratic step above Q; "
                 "only one is supported")
-        new = QuadRationalField(a.value)
-        return new, -new.root  # -sqrt(a) sorts first
+        k, d = _square_part(a.value.numerator * a.value.denominator)
+        new = QuadRationalField(d)
+        return new, new((0, Fraction(-k, a.value.denominator)))  # -sqrt(a) first
     new = _quadratic_extension(field)
     r = (a / -new.modulus[0]).sqrt()  # a/n is a square exactly when a is not
     if a.is_zero() or r is None:

@@ -1,18 +1,18 @@
 """The Poncelet process as an exact iterated map on pairs (c, d).
 
 A state holds c on the outer conic C and d on the inner conic D with c on
-the tangent of D at d.  ``start`` solves for the initial contact point d1
-on raw values, lifting the pair one quadratic step when the two candidates
-are conjugate; ``porism_check`` solves its starts on E's fiber instead.
-The walk is then nu = sigma o tau on E's raw parameters (u, v), the step
-of the incidence curve ``ecurve`` builds: both involutions are Vieta on a
-fiber, so everything stays in one field.  The step map is invertible, so
-orbit closure is detected by first return to the initial state.  The
-geometric ``step``, on ``polar`` and ``other_intersection``, is the walk's
-reference; the tests keep the start's (``intersect_line_conic`` on the
-polar) and ``step_inverse`` in ``tests/reference.py``.  ``porism_check``
-walks each closed cycle once, however many of its starts lie on it, and a
-lifted start's half way round.
+the tangent of D at d.  Everything runs on the raw parameters (u, v) of
+the incidence curve E that ``ecurve`` builds.  A start is a root v of E's
+fiber over c1's parameter u, solved by ``_fiber_start`` for ``start``,
+``run`` and ``porism_check`` alike, on E's lift to the quadratic extension
+when the two roots are conjugate.  The walk is then nu = sigma o tau on
+(u, v): both involutions are Vieta on a fiber, so everything stays in one
+field.  The step map is invertible, so orbit closure is detected by first
+return to the initial state.  The geometric ``step``, on ``polar`` and
+``other_intersection``, is the walk's reference; the tests keep the
+start's (``intersect_line_conic`` on the polar) and ``step_inverse`` in
+``tests/reference.py``.  ``porism_check`` walks each closed cycle once,
+however many of its starts lie on it, and a lifted start's half way round.
 """
 
 import random
@@ -20,9 +20,9 @@ from copy import copy
 from dataclasses import dataclass, field as dc_field
 
 from .ecurve import _fibers, _incidence_rows
-from .errors import ExtensionOverflowError, NotOnConicError, TheoremViolation
+from .errors import NotOnConicError, TheoremViolation
 from .poly import _monic_quadratic_roots
-from .projective import (_canonical, _point, _span, _values,
+from .projective import (_canonical, _point, _values,
                          _type_and_tangencies, other_intersection, parametrize,
                          polar, tangent_at, find_point)
 
@@ -35,7 +35,7 @@ class PonceletConfig:
     """A validated pair of smooth distinct conics with cached tangency data."""
 
     __slots__ = ("outer", "inner", "field", "tangencies", "intersection_type",
-                 "inner_par", "_lifted")
+                 "inner_par")
 
     def __init__(self, outer, inner, seed=0):
         if outer.field.char == 2:
@@ -45,7 +45,6 @@ class PonceletConfig:
         self.outer = outer
         self.inner = inner
         self.field = outer.field
-        self._lifted = None
         # inner_par, over the pair's field, is the one E is pulled back along
         self.intersection_type, self.tangencies, self.inner_par = \
             _type_and_tangencies(outer, inner, seed)
@@ -54,16 +53,11 @@ class PonceletConfig:
         return [p for p in self.tangencies if p.field == self.field]
 
     def lift(self, new_field):
-        """This pair over ``new_field``, kept and reused for an equal field."""
-        if self._lifted is not None and self._lifted.field == new_field:
-            return self._lifted
-        lifted = self._lifted = PonceletConfig.__new__(PonceletConfig)
-        lifted._lifted = None
+        """This pair over ``new_field``."""
+        lifted = copy(self)
         lifted.outer = self.outer.lift(new_field)
         lifted.inner = self.inner.lift(new_field)
         lifted.field = new_field
-        lifted.intersection_type = self.intersection_type
-        lifted.inner_par = self.inner_par
         lifted.tangencies = [p.lift(new_field) if new_field.contains(p.field)
                              else p for p in self.tangencies]
         return lifted
@@ -94,55 +88,56 @@ class ProcessResult:
 
 
 def start(cfg, c1, branch="min"):
-    """Initial state for the process: pick d1 with L(c1, d1) tangent to the
-    inner conic.  If the two candidates are conjugate over the working field
-    the whole configuration is lifted one quadratic step first.  ``_start``,
-    read and returned as points: (possibly lifted config, state, lifted flag)."""
+    """Initial state for the process: d1 with L(c1, d1) tangent to the inner
+    conic, on the pair lifted one quadratic step when the two candidates are
+    conjugate: (possibly lifted config, state, lifted flag)."""
+    E, initial = _start_through(cfg, c1, branch)
+    lifted = E.field != cfg.field
+    return cfg.lift(E.field) if lifted else cfg, _state(E, initial, 1), lifted
+
+
+def _start_through(cfg, c1, branch):
+    """E pulled back along the outer conic's parametrization through c1, and
+    ``_fiber_start`` of c1's parameter on it: (E or its lift, raw (u, v))."""
     if branch not in ("min", "max"):
         raise ValueError("branch must be 'min' or 'max'")
     if not cfg.outer.contains(c1):
         raise NotOnConicError("initial point must lie on the outer conic")
-    new_cfg, (c, d) = _start(cfg, _values(c1), branch)
-    ext = new_cfg.field
-    return new_cfg, PonceletState(_point(ext, c), _point(ext, d), 1), ext != cfg.field
+    E = _Incidence(cfg, parametrize(cfg.outer, c1))
+    return _fiber_start(E, E.outer[1](_values(c1)), branch, {})
 
 
-def _start(cfg, c1, branch="min"):
-    """``start`` on raw values: (possibly lifted config, raw (c1, d1)).  d1 is
-    a root of F on the polar of c1, a binary quadratic made monic and solved
-    by ``_quadratic_roots``, or p0 at a drop in degree; the tests check it
-    against ``intersect_line_conic`` on the polar."""
-    field, zero = cfg.field, cfg.field.zero.value
-    grad, value = cfg.inner._forms()
-    # the polar of c1 is its gradient line; span it as ProjLine.span does
-    p0, p1 = _span(field, grad(c1))
-    # F(t p0 + p1) = alpha t^2 + beta t + gamma, with p0 at t = infinity
-    ext, ts, at_p0 = _quadratic_roots(
-        field, value(p0), field._dot(grad(p0), p1), value(p1))
-    if ext is not field:
-        # conjugate roots: both candidates already lie in ext
-        p0, p1, c1 = (tuple((v, zero) for v in p) for p in (p0, p1, c1))
-        cfg = cfg.lift(ext)
-    add, mul = ext._add, ext._mul
-    pts = [_canonical(ext, [add(mul(t, a), b) for a, b in zip(p0, p1)])
-           for t in ts]
-    if at_p0:
-        pts.append(p0)
-    pts.sort(key=lambda p: tuple(map(ext._sort_key, p)))
-    return cfg, (c1, pts[0] if branch == "min" else pts[-1])
+def _fiber_start(E, u, branch, curves):
+    """The start at E's raw parameter u: (E, or its lift when the roots are
+    conjugate, kept in ``curves`` per field, and the raw (u, v)), v the root
+    of E's fiber C w^2 + B sw + A s^2 over u whose contact point sorts first
+    (min) or last (max).  For C != 0 the roots (1 : w) are
+    ``_monic_quadratic_roots``'; for C = 0 they are (0 : 1) and its Vieta
+    partner, which E's involution gives."""
+    field, (c, b, a) = E.field, E.fibers[0](u)
+    zero, one = field.zero.value, field.one.value
+    if c == zero:
+        other, mono = E.fibers[2:]
+        p = zero, one
+        ext, vs = field, [p, other(1, mono(u), p, mono(p), False)[0]]
+    else:
+        s = field._inv(c)
+        ext, ws = _monic_quadratic_roots(field, field._mul(a, s), field._mul(b, s))
+        vs = [(ext.one.value, w) for w in ws]
+    if ext != field:
+        if ext not in curves:
+            curves[ext] = E.lift(ext)
+        E, u = curves[ext], tuple((x, zero) for x in u)
+    point_at, key = E.inner[0], ext._sort_key
+    pick = min if branch == "min" else max
+    return E, (u, pick(vs, key=lambda v: tuple(map(key, point_at(v)))))
 
 
-def _quadratic_roots(field, a, b, c):
-    """(field, finite roots t, whether t = infinity is one) of a t^2 + b t
-    + c: ``poly._monic_quadratic_roots``, over K's quadratic extension when
-    conjugate, or -c/b and infinity for a = 0."""
-    zero, mul, inv = field.zero.value, field._mul, field._inv
-    if a != zero:
-        s = inv(a)
-        return (*_monic_quadratic_roots(field, mul(c, s), mul(b, s)), False)
-    if b == zero == c:
-        raise ValueError("fiber quadratic vanishes identically")
-    return field, [mul(field._neg(c), inv(b))] if b != zero else [], True
+def _state(E, uv, index):
+    """The state at E's raw parameters uv = (u, v), as points."""
+    (u, v), field = uv, E.field
+    return PonceletState(_point(field, E.outer[0](u)),
+                         _point(field, E.inner[0](v)), index)
 
 
 def is_tangency_state(cfg, state):
@@ -172,20 +167,13 @@ def run(cfg, c1, branch="min", max_steps=None, keep_orbit=KEEP_ORBIT):
     states are built only for the kept prefix.
     """
     max_steps = _step_budget(cfg, max_steps)
-    lifted_cfg, initial, lifted = start(cfg, c1, branch)
-    E = _Incidence(cfg, parametrize(cfg.outer, c1))
-    if lifted:
-        E = E.lift(lifted_cfg.field)
-    (c, d), field = _raw_state(initial), E.field
-    period, kept, _ = _orbit(E, (E.outer[1](c), E.inner[1](d)), max_steps,
-                             keep_orbit)
-    orbit = [initial] + [
-        PonceletState(_point(field, E.outer[0](u)),
-                      _point(field, E.inner[0](v)), i)
-        for i, (u, v) in enumerate(kept, start=2)]
+    E, initial = _start_through(cfg, c1, branch)
+    period, kept, _ = _orbit(E, initial, max_steps, keep_orbit)
+    orbit = [_state(E, uv, i)
+             for i, uv in enumerate(([initial] + kept)[:keep_orbit], start=1)]
     return ProcessResult("closed" if period else "open", period=period,
-                         steps=period or max_steps, lifted=lifted,
-                         orbit=orbit[:keep_orbit])
+                         steps=period or max_steps, lifted=E.field != cfg.field,
+                         orbit=orbit)
 
 
 def _step_budget(cfg, max_steps):
@@ -194,10 +182,6 @@ def _step_budget(cfg, max_steps):
     if max_steps < 0:
         raise ValueError("max_steps must be at least 0")
     return max_steps
-
-
-def _raw_state(state):
-    return _values(state.c), _values(state.d)
 
 
 class _Incidence:
@@ -373,37 +357,23 @@ def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
     settles only its own start.  A lifted start is walked only to its
     Galois mirror (``_orbit``'s ``fold``).  Starts are walked on E pulled
     back along the draw's parametrization, whose drawn parameters are the
-    starts' u; a start's v is the fiber's root, on E's lift if conjugate,
-    whose contact point sorts first (``start``'s min branch).  Over Q the
-    lift is named by the fiber's discriminant, not the polar's."""
+    starts' u; each start is ``_fiber_start``'s on the min branch, as for
+    ``start``."""
     par, params = _sample_starts(cfg, num_starts, seed)
     max_steps = _step_budget(cfg, max_steps)
     base = _Incidence(cfg, par)
-    in_v, zero, one = base.fibers[0], cfg.field.zero.value, cfg.field.one.value
-    # field -> (E, {raw initial (u, v): index} of its unsettled starts)
-    curves, solved = {cfg.field: (base, {})}, []
+    # field -> E's lift over it, and -> {raw initial (u, v): index} of its
+    # unsettled starts
+    curves, watches, solved = {}, {}, []
     for u in params:
-        # E's fiber over u is C w^2 + B sw + A s^2 in v = (s : w)
-        try:
-            ext, ws, at_zero = _quadratic_roots(cfg.field, *in_v(u))
-        except ExtensionOverflowError:
-            _start(cfg, base.outer[0](u))  # raises start's own message
-            raise
-        vs = [(ext.one.value, w) for w in ws] + [(zero, one)] * at_zero
-        if ext not in curves:
-            curves[ext] = base.lift(ext), {}
-        E, watch = curves[ext]
-        if ext != cfg.field:
-            u = tuple((x, zero) for x in u)
-        point_at, key = E.inner[0], ext._sort_key
-        initial = u, min(vs, key=lambda v: tuple(map(key, point_at(v))))
-        watch[initial] = len(solved)
+        E, initial = _fiber_start(base, u, "min", curves)
+        watches.setdefault(E.field, {})[initial] = len(solved)
         solved.append((E, initial))
     periods = [None] * len(solved)
     for i, (E, initial) in enumerate(solved):
         if periods[i] is not None:
             continue
-        watch = curves[E.field][1]
+        watch = watches[E.field]
         del watch[initial]
         periods[i], _, met = _orbit(E, initial, max_steps, 0, watch,
                                     E.field != cfg.field)

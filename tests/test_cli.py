@@ -394,6 +394,25 @@ def test_char2_normalize_bounds_n(tmp_path, capsys):
             assert len(json.loads(out)["matrix"]) == 32
 
 
+def test_lifts_over_q_name_the_squarefree_radicand(tmp_path, capsys):
+    # the concentric circles' tangency points need sqrt(-4), so Q(i); the
+    # start (28:15:1) needs sqrt(63552/43681) = (8/209) sqrt(993)
+    circles = {"outer": {"field": "Q", "coeffs": [1, 1, -16, 0, 0, 0]},
+               "inner": {"field": "Q", "coeffs": [1, 1, -1, 0, 0, 0]}}
+    code, out, _ = run_cli(capsys, "classify",
+                           write_json(tmp_path, "circles.json", circles), "--json")
+    assert code == 0
+    assert {p["field"] for p in json.loads(out)["tangency_points"]} == {"Qsqrt:-1"}
+    start = {"outer": {"field": "Q", "coeffs": [1, 1, -1009, 0, 0, 0]},
+             "inner": {"field": "Q", "coeffs": [1, 1, -16, 0, 0, 0]},
+             "c1": [28, 15, 1]}
+    code, out, _ = run_cli(capsys, "run", write_json(tmp_path, "start.json", start),
+                           "--json", "--max-steps", "2")
+    result = json.loads(out)
+    assert code == 0 and result["lifted"]
+    assert {s[k]["field"] for s in result["orbit"] for k in "cd"} == {"Qsqrt:993"}
+
+
 def test_classify_without_a_small_rational_point_is_an_input_error(tmp_path,
                                                                    capsys):
     # x^2 + y^2 - 1009 z^2 has the point (28:15:1), but none with
@@ -551,6 +570,15 @@ def test_sweep_refuses_an_infinite_field(capsys, spec):
     assert code == 1 and out == ""
     assert json.loads(err) == {
         "error": "sweep draws random conics and needs a finite field"}
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "-3"), ("--count", "0"),
+                                         ("--jobs", "-2"), ("--jobs", "0")])
+def test_sweep_refuses_a_count_or_jobs_below_one(capsys, flag, value):
+    code, out, err = run_cli(capsys, "sweep", "--field", "Fp:11",
+                             "--num-starts", "3", flag, value)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": f"{flag} must be at least 1"}
 
 
 def test_sweep_starts_no_more_workers_than_tasks(capsys, monkeypatch):

@@ -9,9 +9,10 @@ import pytest
 from porism import char2, projective
 from porism.errors import (ExtensionOverflowError, FieldMismatchError,
                            TheoremViolation)
-from porism.fields import (ExtensionField, PrimeField, QuadRationalField,
-                           RationalField, _parse_field_spec,
-                           _quadratic_extension, binary_field,
+from porism.fields import (_SQUARE_PART_BOUND, ExtensionField, PrimeField,
+                           QuadRationalField, RationalField, _is_prime,
+                           _parse_field_spec, _quadratic_extension,
+                           _square_part, binary_field,
                            lift_to_quadratic_extension, parse_element,
                            parse_field_spec)
 from porism.poly import Polynomial, factor
@@ -565,6 +566,37 @@ def test_lift_over_q_returns_the_canonical_root(Q):
     for a in (Q(0), Q(4), Q(Fraction(9, 4))):
         with pytest.raises(ValueError, match="already a square"):
             lift_to_quadratic_extension(a)
+
+
+def test_lift_over_q_names_the_squarefree_part_of_the_radicand(Q):
+    # a = +-k^2 d / m^2 adjoins sqrt(+-d), d squarefree, and its root is
+    # -(k/m) sqrt(+-d), which sorts before +(k/m) sqrt(+-d)
+    p = 100003  # a prime past the trial bound, whose square is still found
+    kernels = [1, 2, 3, 6, 30, 97, 993, 1009 * 1013, 2 * 3 * 5 * 7 * 11 * 13]
+    for d, sign, k, m in product(kernels, (1, -1), (1, 2, 12, 4608, p),
+                                 (1, 3, 4609, 2 * p)):
+        if sign * d == 1:
+            continue
+        a = Q(Fraction(sign * k * k * d, m * m))
+        K, root = lift_to_quadratic_extension(a)
+        assert K.spec_string() == f"Qsqrt:{sign * d}"
+        assert root * root == K(a)
+        assert root.value == (0, -Fraction(k, m))
+        assert root.sort_key() < (-root).sort_key()
+
+
+def test_square_part_is_complete_below_the_cube_of_its_bound():
+    p, q = 100003, 100019
+    assert _is_prime(p) and _is_prime(q) and p > _SQUARE_PART_BOUND
+    assert _square_part(-(p * p) * 2 * 9) == (3 * p, -2)
+    assert _square_part(p * q) == (1, p * q)
+    # past the bound's cube the trial division stops with p^2 q left, a
+    # cofactor with a square factor, and the name keeps it
+    assert p * p * q > _SQUARE_PART_BOUND ** 3
+    assert _square_part(4 * p * p * q) == (2, p * p * q)
+    K, root = lift_to_quadratic_extension(RationalField()(p * p * q))
+    assert K.spec_string() == f"Qsqrt:{p * p * q}"
+    assert root * root == K(p * p * q)
 
 
 def test_a_prime_field_reads_integers_only(F5):

@@ -6,18 +6,22 @@ import pytest
 
 from porism.errors import ExtensionOverflowError, NotOnConicError
 from porism.fields import (FieldElement, PrimeField, QuadRationalField,
-                           RationalField, _fraction_sqrt,
-                           _quadratic_extension, parse_field_spec)
+                           RationalField, _quadratic_extension,
+                           parse_field_spec)
 from porism.poly import binary_form_roots
 from porism.process import (PonceletConfig, PonceletState, ProcessResult,
-                            _raw_state, is_tangency_state, porism_check, run,
+                            is_tangency_state, porism_check, run,
                             sample_starts, start, step)
 from porism.projective import (Conic, P1Point, ProjPoint, _point, _span,
-                               find_point, normal_form_conic, parametrize,
+                               _values, find_point, normal_form_conic, parametrize,
                                polar, tangency_points)
 
 from conftest import random_smooth_pair
 from reference import intersect_line_conic, multiplicity_structure, step_inverse
+
+
+def _raw_state(state):
+    return _values(state.c), _values(state.d)
 
 
 def make_config(field, t, a, b, seed=0):
@@ -353,23 +357,21 @@ def test_start_with_a_contact_point_at_infinity(F11):
 
 
 def test_start_needing_a_second_square_root_overflows():
-    # over Q(sqrt 2) the contact points of [0:1:-3] need sqrt 3
-    import porism.process as process
+    # over Q(sqrt 2) the contact points of [0:1:-3] need sqrt 3; start names
+    # the discriminant of E's fiber, the reference the polar's
     field = QuadRationalField(2)
     outer = Conic(field, [1, 3, field(Fraction(-1, 3)), 0, 0, 0])
     inner = Conic(field, [1, 0, 0, 0, 0, -1])
     cfg = PonceletConfig(outer, inner)
     c1 = ProjPoint(field, [0, 1, -3])
-    message = ("the square root of 4/3+0*sqrt(2) needs a second quadratic step "
+    message = ("the square root of 12+0*sqrt(2) needs a second quadratic step "
                "above Q; only one is supported")
     for branch in ("min", "max"):
         with pytest.raises(ExtensionOverflowError):
             start_reference(cfg, c1, branch)
-        for solve in (start, lambda cfg, c1, branch: process._start(
-                cfg, tuple(v.value for v in c1.coords), branch)):
-            with pytest.raises(ExtensionOverflowError) as exc:
-                solve(cfg, c1, branch)
-            assert str(exc.value) == message
+        with pytest.raises(ExtensionOverflowError) as exc:
+            start(cfg, c1, branch)
+        assert str(exc.value) == message
 
 
 def test_config_type_and_tangencies_match_the_separate_solvers():
@@ -601,14 +603,10 @@ def test_porism_check_solves_every_start_before_it_walks(monkeypatch):
 
 
 def fiber_start_cases(cfg, num_starts, seed, monkeypatch):
-    """porism_check's initial (u, v) of every sampled start, against
-    ``_start``'s (u, inner param_of(d1)) on E pulled back along the draw's
-    parametrization; returns the cases met: roots in the field or lifted, a
-    fiber with C = 0 (its root (0 : 1)), and a double root.  Over Q a lift
-    is Q(sqrt d) with d the fiber's discriminant, which differs from the
-    polar's by a square factor k^2, so there the parameters are compared
-    through the isomorphism sqrt d -> k sqrt d' with k > 0, which keeps
-    the order of sort keys and so the min branch."""
+    """porism_check's initial (u, v) of every sampled start, against the
+    geometric start's (u, inner param_of(d1)) on E pulled back along the
+    draw's parametrization; returns the cases met: roots in the field or
+    lifted, a fiber with C = 0 (its root (0 : 1)), and a double root."""
     import porism.process as process
     walked = []
 
@@ -623,25 +621,20 @@ def fiber_start_cases(cfg, num_starts, seed, monkeypatch):
     zero = cfg.field.zero.value
     assert len(walked) == len(params)
     cases = set()
-    for u, (field, (got_u, got_v)) in zip(params, walked):
-        c1 = base.outer[0](u)
+    for u, got in zip(params, walked):
+        c1 = _point(cfg.field, base.outer[0](u))
         if base.fibers[0](u)[0] == zero:
             cases.add("C = 0")
-        lifted_cfg, (_, d1) = process._start(cfg, c1)
+        lifted_cfg, state, lifted = start_reference(cfg, c1)
         ext = lifted_cfg.field
-        want_v = tuple(x.value for x in
-                       cfg.inner_par.param_of(_point(ext, d1)).coords)
-        if ext != cfg.field:
+        want_v = _values(cfg.inner_par.param_of(state.d))
+        if lifted:
             cases.add("lifted")
             u = tuple((x, zero) for x in u)
-            if cfg.field.size is None:
-                k = _fraction_sqrt(field.d / ext.d)
-                assert k is not None and k > 0
-                field, got_v = ext, tuple((r, s * k) for r, s in got_v)
         else:
             cases.add("in field")
-        assert (field, got_u, got_v) == (ext, u, want_v)
-        if process._start(cfg, c1, "max")[1][1] == d1:
+        assert got == (ext, (u, want_v))
+        if start_reference(cfg, c1, "max")[1].d == state.d:
             cases.add("double root")
     return cases
 
@@ -800,13 +793,12 @@ def start_by_binary_form_roots(cfg, c1):
 
 def assert_start_matches_binary_form_roots(cfg, c1):
     """start's contact points, field and radicand equal the reference's,
-    or both raise the same overflow; returns the lifted flag or None."""
+    or both overflow; returns the lifted flag or None."""
     try:
         ext, points = start_by_binary_form_roots(cfg, c1)
-    except ExtensionOverflowError as exc:
-        with pytest.raises(ExtensionOverflowError) as got:
+    except ExtensionOverflowError:
+        with pytest.raises(ExtensionOverflowError):
             start(cfg, c1)
-        assert str(got.value) == str(exc)
         return None
     for branch, want in (("min", points[0]), ("max", points[-1])):
         lifted_cfg, state, lifted = start(cfg, c1, branch)
@@ -842,7 +834,7 @@ def test_closed_form_start_matches_binary_form_roots_on_degree_drops(F11):
     assert assert_start_matches_binary_form_roots(cfg, ProjPoint(F11, [1, 0, 1])) is False
 
 
-def test_closed_form_start_overflows_with_the_reference_message():
+def test_closed_form_start_overflows_where_the_reference_does():
     # over Q(sqrt 2) the contact points of [0:1:-3] need sqrt 3
     field = QuadRationalField(2)
     outer = Conic(field, [1, 3, field(Fraction(-1, 3)), 0, 0, 0])
@@ -904,17 +896,14 @@ def every_point(cfg):
 
 
 def raw_start_cases(cfg, c1):
-    """start on both branches matches the geometric reference, and ``_start``
-    on raw values matches start; returns the cases met: roots in the field
-    or lifted, a tangency point (a double contact), and a contact point at
-    infinity (alpha = 0)."""
-    import porism.process as process
+    """start on both branches matches the geometric reference; returns the
+    cases met: roots in the field or lifted, a tangency point (a double
+    contact), and a contact point at infinity (alpha = 0)."""
     field = cfg.field
-    raw = tuple(v.value for v in c1.coords)
+    raw = _values(c1)
     ds = []
     for branch in ("min", "max"):
-        lifted_cfg, state, lifted = assert_start_matches_reference(cfg, c1, branch)
-        assert process._start(cfg, raw, branch) == (lifted_cfg, _raw_state(state))
+        _, state, lifted = assert_start_matches_reference(cfg, c1, branch)
         ds.append(state.d)
     cases = {"lifted" if lifted else "in field"}
     if c1 in cfg.in_field_tangencies():
@@ -945,6 +934,15 @@ def test_raw_start_matches_the_reference_on_a_criterion_5_pair(Q):
     for c1 in sample_starts(cfg, 12, seed=1) + cfg.in_field_tangencies():
         cases |= raw_start_cases(cfg, c1)
     assert {"in field", "lifted", "tangency"} <= cases
+
+
+def test_both_lifted_starts_of_a_criterion_5_pair_name_one_field(Q):
+    # their discriminants differ by a square factor, -2 against
+    # -42467328/21242881 = -2 (4608/4609)^2; both lift to Q(sqrt -2)
+    cfg = make_config(Q, 0, 2, 1)
+    fields = [start(cfg, c1) for c1 in sample_starts(cfg, 2, seed=1)]
+    assert [(cfg2.field.spec_string(), lifted) for cfg2, _, lifted in fields] \
+        == [("Qsqrt:-2", True)] * 2
 
 
 def test_porism_check_builds_no_point_per_start(F13, monkeypatch):
