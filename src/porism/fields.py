@@ -886,18 +886,22 @@ def _parse_field_spec(s):
     if s.startswith("F2k:"):
         return binary_field(int(s[len("F2k:"):]))
     if s.startswith("Qsqrt:"):
-        return QuadRationalField(_fraction(s[len("Qsqrt:"):]))
+        # refuse a square as given, then name the field as a lift would
+        d = QuadRationalField(_fraction(s[len("Qsqrt:"):])).d
+        return QuadRationalField(_square_part(d.numerator * d.denominator)[1])
     if s.startswith("Fp:"):
         return PrimeField(int(s[len("Fp:"):]))
     if s.startswith("Fq:"):
-        body = s[len("Fq:"):]
-        sizepart, modpart = body.split(":", 1)
-        p, k = sizepart.split("^")
-        base = PrimeField(int(p))
-        coeffs = [int(c) for c in modpart.split(",")]
-        if len(coeffs) != int(k) + 1:
+        try:
+            sizepart, modpart = s[len("Fq:"):].split(":")
+            p, k = map(int, sizepart.split("^"))
+            coeffs = [int(c) for c in modpart.split(",")]
+        except ValueError:
+            raise ValueError(f"bad field spec {s!r}: expected "
+                             "Fq:p^k:c0,...,ck") from None
+        if len(coeffs) != k + 1:
             raise ValueError("modulus degree does not match the field size")
-        return ExtensionField(base, coeffs)
+        return ExtensionField(PrimeField(p), coeffs)
     raise ValueError(f"unrecognized field spec: {s!r}")
 
 
@@ -927,9 +931,11 @@ def parse_element(field, value):
                          text)
         if m is None:
             return field(_fraction(text))
-        if _fraction(m.group(3)) != field.d:
+        # b*sqrt(k^2 d) is k b sqrt(d)
+        k = _fraction_sqrt(_fraction(m.group(3)) / field.d)
+        if k is None:
             raise ValueError(f"radicand {m.group(3)} does not match the field")
-        return field((_fraction(m.group(1)), _fraction(m.group(2))))
+        return field((_fraction(m.group(1)), _fraction(m.group(2)) * k))
     if isinstance(field, ExtensionField):
         if not isinstance(field.base, PrimeField):
             raise ValueError("element parsing supports single-step extensions only")

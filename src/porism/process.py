@@ -3,7 +3,7 @@
 A state holds c on the outer conic C and d on the inner conic D with c on
 the tangent of D at d.  Everything runs on the raw parameters (u, v) of
 the incidence curve E that ``ecurve`` builds.  A start is a root v of E's
-fiber over c1's parameter u, solved by ``_fiber_start`` for ``start``,
+fiber over c1's parameter u, solved by ``_fiber_roots`` for ``start``,
 ``run`` and ``porism_check`` alike, on E's lift to the quadratic extension
 when the two roots are conjugate.  The walk is then nu = sigma o tau on
 (u, v): both involutions are Vieta on a fiber, so everything stays in one
@@ -11,8 +11,8 @@ field.  The step map is invertible, so orbit closure is detected by first
 return to the initial state.  The geometric ``step``, on ``polar`` and
 ``other_intersection``, is the walk's reference; the tests keep the
 start's (``intersect_line_conic`` on the polar) and ``step_inverse`` in
-``tests/reference.py``.  ``porism_check`` walks each closed cycle once,
-however many of its starts lie on it, and a lifted start's half way round.
+``tests/reference.py``.  As sigma nu sigma = nu^-1, a ``porism_check`` walk
+settles every start whose u it meets; a lifted start's goes half way round.
 """
 
 import random
@@ -98,22 +98,25 @@ def start(cfg, c1, branch="min"):
 
 def _start_through(cfg, c1, branch):
     """E pulled back along the outer conic's parametrization through c1, and
-    ``_fiber_start`` of c1's parameter on it: (E or its lift, raw (u, v))."""
+    the root over c1's parameter u whose contact point sorts first (min) or
+    last (max): (E or its lift, raw (u, v))."""
     if branch not in ("min", "max"):
         raise ValueError("branch must be 'min' or 'max'")
     if not cfg.outer.contains(c1):
         raise NotOnConicError("initial point must lie on the outer conic")
     E = _Incidence(cfg, parametrize(cfg.outer, c1))
-    return _fiber_start(E, E.outer[1](_values(c1)), branch, {})
+    E, u, vs = _fiber_roots(E, E.outer[1](_values(c1)), {})
+    point_at, key = E.inner[0], E.field._sort_key
+    pick = min if branch == "min" else max
+    return E, (u, pick(vs, key=lambda v: tuple(map(key, point_at(v)))))
 
 
-def _fiber_start(E, u, branch, curves):
-    """The start at E's raw parameter u: (E, or its lift when the roots are
-    conjugate, kept in ``curves`` per field, and the raw (u, v)), v the root
-    of E's fiber C w^2 + B sw + A s^2 over u whose contact point sorts first
-    (min) or last (max).  For C != 0 the roots (1 : w) are
-    ``_monic_quadratic_roots``'; for C = 0 they are (0 : 1) and its Vieta
-    partner, which E's involution gives."""
+def _fiber_roots(E, u, curves):
+    """The roots over E's raw parameter u: (E, or its lift when the roots are
+    conjugate, kept in ``curves`` per field, u on it, and the raw roots v of
+    E's fiber C w^2 + B sw + A s^2 over u).  For C != 0 the roots (1 : w)
+    are ``_monic_quadratic_roots``'; for C = 0 they are (0 : 1) and its
+    Vieta partner, which E's involution gives."""
     field, (c, b, a) = E.field, E.fibers[0](u)
     zero, one = field.zero.value, field.one.value
     if c == zero:
@@ -128,9 +131,7 @@ def _fiber_start(E, u, branch, curves):
         if ext not in curves:
             curves[ext] = E.lift(ext)
         E, u = curves[ext], tuple((x, zero) for x in u)
-    point_at, key = E.inner[0], ext._sort_key
-    pick = min if branch == "min" else max
-    return E, (u, pick(vs, key=lambda v: tuple(map(key, point_at(v)))))
+    return E, u, vs
 
 
 def _state(E, uv, index):
@@ -227,8 +228,10 @@ def _orbit(E, initial, max_steps, keep, watch=(), fold=False):
     (u, mu, v, mv).  A tangency start is a singular point of E, fixed by
     nu, so it closes at step 1; any other orbit meeting one is a theorem
     violation.  Returns (period, or 0 if the orbit stays open, the raw
-    (u, v) of the states with index 2 .. keep, and the raw states of
-    ``watch`` that the walk met, in the order met).
+    (u, v) of the states with index 2 .. keep, and the set of u's of
+    ``watch`` the walk met).  sigma fixes u and sigma nu sigma = nu^-1, so
+    both states over a met u have this walk's period, closed or open; the
+    tangency canary covers only the walked states.
 
     ``fold`` is for a lifted start P = (u1, v1): c1 in the base field K, d1
     conjugate, and ``E`` over K's quadratic extension.  Both involutions
@@ -251,9 +254,9 @@ def _orbit(E, initial, max_steps, keep, watch=(), fold=False):
     - Every unwalked state Q_{-j} is phi sigma(Q_j), so the incidence
       checks and the tangency canary on the walked half hold for the other
       half.
-    - The states of the cycle whose u lies in K, all that a start of
-      ``porism_check`` can be, are P and, for even n, the last one walked,
-      which ``watch`` sees before the walk stops.
+    - The u's of the cycle that lie in K, all that a start of
+      ``porism_check`` can have, are u_0 and, for even n, u_{n/2}, the
+      last one walked, which ``watch`` sees before the walk stops.
     A canonical (a : b) has a = 0 or 1, so it lies in K when b's second
     raw component is K's zero."""
     other, mono = E.fibers[2:]
@@ -261,15 +264,15 @@ def _orbit(E, initial, max_steps, keep, watch=(), fold=False):
     kzero = E.field.zero.value[1] if fold else None
     u, v = initial
     mu, mv = mono(u), mono(v)
-    kept, met = [], []
+    kept, met = [], set()
     for i in range(1, max_steps + 1):
         u, mu = other(0, mv, u, mu)
         v, mv = other(1, mu, v, mv)
         state = (u, v)
         if state == initial:
             return i, kept, met
-        if watch and state in watch:
-            met.append(state)
+        if watch and u in watch:
+            met.add(u)
         if singular and state in singular:
             raise TheoremViolation(
                 "orbit of a non-tangency start hit a tangency point; "
@@ -344,42 +347,39 @@ class PorismReport:
 
 
 def porism_check(cfg, num_starts=10, max_steps=None, seed=0):
-    """Run the process, on the min branch, from several non-tangency starts
-    and check the all-or-nothing law: every closed run shares one period,
-    and runs either all close or all stay open.  An osculating pair, of
-    type (3,1) or (4), over a finite field obeys the stronger law that
-    every start closes after exactly char steps, so within a budget below
-    char every start stays open.
+    """Run the process from several non-tangency starts and check the
+    all-or-nothing law: every closed run shares one period, and runs either
+    all close or all stay open.  An osculating pair, of type (3,1) or (4),
+    over a finite field obeys the stronger law that every start closes
+    after exactly char steps, so within a budget below char every start
+    stays open.
 
-    Every start is solved first.  A closed walk meets every state of its
-    cycle that a start can be, so each later start it meets over an equal
-    field has its period and is not walked; an open walk is a prefix and
-    settles only its own start.  A lifted start is walked only to its
-    Galois mirror (``_orbit``'s ``fold``).  Starts are walked on E pulled
-    back along the draw's parametrization, whose drawn parameters are the
-    starts' u; each start is ``_fiber_start``'s on the min branch, as for
-    ``start``."""
+    Every start is solved first, on E pulled back along the draw's
+    parametrization, whose drawn parameters are the starts' u.  sigma swaps
+    the two roots v over u and sigma nu sigma = nu^-1, so both have one
+    period.  Each start no walk has met is walked from its first root, and
+    the walk, closed or open, settles every start whose u it meets over an
+    equal field; an open walk's tangency canary covers only its prefix.  A
+    lifted start is walked only to its Galois mirror (``_orbit``'s
+    ``fold``)."""
     par, params = _sample_starts(cfg, num_starts, seed)
     max_steps = _step_budget(cfg, max_steps)
     base = _Incidence(cfg, par)
-    # field -> E's lift over it, and -> {raw initial (u, v): index} of its
-    # unsettled starts
+    # field -> E's lift over it, and -> {raw u: index} of its unsettled starts
     curves, watches, solved = {}, {}, []
     for u in params:
-        E, initial = _fiber_start(base, u, "min", curves)
-        watches.setdefault(E.field, {})[initial] = len(solved)
-        solved.append((E, initial))
+        E, u, vs = _fiber_roots(base, u, curves)
+        watches.setdefault(E.field, {})[u] = len(solved)
+        solved.append((E, (u, vs[0])))
     periods = [None] * len(solved)
     for i, (E, initial) in enumerate(solved):
-        if periods[i] is not None:
-            continue
         watch = watches[E.field]
-        del watch[initial]
+        if watch.pop(initial[0], None) is None:
+            continue  # settled by an earlier walk
         periods[i], _, met = _orbit(E, initial, max_steps, 0, watch,
                                     E.field != cfg.field)
-        if periods[i]:
-            for state in met:
-                periods[watch.pop(state)] = periods[i]
+        for u in met:
+            periods[watch.pop(u)] = periods[i]
     closed = [p for p in periods if p]
     opened = [p for p in periods if not p]
     char = cfg.field.char

@@ -701,3 +701,52 @@ def test_an_inner_conic_over_another_field_is_an_input_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, "classify",
                                  write_json(tmp_path, "b.json", obj))
         assert (code, err) == (0, "") and out.startswith("type: (4)\n")
+
+
+def triangle_pair(outer_field, inner_field, a01="0"):
+    return {"outer": {"field": outer_field, "coeffs": ["1", "1", "-16", "0", "0", "0"]},
+            "inner": {"field": inner_field, "coeffs": ["1", "1", "7/4", a01, "-4", "0"]}}
+
+
+def test_a_qsqrt_spec_names_the_squarefree_part_of_its_radicand(tmp_path, capsys):
+    # Qsqrt:8 and Qsqrt:1/2 are Q(sqrt 2), and b*sqrt(k^2 d) reads as k b sqrt(d)
+    def read(command, *pair):
+        path = write_json(tmp_path, "pair.json", triangle_pair(*pair))
+        return run_cli(capsys, command, path, "--json")
+    code, out, _ = read("classify", "Qsqrt:8", "Qsqrt:2")
+    assert code == 0 and json.loads(out)["type"] == "(1,1,1,1)"
+    want = read("ecurve", "Qsqrt:2", "Qsqrt:2", "0+2*sqrt(2)")
+    assert want[0] == 0 and want != read("ecurve", "Qsqrt:2", "Qsqrt:2", "0+1*sqrt(2)")
+    for pair in (("Qsqrt:8", "Qsqrt:2", "0+2*sqrt(2)"),
+                 ("Qsqrt:2", "Qsqrt:8", "0+1*sqrt(8)"),
+                 ("Qsqrt:1/2", "Qsqrt:18", "0+4*sqrt(1/2)")):
+        assert read("ecurve", *pair) == want
+    code, out, err = read("ecurve", "Qsqrt:8", "Qsqrt:2", "0+1*sqrt(6)")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "bad conic JSON: radicand 6 does not "
+                                        "match the field"}
+
+
+def test_a_qsqrt_spec_prints_the_field_it_names(tmp_path, capsys):
+    # circles of radius 5/3 and 1 about the origin, tangent at the circular
+    # points, over Q(i) spelled three ways
+    obj = {"outer": {"field": "Qsqrt:-4", "coeffs": [9, 9, "-25+0*sqrt(-4)", 0, 0, 0]},
+           "inner": {"field": "Qsqrt:-1/9", "coeffs": [1, 1, -1, 0, 0, 0]},
+           "c1": [5, 0, 3]}
+    code, out, _ = run_cli(capsys, "run", write_json(tmp_path, "pair.json", obj),
+                           "--json", "--max-steps", "2")
+    result = json.loads(out)
+    assert code == 0 and result["outcome"] == "open" and not result["lifted"]
+    assert {s[k]["field"] for s in result["orbit"] for k in "cd"} == {"Qsqrt:-1"}
+
+
+@pytest.mark.parametrize("spec", ["Fq:3:1,0,1", "Fq:3^x:1,0,1", "Fq:3^2",
+                                  "Fq:3^2:1,a,1", "Fq:3^2^1:1,0,1"],
+                         ids=["no-degree", "bad-degree", "no-modulus",
+                              "bad-coefficient", "two-degrees"])
+def test_a_malformed_fq_spec_names_its_expected_form(tmp_path, capsys, spec):
+    obj = {"outer": {"field": spec, "coeffs": [1, 1, 0, 0, 0, -1]}}
+    code, out, err = run_cli(capsys, "classify", write_json(tmp_path, "a.json", obj))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": f"bad conic JSON: bad field spec {spec!r}: "
+                                        "expected Fq:p^k:c0,...,ck"}

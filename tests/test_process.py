@@ -517,13 +517,59 @@ def sharing_configs(spec):
 
 @pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:3^3:1,2,0,1"])
 def test_porism_check_periods_are_the_periods_of_run(spec):
+    # at the default budget and at budgets that leave starts open, which a
+    # walk settles too
     configs, rng = sharing_configs(spec)
+    opened = 0
     for cfg in configs:
         seed = rng.randrange(100)
-        report = porism_check(cfg, num_starts=10, seed=seed)
-        want = [run(cfg, c1, keep_orbit=0).period
-                for c1 in sample_starts(cfg, 10, seed)]
-        assert report.periods == want
+        starts = sample_starts(cfg, 10, seed)
+        n = max(run(cfg, c1, keep_orbit=0).period for c1 in starts)
+        for max_steps in (None, 1, 3, max(n - 1, 0)):
+            report = porism_check(cfg, num_starts=10, max_steps=max_steps,
+                                  seed=seed)
+            want = [run(cfg, c1, max_steps=max_steps, keep_orbit=0).period
+                    for c1 in starts]
+            assert report.periods == want
+            opened += want.count(0)
+    assert opened >= 100
+
+
+def assert_branches_share_one_period(cfg, c1, budgets):
+    """run on the min and on the max branch agrees at every budget; returns
+    whether the two contact points differ."""
+    for max_steps in budgets:
+        lo, hi = (run(cfg, c1, branch, max_steps, keep_orbit=0)
+                  for branch in ("min", "max"))
+        assert (lo.outcome, lo.period) == (hi.outcome, hi.period)
+    return start(cfg, c1, "min")[1].d != start(cfg, c1, "max")[1].d
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fp:13", "Fq:5^2:2,0,1",
+                                  "Fq:3^3:1,2,0,1", "Q"])
+def test_both_branches_of_a_start_share_one_period(spec):
+    # sigma swaps the two contact points of c1 and sigma nu sigma = nu^-1
+    field = parse_field_spec(spec)
+    rng = random.Random("branches:" + spec)
+    two = 0
+    if field.size is not None:
+        hasse = field.size + 1 + isqrt(4 * field.size)
+        for _ in range(3):
+            cfg = PonceletConfig(*random_smooth_pair(field, rng))
+            for c1 in sample_starts(cfg, 4, rng.randrange(100)):
+                n = run(cfg, c1, max_steps=hasse, keep_orbit=0).period
+                two += assert_branches_share_one_period(
+                    cfg, c1, {hasse, n, max(n - 1, 0), n // 2})
+    else:
+        euler = (Conic(field, [1, 1, -16, 0, 0, 0]),   # period 3
+                 Conic(field, [1, 1, field(Fraction(7, 4)), 0, -4, 0]))
+        fuss = (Conic(field, [1, 1, -49, 0, 0, 0]),    # period 4
+                Conic(field, [1, 1, field(Fraction(-551, 25)), 0, -2, 0]))
+        for pair in (euler, fuss, char0_pair(field, rng)):
+            cfg = PonceletConfig(*pair)
+            for c1 in sample_starts(cfg, 2, 1):
+                two += assert_branches_share_one_period(cfg, c1, range(6))
+    assert two >= 4
 
 
 def test_porism_check_below_the_period_leaves_every_start_open(F13, monkeypatch):
@@ -531,16 +577,20 @@ def test_porism_check_below_the_period_leaves_every_start_open(F13, monkeypatch)
     walks = []
     wrapped = process._orbit
 
-    def counted(*args):
-        walks.append(args[1])
-        return wrapped(*args)
+    def counted(E, initial, max_steps, keep, watch, fold):
+        # the start's u and the u's of every state the walk passes
+        kept = wrapped(E, initial, max_steps, max_steps + 1, (), fold)[1]
+        walks.append((E.field, initial[0], {u for u, _ in kept}))
+        return wrapped(E, initial, max_steps, keep, watch, fold)
     monkeypatch.setattr(process, "_orbit", counted)
     cfg = make_config(F13, 0, 1, 1)  # type (4): every orbit has period 13
     report = porism_check(cfg, num_starts=10, max_steps=12, seed=3)
     assert report.periods == [0] * 10
     assert (report.num_closed, report.num_open) == (0, 10)
-    # an open walk settles only its own start
-    assert len(walks) == 10
+    # an open walk settles every start whose u it meets
+    assert len(walks) < 10
+    for i, (field, u, _) in enumerate(walks):
+        assert not any(u in met for f, _, met in walks[:i] if f == field)
     walks.clear()
     report = porism_check(cfg, num_starts=10, max_steps=13, seed=3)
     assert report.periods == [13] * 10
@@ -563,23 +613,25 @@ def test_porism_check_walks_no_start_on_an_earlier_closed_cycle(spec, monkeypatc
     for cfg in configs:
         seed = rng.randrange(100)
         budget = cfg.default_max_steps()
-        # the reference: walk a start unless an earlier closed cycle holds it
-        covered, want = set(), []
-        for c1 in sample_starts(cfg, 10, seed):
-            lifted, initial, _ = start(cfg, c1)
-            state = (lifted.field, initial.c, initial.d)
-            if state in covered:
-                shared += 1
-                continue
-            want.append(state)
-            res = run(cfg, c1, keep_orbit=budget + 1)
-            if res.outcome == "closed":
-                covered.update((lifted.field, s.c, s.d) for s in res.orbit)
         walked.clear()
         monkeypatch.setattr(process, "_orbit", counted)
         porism_check(cfg, num_starts=10, seed=seed)
         monkeypatch.setattr(process, "_orbit", wrapped)
-        assert walked == want
+        # the reference: walk a start unless an earlier run, closed or open,
+        # met its c; each run from the contact point porism_check walked
+        covered, walks = set(), iter(walked)
+        for c1 in sample_starts(cfg, 10, seed):
+            lifted, initial, _ = start(cfg, c1)
+            if (lifted.field, initial.c) in covered:
+                shared += 1
+                continue
+            field, c, d = next(walks)
+            assert (field, c) == (lifted.field, initial.c)
+            branch = "min" if d == initial.d else "max"
+            assert start(cfg, c1, branch)[1].d == d
+            res = run(cfg, c1, branch, keep_orbit=budget + 1)
+            covered.update((field, s.c) for s in res.orbit)
+        assert next(walks, None) is None
     assert shared >= 10
 
 
@@ -604,15 +656,16 @@ def test_porism_check_solves_every_start_before_it_walks(monkeypatch):
 
 def fiber_start_cases(cfg, num_starts, seed, monkeypatch):
     """porism_check's initial (u, v) of every sampled start, against the
-    geometric start's (u, inner param_of(d1)) on E pulled back along the
-    draw's parametrization; returns the cases met: roots in the field or
-    lifted, a fiber with C = 0 (its root (0 : 1)), and a double root."""
+    geometric start's u and inner param_of(d1) of either branch on E pulled
+    back along the draw's parametrization; returns the cases met: roots in
+    the field or lifted, a fiber with C = 0 (its root (0 : 1)), and a
+    double root."""
     import porism.process as process
     walked = []
 
-    def open_walk(E, initial, *args):  # an open walk settles only its start
+    def open_walk(E, initial, *args):  # an open walk that meets no other u
         walked.append((E.field, initial))
-        return 0, [], []
+        return 0, [], set()
     monkeypatch.setattr(process, "_orbit", open_walk)
     porism_check(cfg, num_starts, seed=seed)
     monkeypatch.undo()
@@ -626,15 +679,16 @@ def fiber_start_cases(cfg, num_starts, seed, monkeypatch):
         if base.fibers[0](u)[0] == zero:
             cases.add("C = 0")
         lifted_cfg, state, lifted = start_reference(cfg, c1)
-        ext = lifted_cfg.field
-        want_v = _values(cfg.inner_par.param_of(state.d))
+        ext, other = lifted_cfg.field, start_reference(cfg, c1, "max")[1].d
+        want_vs = {_values(cfg.inner_par.param_of(d)) for d in (state.d, other)}
         if lifted:
             cases.add("lifted")
             u = tuple((x, zero) for x in u)
         else:
             cases.add("in field")
-        assert got == (ext, (u, want_v))
-        if start_reference(cfg, c1, "max")[1].d == state.d:
+        # either branch: both have one period
+        assert got[0] == ext and got[1][0] == u and got[1][1] in want_vs
+        if other == state.d:
             cases.add("double root")
     return cases
 

@@ -29,7 +29,9 @@ the same coefficients (missing ones are 0), which puts the char-2
 smoothness test under it.  Each ``porism-check`` operation of the check
 round is also run with ``--max-steps 64``, above F_{3^3}'s Hasse bound of
 38, which puts the closed walks the default budget of 10 * char leaves open
-(F_{3^3} periods up to 38, long folded walks) under the comparison.  Each
+(F_{3^3} periods up to 38, long folded walks) under the comparison, and
+with ``--max-steps 5``, below most periods, which mixes open and closed
+verdicts and puts the starts an open walk settles under it.  Each
 seed also runs ``porism sweep --count 3
 --num-starts 4 --seed <seed>`` over each of ``SWEEP_FIELDS``, with the
 ``elapsed_ms`` timing field of its records removed, which puts the random
@@ -86,8 +88,10 @@ for name in sys.argv[1].split(","):
                          "coeffs": [form.get(key, "0") for key in MONOMIALS]}
                 also(op, "char2-strange-point", " strange-point", json.dumps(conic))
             if command == "porism-check":
-                also(op, command, " max-steps 64", op.text,
-                     "porism-check --max-steps 64", ("--max-steps", "64"))
+                for steps in ("64", "5"):
+                    also(op, command, " max-steps " + steps, op.text,
+                         "porism-check --max-steps " + steps,
+                         ("--max-steps", steps))
                 for branch in ("min", "max"):
                     also(op, "run", " run " + branch,
                          json.dumps(dict(op.obj, branch=branch)), "run " + branch)
