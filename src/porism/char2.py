@@ -272,7 +272,7 @@ def symplectic_normalize(q):
         if val == zero:
             rest.append(r)
             continue
-        root = field.sqrt(FieldElement(field, val)).value
+        root = field._sqrt(val)
         if square_vec is None:
             square_vec = [field._mul(field._inv(root), c) for c in r]
             columns.append(square_vec)

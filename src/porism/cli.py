@@ -24,7 +24,7 @@ from itertools import chain, islice
 
 from . import char2, ecurve
 from .errors import DegenerateInputError, DigitLimitError, ExtensionOverflowError
-from .fields import check_digits, parse_element, parse_field_spec
+from .fields import check_digits, parse_element, parse_field_spec, parse_value
 from .poly import Polynomial, factor
 from .process import KEEP_ORBIT, PonceletConfig, porism_check, run, sample_starts
 from .projective import Conic, ProjPoint, normal_form, tangent_at
@@ -77,7 +77,9 @@ def _array(value, name):
 
 
 def read_conic(obj, field=None):
-    """A smooth conic over its named field or ``field``, which it may name."""
+    """A smooth conic over its named field or ``field``, which it may name:
+    six coefficients, each read straight to a raw value and the six scaled
+    once to canonical form."""
     try:
         if field is None:
             field = parse_field_spec(obj["field"])
@@ -87,7 +89,7 @@ def read_conic(obj, field=None):
         coeffs = _array(obj["coeffs"], "coeffs")
         if len(coeffs) != 6:
             raise CliError("a conic needs six coefficients")
-        conic = Conic(field, [parse_element(field, c) for c in coeffs])
+        conic = Conic._of(field, [parse_value(field, c) for c in coeffs])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad conic JSON: {exc}")
     if not conic.is_smooth():

@@ -23,7 +23,7 @@ from .errors import (DegenerateInputError, ExtensionOverflowError,
 from .fields import FieldElement, lift_to_quadratic_extension
 from .poly import Polynomial, gcd, squarefree_decomposition
 from .projective import P1Point, find_point, parametrize, _Canonical, \
-    _multiplicities, _p1, _repeated_params, _values
+    _multiplicities, _p1, _repeated_params
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
@@ -177,7 +177,7 @@ def _incidence_rows(inner, outer_par, inner_par):
     """``build_E``'s h on raw values over the inner conic's field, unscaled:
     h[i][j] = grad(c_i) . d_j, for parametrizations over it or below."""
     field, grad = inner.field, inner._forms()[0]
-    c_cols, d_cols = ([[field(row[j]).value for row in par.c] for j in range(3)]
+    c_cols, d_cols = (list(zip(*par._raw(field)[0]))
                       for par in (outer_par, inner_par))
     return [[field._dot(grad(c), d) for d in d_cols] for c in c_cols]
 
@@ -374,7 +374,7 @@ def _move(H, p, check, *moved):
     if p[0].field != H.field or p[1].field != H.field:
         raise FieldMismatchError("the parameters must lie over the form's field")
     _, _, other, mono = H._raw()
-    p = [_values(x) for x in p]
+    p = [x.values for x in p]
     m = [mono(x) for x in p]
     for k in moved:
         p[k], m[k] = other(k, m[1 - k], p[k], m[k], check)

@@ -235,16 +235,24 @@ class Field:
         return result
 
     def sqrt(self, elem):
-        """The canonical square root of ``elem`` in a finite field, or None:
-        the inverse of the Frobenius, elem^(q/2), in characteristic two and
-        raw Tonelli-Shanks otherwise, with the non-square of the field's
-        quadratic extension.  Q and Q(sqrt d) bring their own."""
-        q, a, one = self.size, elem.value, self.one.value
-        pw, mul = self._pow, self._mul
+        """The canonical square root of ``elem``, or None: ``_sqrt``'s."""
+        r = self._sqrt(elem.value)
+        return None if r is None else FieldElement(self, r)
+
+    def _sqrt(self, a):
+        """The canonical square root of the raw value ``a`` in a finite
+        field, or None: the inverse of the Frobenius, a^(q/2), in
+        characteristic two; a^((q+1)/4), checked by one squaring, when
+        q = 3 (mod 4); raw Tonelli-Shanks otherwise, with the non-square of
+        the field's quadratic extension.  Q and Q(sqrt d) bring their own."""
+        q, one, pw, mul = self.size, self.one.value, self._pow, self._mul
         if self.char == 2:
-            return FieldElement(self, pw(a, q // 2))
-        if elem.is_zero():
-            return self.zero
+            return pw(a, q // 2)
+        if a == self.zero.value:
+            return a
+        if q % 4 == 3:  # r^2 = a a^((q-1)/2) = +-a
+            r = pw(a, (q + 1) // 4)
+            return min(r, self._neg(r), key=self._sort_key) if mul(r, r) == a else None
         if pw(a, (q - 1) // 2) != one:
             return None
         s, t = 0, q - 1
@@ -266,7 +274,7 @@ class Field:
             m = i
         if mul(r, r) != a:
             raise TheoremViolation("Tonelli-Shanks root check failed")
-        return FieldElement(self, min(r, self._neg(r), key=self._sort_key))
+        return min(r, self._neg(r), key=self._sort_key)
 
     def _dot(self, u, v):
         """The sum of u_i v_i on raw values, for non-empty u and v of one
@@ -276,6 +284,9 @@ class Field:
 
     def element(self, i):
         """The i-th element of ``elements()``, for 0 <= i < size."""
+        return FieldElement(self, self._element(i))
+
+    def _element(self, i):
         raise NotImplementedError(f"{self} is not finite")
 
     def elements(self):
@@ -332,8 +343,8 @@ class PrimeField(Field):
     def _pow(self, a, n):
         return pow(a, n, self.p)
 
-    def element(self, i):
-        return FieldElement(self, i)
+    def _element(self, i):
+        return i
 
 
 def _poly_dot(field, us, vs):
@@ -658,7 +669,9 @@ class ExtensionField(Field):
     def _canon(self, coeffs):
         if not isinstance(coeffs, (tuple, list)):
             coeffs = [coeffs]
-        vec = [self.base(c).value for c in coeffs]
+        base = self.base
+        vec = [base._canon(c) if type(c) is int else base(c).value
+               for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than extension degree")
         vec += [self.base.zero.value] * (self.degree - len(vec))
@@ -676,14 +689,14 @@ class ExtensionField(Field):
     def _render(self, a):
         return ",".join(self.base._render(v) for v in a)
 
-    def element(self, i):
+    def _element(self, i):
         # base-q digits of i, most significant first: lexicographic order
         # on the low-to-high coefficients
         digits = []
         for _ in range(self.degree):
             i, d = divmod(i, self.base.size)
-            digits.append(self.base.element(d).value)
-        return FieldElement(self, tuple(reversed(digits)))
+            digits.append(self.base._element(d))
+        return tuple(reversed(digits))
 
 
 class RationalField(Field):
@@ -709,9 +722,8 @@ class RationalField(Field):
     def _inv(self, a):
         return 1 / a
 
-    def sqrt(self, elem):
-        r = _fraction_sqrt(elem.value)
-        return None if r is None else FieldElement(self, r)
+    def _sqrt(self, a):
+        return _fraction_sqrt(a)
 
 
 class QuadRationalField(Field):
@@ -757,8 +769,8 @@ class QuadRationalField(Field):
     def _render(self, a):
         return f"{a[0]}+{a[1]}*sqrt({self.d})"
 
-    def sqrt(self, elem):
-        r, s = elem.value
+    def _sqrt(self, a):
+        r, s = a
         roots = []
         if s == 0:
             t = _fraction_sqrt(r)
@@ -776,10 +788,8 @@ class QuadRationalField(Field):
                         roots.append((x, s / (2 * x)))
         if not roots:
             return None
-        cands = [FieldElement(self, v) for v in roots]
-        cands += [-c for c in cands]
-        best = min(cands, key=lambda c: c.sort_key())
-        if best * best != elem:
+        best = min(roots + [self._neg(v) for v in roots])
+        if self._mul(best, best) != a:
             raise TheoremViolation("Q(sqrt d) square root check failed")
         return best
 
@@ -822,24 +832,30 @@ def lift_to_quadratic_extension(a):
     d the squarefree part of a's numerator times its denominator
     (``_square_part``), and the root is -k sqrt(d) for a rational k > 0; a
     second step above Q raises.  ``new_field(elem)`` lifts K's elements."""
-    field = a.field
+    new, root = _lift(a.field, a.value)
+    return new, FieldElement(new, root)
+
+
+def _lift(field, a):
+    """``lift_to_quadratic_extension`` on the raw value ``a`` of ``field``:
+    (new_field, the raw canonical sqrt(a) in it)."""
     if field.char == 2:
         raise ValueError("use char2 tools in characteristic two")
     if field.size is None:
-        if a.sqrt() is not None:
+        if field._sqrt(a) is not None:
             raise ValueError("element is already a square; no extension needed")
         if isinstance(field, QuadRationalField):
             raise ExtensionOverflowError(
-                f"the square root of {a} needs a second quadratic step above Q; "
-                "only one is supported")
-        k, d = _square_part(a.value.numerator * a.value.denominator)
-        new = QuadRationalField(d)
-        return new, new((0, Fraction(-k, a.value.denominator)))  # -sqrt(a) first
+                f"the square root of {FieldElement(field, a)} needs a second "
+                "quadratic step above Q; only one is supported")
+        k, d = _square_part(a.numerator * a.denominator)
+        return QuadRationalField(d), (Fraction(0), Fraction(-k, a.denominator))
     new = _quadratic_extension(field)
-    r = (a / -new.modulus[0]).sqrt()  # a/n is a square exactly when a is not
-    if a.is_zero() or r is None:
+    # a/n is a square exactly when a is not
+    r = field._sqrt(field._mul(a, field._inv(field._neg(new.modulus[0].value))))
+    if a == field.zero.value or r is None:
         raise ValueError("element is already a square; no extension needed")
-    return new, FieldElement(new, (field.zero.value, r.value))
+    return new, (field.zero.value, r)
 
 
 @lru_cache(maxsize=None)
@@ -859,12 +875,15 @@ def binary_field(k):
             continue
 
 
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def check_digits(value):
     """``value``; a ``DigitLimitError`` naming Python's int-to-text limit if
     it is a string with a run of digits past it, which ``int`` reports in
     CPython's words."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and isinstance(value, str) and any(
+    limit = _int_max_str_digits()
+    if limit and isinstance(value, str) and len(value) > limit and any(
             len(run) > limit for run in re.findall(r"\d+", value)):
         raise DigitLimitError(_DIGIT_LIMIT.format(limit))
     return value
@@ -915,29 +934,34 @@ def _fraction(text):
 def parse_element(field, value):
     """Read an element from CLI JSON: an int, or the canonical string
     rendering of the field."""
+    return FieldElement(field, parse_value(field, value))
+
+
+def parse_value(field, value):
+    """``parse_element``'s element as a raw value of ``field``."""
     if isinstance(value, bool):
         raise ValueError("booleans are not field elements")
     if isinstance(value, int):
-        return field(value)
+        return field._canon(value)
     if not isinstance(value, str):
         raise ValueError(f"cannot read a field element from {value!r}")
     text = check_digits(value.strip())
     if isinstance(field, PrimeField):
-        return field(int(text))
+        return int(text) % field.p
+    if isinstance(field, ExtensionField):
+        if not isinstance(field.base, PrimeField):
+            raise ValueError("element parsing supports single-step extensions only")
+        return field._canon([int(c) for c in text.split(",")])
     if isinstance(field, RationalField):
-        return field(_fraction(text))
+        return _fraction(text)
     if isinstance(field, QuadRationalField):
         m = re.fullmatch(r"(-?\d+(?:/\d+)?)\+(-?\d+(?:/\d+)?)\*sqrt\((-?\d+(?:/\d+)?)\)",
                          text)
         if m is None:
-            return field(_fraction(text))
+            return _fraction(text), Fraction(0)
         # b*sqrt(k^2 d) is k b sqrt(d)
         k = _fraction_sqrt(_fraction(m.group(3)) / field.d)
         if k is None:
             raise ValueError(f"radicand {m.group(3)} does not match the field")
-        return field((_fraction(m.group(1)), _fraction(m.group(2)) * k))
-    if isinstance(field, ExtensionField):
-        if not isinstance(field.base, PrimeField):
-            raise ValueError("element parsing supports single-step extensions only")
-        return field(tuple(int(c) for c in text.split(",")))
+        return _fraction(m.group(1)), _fraction(m.group(2)) * k
     raise ValueError(f"element parsing is not supported for {field}")

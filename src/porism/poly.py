@@ -14,7 +14,7 @@ from math import gcd as gcd_int, isqrt
 
 from .errors import ExtensionOverflowError, FieldMismatchError, TheoremViolation
 from .fields import (ExtensionField, FieldElement, QuadRationalField,
-                     _poly_divmod, _poly_dot, lift_to_quadratic_extension)
+                     _lift, _poly_divmod, _poly_dot)
 
 # Largest constant or leading term (after clearing denominators) whose
 # divisors the rational root search tries: at most 10^6 trial divisions.
@@ -320,20 +320,21 @@ def factor(f):
 def _monic_quadratic_roots(field, c0, c1, lift=True):
     """The one quadratic formula on raw values of a field K of characteristic
     other than two: (field, roots) of t^2 + c1 t + c0, (s - c1)/2 then
-    (-c1 - s)/2 with s the canonical root of d = c1^2 - 4 c0, one root if
-    d = 0.  A non-square d puts them in (big, s) =
-    ``lift_to_quadratic_extension(d)``, a K-value v as (v, 0); without
-    ``lift`` there are none."""
-    add, neg, mul = field._add, field._neg, field._mul
-    d = FieldElement(field, add(mul(c1, c1), neg(mul(field(4).value, c0))))
-    s, big = d.sqrt(), field
+    (-c1 - s)/2 with s the canonical root ``K._sqrt(d)`` of the raw
+    d = c1^2 - 4 c0, one root if d = 0.  A non-square d puts them in
+    (big, s) = ``lift_to_quadratic_extension(d)`` on raw values, a K-value v
+    as (v, 0); without ``lift`` there are none."""
+    add, neg, mul, one = field._add, field._neg, field._mul, field.one.value
+    two = add(one, one)
+    d = add(mul(c1, c1), neg(mul(add(two, two), c0)))
+    s, big = field._sqrt(d), field
     if s is None:
         if not lift:
             return field, []
-        big, s = lift_to_quadratic_extension(d)
-        c1 = (c1, field.zero.value)
+        big, s = _lift(field, d)
+        c1, two = (c1, field.zero.value), (two, field.zero.value)
         add, neg, mul = big._add, big._neg, big._mul
-    half, s = big._inv(big(2).value), s.value
+    half = big._inv(two)
     if s == big.zero.value:
         return big, [mul(neg(c1), half)]
     return big, [mul(add(s, neg(c1)), half), mul(neg(add(c1, s)), half)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from .ecurve import _fibers, _incidence_rows
 from .errors import NotOnConicError, TheoremViolation
 from .poly import _monic_quadratic_roots
-from .projective import (_canonical, _point, _values,
+from .projective import (_canonical, _point,
                          _type_and_tangencies, other_intersection, parametrize,
                          polar, tangent_at, find_point)
 
@@ -105,7 +105,7 @@ def _start_through(cfg, c1, branch):
     if not cfg.outer.contains(c1):
         raise NotOnConicError("initial point must lie on the outer conic")
     E = _Incidence(cfg, parametrize(cfg.outer, c1))
-    E, u, vs = _fiber_roots(E, E.outer[1](_values(c1)), {})
+    E, u, vs = _fiber_roots(E, E.outer[1](c1.values), {})
     point_at, key = E.inner[0], E.field._sort_key
     pick = min if branch == "min" else max
     return E, (u, pick(vs, key=lambda v: tuple(map(key, point_at(v)))))
@@ -203,9 +203,9 @@ class _Incidence:
     def lift(self, ext):
         """This E over K's quadratic extension ``ext``, each K-value v of its
         rows and singular points embedded once, as (v, K's zero)."""
-        base, zero, lifted = self.field, self.field.zero.value, copy(self)
+        zero, lifted = self.field.zero.value, copy(self)
         lifted._build(ext, [[(v, zero) for v in row] for row in self.h],
-                      lambda c: (base(c).value, zero),
+                      lambda v: (v, zero),
                       {tuple(tuple((x, zero) for x in t) for t in p)
                        for p in self.singular})
         return lifted
@@ -216,7 +216,7 @@ class _Incidence:
         self.outer, self.inner = (par._maps(field, embed) for par in self._pars)
         self.singular = singular | {
             (self.outer[1](t), self.inner[1](t))
-            for t in (_values(p) for p in self._tangencies if p.field == field)}
+            for t in (p.values for p in self._tangencies if p.field == field)}
 
 
 def _orbit(E, initial, max_steps, keep, watch=(), fold=False):
@@ -306,7 +306,7 @@ def _sample_starts(cfg, num_starts, seed):
     field = cfg.field
     one, zero = field.one.value, field.zero.value
     param_of = par._maps(field)[1]
-    excluded = {param_of(_values(p)) for p in cfg.in_field_tangencies()}
+    excluded = {param_of(p.values) for p in cfg.in_field_tangencies()}
     if field.size is not None:
         # the shuffle of [infinity, affine(element(0)), ...] moves indices,
         # so shuffle the indices and reach only the parameters it visits

@@ -16,6 +16,7 @@ characteristic other than two.
 """
 
 import random
+from fractions import Fraction
 
 from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
                      TheoremViolation)
@@ -38,16 +39,18 @@ def _canonical(field, raw, message="all coordinates are zero"):
 
 
 def _point(field, raw):
-    return ProjPoint(field, [FieldElement(field, v) for v in raw])
+    return ProjPoint._of(field, raw)
 
 
 def _p1(field, raw):
-    return P1Point(field, [FieldElement(field, v) for v in raw])
+    return P1Point._of(field, raw)
 
 
-def _values(p):
-    """The raw coordinates of a point of P^1 or P^2."""
-    return tuple(c.value for c in p.coords)
+def _raw_point(field, p):
+    """The raw coordinates of the point p in ``field``, its field or one
+    above it."""
+    return p.values if p.field == field else tuple(field(x).value
+                                                   for x in p.coords)
 
 
 def _span(field, line):
@@ -65,19 +68,31 @@ def _span(field, line):
 class _Canonical:
     """Coefficients over one field in canonical projective scale, the first
     nonzero one equal to one, so that equality (same class, field and
-    coefficients) and hashing are structural.  A subclass names its length,
+    coefficients) and hashing are structural.  ``coeffs`` holds them as
+    elements and ``values`` as raw values.  A subclass names its length,
     its two errors and the brackets and separator of its repr."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "values")
     _all_zero = "all coordinates are zero"
     _brackets = "[", ":", "]"
 
     def __init__(self, field, values):
         if len(values) != self._size:
             raise ValueError(self._wrong_size)
-        raw = _canonical(field, [field(v).value for v in values], self._all_zero)
+        self._set(field, [field(v).value for v in values])
+
+    @classmethod
+    def _of(cls, field, raw):
+        """The object with the raw values ``raw`` of ``field``, of the right
+        length, scaled but not coerced."""
+        obj = cls.__new__(cls)
+        obj._set(field, raw)
+        return obj
+
+    def _set(self, field, raw):
         self.field = field
-        self.coeffs = tuple(FieldElement(field, v) for v in raw)
+        self.values = raw = _canonical(field, raw, self._all_zero)
+        self.coeffs = tuple([FieldElement(field, v) for v in raw])
 
     def lift(self, new_field):
         return type(self)(new_field, self.coeffs)
@@ -119,7 +134,7 @@ class ProjLine(_Canonical):
     def span(self):
         """Two distinct points spanning the line."""
         field = self.field
-        p0, p1 = _span(field, [c.value for c in self.coeffs])
+        p0, p1 = _span(field, self.values)
         return _point(field, p0), _point(field, p1)
 
 
@@ -132,8 +147,8 @@ class Conic(_Canonical):
     _all_zero = "zero quadratic form is not a conic"
     _brackets = "Conic(", ", ", ")"
 
-    def __init__(self, field, coeffs):
-        super().__init__(field, coeffs)
+    def _set(self, field, raw):
+        super()._set(field, raw)
         self._raw = self._smooth = None
 
     def _forms(self):
@@ -142,10 +157,9 @@ class Conic(_Canonical):
         if self._raw is not None:
             return self._raw
         field = self.field
-        add, mul, dot = field._add, field._mul, field._dot
-        a00, a11, a22, a01, a02, a12 = (c.value for c in self.coeffs)
-        r0, r1, r2 = ((add(a00, a00), a01, a02), (a01, add(a11, a11), a12),
-                      (a02, a12, add(a22, a22)))
+        mul, dot = field._mul, field._dot
+        a00, a11, a22, a01, a02, a12 = self.values
+        r0, r1, r2 = _gradient_rows(field, self.values)
         # F(p) = p . (U p) for the upper triangle U of the coefficients
         u0, u1 = (a00, a01, a02), (field.zero.value, a11, a12)
 
@@ -176,10 +190,8 @@ class Conic(_Canonical):
         if field.char == 2:
             raise ValueError("use char2 tools for characteristic two")
         if self._smooth is None:
-            one, zero = field.one.value, field.zero.value
-            rows = map(self._forms()[0], ((one, zero, zero), (zero, one, zero),
-                                          (zero, zero, one)))
-            self._smooth = _det3(field, rows) != zero
+            rows = _gradient_rows(field, self.values)
+            self._smooth = _det3(field, rows) != field.zero.value
         return self._smooth
 
     def bilinear(self, u, v):
@@ -188,13 +200,14 @@ class Conic(_Canonical):
         return sum((g * x for g, x in zip(self.gradient(u), v)),
                    start=self.field.zero)
 
-    def transform_by_matrix(self, n):
-        """The conic with form F(N v); i.e. pull back along v -> N v: the
-        polarization of F on the columns of N."""
-        field = self.field
-        columns = [[field(row[k]).value for row in n] for k in range(3)]
-        return Conic(field, [FieldElement(field, v)
-                             for v in _polarize(self, columns)])
+
+def _gradient_rows(field, values):
+    """The rows of the gradient's matrix 2A of the form with raw
+    coefficients ``values``, in the conic's monomial order."""
+    a00, a11, a22, a01, a02, a12 = values
+    add = field._add
+    return ((add(a00, a00), a01, a02), (a01, add(a11, a11), a12),
+            (a02, a12, add(a22, a22)))
 
 
 def _polarize(conic, columns):
@@ -217,26 +230,30 @@ def _det3(field, m):
                            dot((d, neg(e)), (h, g))))
 
 
-def _matmul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(3)),
-                 start=a[0][0].field.zero) for j in range(3)] for i in range(3)]
+def _matmul(field, a, b):
+    """The product of two 3x3 matrices of raw values."""
+    cols = list(zip(*b))
+    return [[field._dot(row, col) for col in cols] for row in a]
 
 
-def _matvec(a, v):
-    return [sum((a[i][k] * v[k] for k in range(3)), start=a[0][0].field.zero)
-            for i in range(3)]
+def _adjugate(field, m):
+    """The adjugate of a 3x3 matrix of raw values."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    dot, neg = field._dot, field._neg
+    return [[dot((e, neg(f)), (i, h)), dot((c, neg(b)), (h, i)),
+             dot((b, neg(c)), (f, e))],
+            [dot((f, neg(d)), (g, i)), dot((a, neg(c)), (i, g)),
+             dot((c, neg(a)), (d, f))],
+            [dot((d, neg(e)), (h, g)), dot((b, neg(a)), (g, h)),
+             dot((a, neg(b)), (e, d))]]
 
 
-def _adjugate(m):
-    return [[m[1][1] * m[2][2] - m[1][2] * m[2][1],
-             m[0][2] * m[2][1] - m[0][1] * m[2][2],
-             m[0][1] * m[1][2] - m[0][2] * m[1][1]],
-            [m[1][2] * m[2][0] - m[1][0] * m[2][2],
-             m[0][0] * m[2][2] - m[0][2] * m[2][0],
-             m[0][2] * m[1][0] - m[0][0] * m[1][2]],
-            [m[1][0] * m[2][1] - m[1][1] * m[2][0],
-             m[0][1] * m[2][0] - m[0][0] * m[2][1],
-             m[0][0] * m[1][1] - m[0][1] * m[1][0]]]
+def _wrap(field, m):
+    return [[FieldElement(field, v) for v in row] for row in m]
+
+
+def _raw_matrix(field, m):
+    return [[field(c).value for c in row] for row in m]
 
 
 class ProjTransform:
@@ -249,23 +266,26 @@ class ProjTransform:
     __slots__ = ("field", "matrix")
 
     def __init__(self, field, matrix):
-        matrix = [[field(c) for c in row] for row in matrix]
-        raw = [[c.value for c in row] for row in matrix]
+        raw = _raw_matrix(field, matrix)
         if _det3(field, raw) == field.zero.value:
             raise DegenerateInputError("transform matrix is singular")
         self.field = field
-        self.matrix = matrix
+        self.matrix = _wrap(field, raw)
 
     def inverse_matrix(self):
         """The adjugate, a nonzero multiple of the inverse."""
-        return _adjugate(self.matrix)
+        field = self.field
+        return _wrap(field, _adjugate(field, _raw_matrix(field, self.matrix)))
 
     def inverse(self):
         return ProjTransform(self.field, self.inverse_matrix())
 
     def compose(self, other):
         """self after other."""
-        return ProjTransform(self.field, _matmul(self.matrix, other.matrix))
+        field = self.field
+        product = _matmul(field, _raw_matrix(field, self.matrix),
+                          _raw_matrix(field, other.matrix))
+        return ProjTransform(field, _wrap(field, product))
 
     def __call__(self, obj):
         return apply_transform(self, obj)
@@ -277,10 +297,15 @@ class ProjTransform:
 
 def apply_transform(m, obj):
     """Transport a point or conic through the coordinate change."""
+    field = m.field
     if isinstance(obj, ProjPoint):
-        return ProjPoint(m.field, _matvec(m.matrix, list(obj.coords)))
+        v = _raw_point(field, obj)
+        return _point(field, [field._dot(row, v)
+                              for row in _raw_matrix(field, m.matrix)])
     if isinstance(obj, Conic):
-        return obj.transform_by_matrix(m.inverse_matrix())
+        # F(N v) for the adjugate N: the polarization of F on N's columns
+        n = _raw_matrix(obj.field, m.inverse_matrix())
+        return Conic._of(obj.field, _polarize(obj, zip(*n)))
     raise TypeError(f"cannot transform {obj!r}")
 
 
@@ -318,30 +343,37 @@ def other_intersection(conic, line, known):
 
 
 def find_point(conic, seed=0):
-    """A deterministic point of the conic over its own field; in
-    characteristic 0 one of the bounded search [x : y : 1] with
-    y = n/d, |n| <= 12, 1 <= d <= 4."""
+    """A deterministic point of the conic over its own field: the first of
+    [0:0:1], [0:1:0], [1:0:0], [1:1:1], [1:1:0], [1:0:1], [0:1:1] on it,
+    where F is a sum of coefficients; else, over a finite field, the first
+    [x : y : z] solved on a line of draws y, z, each ``field.element(
+    rng.randrange(field.size))`` for ``rng = random.Random(seed)``, y then
+    z, with y = z = 0 drawn again; in characteristic 0 the first of the
+    bounded search [x : y : 1] with y = n/d, 1 <= d <= 4, then
+    -12 <= n <= 12."""
     field = conic.field
-    one, zero = field.one.value, field.zero.value
-    value = conic._forms()[1]
-    for raw in ((zero, zero, one), (zero, one, zero), (one, zero, zero),
-                (one, one, one), (one, one, zero), (one, zero, one),
-                (zero, one, one)):
-        if value(raw) == zero:
+    one, zero, add = field.one.value, field.zero.value, field._add
+    a00, a11, a22, a01, a02, a12 = conic.values
+    f110, f101 = add(add(a00, a11), a01), add(add(a00, a22), a02)
+    for raw, f in (((zero, zero, one), a22), ((zero, one, zero), a11),
+                   ((one, zero, zero), a00),
+                   ((one, one, one), add(f110, add(add(a22, a02), a12))),
+                   ((one, one, zero), f110), ((one, zero, one), f101),
+                   ((zero, one, one), add(add(a11, a22), a12))):
+        if f == zero:
             return _point(field, raw)
     if field.size is not None:
         rng = random.Random(seed)
         while True:
-            y = field.element(rng.randrange(field.size)).value
-            z = field.element(rng.randrange(field.size)).value
+            y = field._element(rng.randrange(field.size))
+            z = field._element(rng.randrange(field.size))
             if y == zero and z == zero:
                 continue
             p = _solve_on_line(conic, y, z)
             if p is not None:
                 return p
     # characteristic 0: bounded search over small rationals
-    from fractions import Fraction
-    for y in (field(Fraction(n, d)).value for d in (1, 2, 3, 4)
+    for y in (field._canon(Fraction(n, d)) for d in (1, 2, 3, 4)
               for n in range(-12, 13)):
         p = _solve_on_line(conic, y, one)
         if p is not None:
@@ -353,18 +385,19 @@ def find_point(conic, seed=0):
 def _solve_on_line(conic, y, z):
     """A conic point [x : y : z] with the given raw y, z, if the resulting
     quadratic in x has an in-field root: F(x e_0 + w) with w = [0 : y : z]
-    is a x^2 + b x + c with a = a00, b = a01 y + a02 z and c = F(w), whose
-    root (s - b)/(2a) is u/a for the first root u of u^2 + b u + ac.  The
-    one caller, ``find_point``, tries [1 : 0 : 0] first, so a is nonzero
-    here."""
+    is a x^2 + b x + c with a = a00, b = a01 y + a02 z and
+    c = a11 y^2 + a12 yz + a22 z^2, whose root (s - b)/(2a) is u/a for the
+    first root u of u^2 + b u + ac.  The one caller, ``find_point``, tries
+    [1 : 0 : 0] first, so a is nonzero here."""
     field = conic.field
-    a00, _, _, a01, a02, _ = (c.value for c in conic.coeffs)
-    w = (field.zero.value, y, z)
-    b, c = field._dot((a01, a02), (y, z)), conic._forms()[1](w)
-    _, roots = _monic_quadratic_roots(field, field._mul(c, a00), b, lift=False)
+    mul, dot = field._mul, field._dot
+    a00, a11, a22, a01, a02, a12 = conic.values
+    b = dot((a01, a02), (y, z))
+    c = dot((a11, a12, a22), (mul(y, y), mul(y, z), mul(z, z)))
+    _, roots = _monic_quadratic_roots(field, mul(c, a00), b, lift=False)
     if not roots:
         return None
-    return _point(field, (field._mul(roots[0], field._inv(a00)), y, z))
+    return _point(field, (mul(roots[0], field._inv(a00)), y, z))
 
 
 class P1Point(_Canonical):
@@ -388,47 +421,65 @@ class P1Point(_Canonical):
 class ConicParametrization:
     """Degree-1 parametrization of a smooth conic by the pencil of lines
     through a base point: three binary quadratic forms q_r(a, b), stored as
-    affine coefficient triples c[r][j] of u^j with u = a/b."""
+    raw affine coefficient rows ``rows[r][j]`` of u^j with u = a/b, beside
+    the raw base point ``b`` and tangent ``t`` there; ``c`` and ``tangent``
+    are them as elements."""
 
-    __slots__ = ("conic", "base", "tangent", "c", "span_idx", "axis")
+    __slots__ = ("conic", "base", "rows", "b", "t", "span_idx", "axis")
 
     def __init__(self, conic, base):
         field = conic.field
-        add, neg, mul = field._add, field._neg, field._mul
-        zero, one = field.zero.value, field.one.value
+        add, neg, mul, zero = field._add, field._neg, field._mul, field.zero.value
         grad, value = conic._forms()
-        b = [field(x).value for x in base.coords]
+        b = _raw_point(field, base)
         if value(b) != zero:
             raise NotOnConicError("base point must lie on the conic")
         # cut the pencil with the coordinate line x_k = 0 missing the base
         k = max(r for r in range(3) if b[r] != zero)
         i, j = [r for r in range(3) if r != k]
-        e_i, e_j = ([one if r == s else zero for r in range(3)] for s in (i, j))
         # base_r * F(m(u)) - m_r(u) * (t . m(u)) for m(u) = e_i + u e_j and
-        # the tangent t at the base
-        f = (value(e_i), field._dot(grad(e_i), e_j), value(e_j))
+        # the tangent t at the base; F(m(u)) has the coefficients of x_i^2,
+        # x_i x_j (at i + j + 2 in the monomial order) and x_j^2
+        a = conic.values
+        f = (a[i], a[i + j + 2], a[j])
         t = grad(b)
         c = [[mul(x, fm) for fm in f] for x in b]
         c[i][0], c[i][1] = add(c[i][0], neg(t[i])), add(c[i][1], neg(t[j]))
         c[j][1], c[j][2] = add(c[j][1], neg(t[i])), add(c[j][2], neg(t[j]))
         self.conic = conic
         self.base = base
-        self.tangent = [FieldElement(field, v) for v in t]
-        self.c = [[FieldElement(field, v) for v in row] for row in c]
+        self.rows, self.b, self.t = c, b, t
         self.span_idx = (i, j)
         self.axis = k
 
+    @property
+    def c(self):
+        field = self.conic.field
+        return [[FieldElement(field, v) for v in row] for row in self.rows]
+
+    @property
+    def tangent(self):
+        return [FieldElement(self.conic.field, v) for v in self.t]
+
+    def _raw(self, field, embed=None):
+        """(rows, b, t) over ``field``, the conic's field or one above it,
+        whose raw value of a raw value of the conic's field is ``embed``'s
+        (``field``'s coercion when not given); as stored over the conic's
+        own field."""
+        own = self.conic.field
+        if field == own:
+            return self.rows, self.b, self.t
+        val = embed or (lambda v: field(FieldElement(own, v)).value)
+        return ([[val(v) for v in row] for row in self.rows],
+                tuple(val(v) for v in self.b), [val(v) for v in self.t])
+
     def _maps(self, field, embed=None):
-        """``point_at`` and ``param_of`` on raw values over ``field``, the
-        conic's field or one above it, whose raw value of an element of the
-        conic's field is ``embed``'s (``field``'s coercion when not given).
-        The line through the base b and p meets x_k = 0 at
-        x = b_k p - p_k b, or at (t_j : -t_i) for the tangent t at p = b."""
+        """``point_at`` and ``param_of`` on raw values over ``field``, as
+        ``_raw`` gives them.  The line through the base b and p meets
+        x_k = 0 at x = b_k p - p_k b, or at (t_j : -t_i) for the tangent t
+        at p = b."""
         mul, neg, dot = field._mul, field._neg, field._dot
-        val = embed or (lambda c: field(c).value)
-        rows = [[val(c) for c in row] for row in self.c]
-        b = tuple(val(c) for c in self.base.coords)
-        t = [val(g) for g in self.tangent]
+        rows, b, t = self._raw(field, embed)
         k, (i, j) = self.axis, self.span_idx
 
         def point_at(u):
@@ -444,11 +495,11 @@ class ConicParametrization:
 
     def point_at(self, p1):
         """The conic point with parameter p1; exact in any tower extension."""
-        return _point(p1.field, self._maps(p1.field)[0](_values(p1)))
+        return _point(p1.field, self._maps(p1.field)[0](p1.values))
 
     def param_of(self, point):
         """Inverse map: the parameter of a conic point."""
-        return _p1(point.field, self._maps(point.field)[1](_values(point)))
+        return _p1(point.field, self._maps(point.field)[1](point.values))
 
 
 def parametrize(conic, base):
@@ -465,8 +516,7 @@ def pullback_quartic(conic, par):
     columns, par(u) = w_0 + u w_1 + u^2 w_2 and the quartic is read off the
     polarization of F on the columns' raw values."""
     field = conic.field
-    f0, f1, f2, b01, b02, b12 = _polarize(
-        conic, [[field(row[j]).value for row in par.c] for j in range(3)])
+    f0, f1, f2, b01, b02, b12 = _polarize(conic, zip(*par._raw(field)[0]))
     return [FieldElement(field, v)
             for v in (f0, b01, field._add(f1, b02), b12, f2)]
 
@@ -549,7 +599,7 @@ def _type_and_tangencies(c, d, seed):
     pair from one pullback, and the parametrization of d it pulls back
     along."""
     par, at_inf, parts = _pullback(c, d, seed)
-    pts = _points_at(par, [(t.field, _values(t))
+    pts = _points_at(par, [(t.field, t.values)
                            for t in _repeated_params(c.field, at_inf, parts)])
     return _multiplicities(at_inf, parts), pts, par
 
@@ -587,43 +637,48 @@ def normalize_tangent_pair(c, d, p):
     """Coordinate change putting the pair tangent at p into normal form."""
     _check_pair(c, d)
     field = c.field
-    if not (c.contains(p) and d.contains(p)):
+    add, neg, mul = field._add, field._neg, field._mul
+    zero, one = field.zero.value, field.one.value
+    pv = _raw_point(field, p)
+    (grad_c, value_c), (grad_d, value_d) = c._forms(), d._forms()
+    if value_c(pv) != zero or value_d(pv) != zero:
         raise DegenerateInputError("p must be a common point of both conics")
-    tc, td = tangent_at(c, p), tangent_at(d, p)
+    tc, td = (_canonical(field, grad(pv), "conic is singular at the point")
+              for grad in (grad_c, grad_d))
     if tc != td:
         raise DegenerateInputError("conics are not tangent at p")
     # p -> [0:0:1] and the common tangent -> {y = 0} by adj(B), for the
     # basis B with columns e1, e_k, p; D pulls back by B itself, since
     # adj(adj B) = det(B) B gives the same conic
-    s0, s1 = tc.span()
-    e1 = s0 if s0 != p else s1
-    k = tc.coeffs.index(field.one)  # the tangent's pivot: e_k is off it
-    e2 = [field.one if r == k else field.zero for r in range(3)]
-    cols = [list(e1.coords), e2, list(p.coords)]
-    basis = [[cols[j][i] for j in range(3)] for i in range(3)]
-    d1 = d.transform_by_matrix(basis)
+    s0, s1 = _span(field, tc)
+    k = tc.index(one)  # the tangent's pivot: e_k is off it
+    cols = [s0 if s0 != pv else s1, [one if r == k else zero for r in range(3)],
+            pv]
+    d1 = _canonical(field, _polarize(d, cols))
     # By the tangent-pair lemma the transformed D reads
     # x^2 + t2 xy + a2 y^2 - b2 yz (z^2 and xz coefficients vanish).
-    a00, a11, a22, a01, a02, a12 = d1.coeffs
-    if not (a22.is_zero() and a02.is_zero() and not a00.is_zero()):
-        raise TheoremViolation(f"tangent-pair lemma failed: {d1!r}")
-    t2, a2, b2 = a01, a11, -a12
-    two_inv = field(2).inv()
-    z, o = field.zero, field.one
-    m2 = [[o, t2 * two_inv, z], [z, o, z],
-          [z, -a2 + t2 * t2 * two_inv * two_inv, b2]]
-    m = ProjTransform(field, _matmul(m2, _adjugate(basis)))
-    back = m.inverse_matrix()
-    c_new, d_new = c.transform_by_matrix(back), d.transform_by_matrix(back)
-    if d_new != Conic(field, [1, 0, 0, 0, 0, -1]):
-        raise TheoremViolation(f"inner conic not in normal form: {d_new!r}")
-    a00, a11, a22, a01, a02, a12 = c_new.coeffs
-    if not (a00 == field.one and a22.is_zero() and a02.is_zero()):
-        raise TheoremViolation(f"outer conic not in normal form: {c_new!r}")
-    t_, a_, b_ = a01, a11, -a12
-    if b_.is_zero():
+    a00, a11, a22, a01, a02, a12 = d1
+    if not (a22 == zero and a02 == zero and a00 != zero):
+        raise TheoremViolation(
+            f"tangent-pair lemma failed: {Conic._of(field, d1)!r}")
+    h = mul(a01, field._inv(add(one, one)))  # t2 / 2
+    m2 = [[one, h, zero], [zero, one, zero],
+          [zero, add(neg(a11), mul(h, h)), neg(a12)]]
+    raw = _matmul(field, m2, _adjugate(field, list(zip(*cols))))
+    m = ProjTransform(field, _wrap(field, raw))
+    back = list(zip(*_adjugate(field, raw)))  # its columns
+    c_new, d_new = (_canonical(field, _polarize(e, back)) for e in (c, d))
+    if d_new != (one, zero, zero, zero, zero, neg(one)):
+        raise TheoremViolation(
+            f"inner conic not in normal form: {Conic._of(field, d_new)!r}")
+    a00, a11, a22, a01, a02, a12 = c_new
+    if not (a00 == one and a22 == zero and a02 == zero):
+        raise TheoremViolation(
+            f"outer conic not in normal form: {Conic._of(field, c_new)!r}")
+    if a12 == zero:
         raise DegenerateInputError("normalized pair has b = 0; conic is singular")
-    return NormalizedPair(t_, a_, b_, m)
+    return NormalizedPair(*(FieldElement(field, v) for v in (a01, a11, neg(a12))),
+                          m)
 
 
 def classify_normalized(t, a, b):

@@ -14,15 +14,23 @@ check:
   wrapped vectors and ``QuadraticForm2``'s own ``polar``/``evaluate``;
 * ``step_inverse`` (the geometric inverse of ``process.step``),
   ``build_E_normalized``, ``is_identity``, ``line_through``,
-  ``intersect_line_conic`` and ``multiplicity_structure``.
+  ``intersect_line_conic`` and ``multiplicity_structure``;
+* the front end every command shares, on elements: ``wrapped_read_conic``
+  (with ``wrapped_parse_element``), ``wrapped_find_point`` and
+  ``wrapped_sqrt`` (Euler's criterion, then Tonelli-Shanks for every odd q).
 """
 
 import random
+import re
+from itertools import count
+from fractions import Fraction
 
 from porism.char2 import CanonicalForm2, _inv2, _split_hyperbolic
 from porism.ecurve import build_E
 from porism.errors import DegenerateInputError, TheoremViolation
-from porism.fields import FieldElement
+from porism.fields import (ExtensionField, FieldElement, PrimeField,
+                           QuadRationalField, RationalField, _fraction,
+                           _fraction_sqrt, check_digits, parse_field_spec)
 from porism.poly import Polynomial, _monic_quadratic_roots, binary_form_roots
 from porism.process import PonceletState, is_tangency_state
 from porism.projective import (Conic, ConicParametrization, ProjLine,
@@ -344,3 +352,97 @@ def multiplicity_structure(c, d, seed=0):
     par = parametrize(d, find_point(d, seed))
     f = Polynomial(c.field, pullback_quartic(c, par))
     return _multiplicities(4 - f.degree, squarefree_decomposition(f))
+
+
+# -- the shared front end, on elements ---------------------------------------
+
+def wrapped_sqrt(a):
+    """The canonical square root of ``a`` in an odd finite field, or None:
+    Euler's criterion, then Tonelli-Shanks with the first non-square of the
+    field in element order, for every odd q."""
+    field, q = a.field, a.field.size
+    if a.is_zero():
+        return field.zero
+    if a ** ((q - 1) // 2) != field.one:
+        return None
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    n = next(z for z in field.elements()
+             if z and z ** ((q - 1) // 2) != field.one)
+    r, u, c, m = a ** ((t + 1) // 2), a ** t, n ** t, s
+    while u != field.one:
+        i, u2 = 0, u
+        while u2 != field.one:
+            u2, i = u2 * u2, i + 1
+        b = c ** (1 << (m - i - 1))
+        r, c = r * b, b * b
+        u, m = u * c, i
+    return min(r, -r, key=lambda x: x.sort_key())
+
+
+def wrapped_parse_element(field, value):
+    """An element read from CLI JSON, built through the field's coercion."""
+    if isinstance(value, bool):
+        raise ValueError("booleans are not field elements")
+    if isinstance(value, int):
+        return field(value)
+    if not isinstance(value, str):
+        raise ValueError(f"cannot read a field element from {value!r}")
+    text = check_digits(value.strip())
+    if isinstance(field, PrimeField):
+        return field(int(text))
+    if isinstance(field, RationalField):
+        return field(_fraction(text))
+    if isinstance(field, QuadRationalField):
+        m = re.fullmatch(r"(-?\d+(?:/\d+)?)\+(-?\d+(?:/\d+)?)\*sqrt\((-?\d+(?:/\d+)?)\)",
+                         text)
+        if m is None:
+            return field(_fraction(text))
+        k = _fraction_sqrt(_fraction(m.group(3)) / field.d)
+        if k is None:
+            raise ValueError(f"radicand {m.group(3)} does not match the field")
+        return field((_fraction(m.group(1)), _fraction(m.group(2)) * k))
+    if isinstance(field, ExtensionField):
+        return field(tuple(int(c) for c in text.split(",")))
+    raise ValueError(f"element parsing is not supported for {field}")
+
+
+def wrapped_read_conic(obj):
+    """A conic from its JSON: six elements, wrapped one by one, then scaled
+    by ``Conic``; None when it is singular."""
+    field = parse_field_spec(obj["field"])
+    conic = Conic(field, [wrapped_parse_element(field, c) for c in obj["coeffs"]])
+    return conic if conic.is_smooth() else None
+
+
+def wrapped_find_point(conic, seed=0):
+    """``find_point`` on elements: F evaluated at each fixed candidate, then
+    ``field.element`` draws from ``random.Random(seed)`` over a finite
+    field, or n/d over Q, each line's quadratic in x solved by the quadratic
+    formula with ``wrapped_sqrt`` (the field's own over Q and Q(sqrt d))."""
+    field = conic.field
+    o, z = field.one, field.zero
+    for p in ([z, z, o], [z, o, z], [o, z, z], [o, o, o], [o, o, z], [o, z, o],
+              [z, o, o]):
+        if conic.evaluate(p).is_zero():
+            return ProjPoint(field, p)
+    if field.size is not None:
+        rng = random.Random(seed)
+
+        def draw():
+            return field.element(rng.randrange(field.size))
+        lines = ((draw(), draw()) for _ in count())
+    else:
+        lines = ((field(Fraction(n, d)), o) for d in (1, 2, 3, 4)
+                 for n in range(-12, 13))
+    for y, w in lines:
+        if y.is_zero() and w.is_zero():
+            continue
+        # a x^2 + b x + c on the line [x : y : w], a = a00 nonzero
+        a, b = conic.coeffs[0], conic.coeffs[3] * y + conic.coeffs[4] * w
+        disc = b * b - 4 * a * conic.evaluate([z, y, w])
+        s = wrapped_sqrt(disc) if field.size is not None else disc.sqrt()
+        if s is not None:
+            return ProjPoint(field, [(s - b) / (a + a), y, w])
+    raise ValueError("no rational point on the conic")

@@ -6,10 +6,13 @@ import sys
 import pytest
 
 import porism
-from porism.cli import conic_json, main, read_conic
-from porism.projective import Conic
+from porism.cli import conic_json, main, read_conic, read_pair
+from porism.errors import DigitLimitError
+from porism.fields import (FieldElement, check_digits, parse_element,
+                           parse_field_spec)
+from porism.projective import Conic, find_point, parametrize
 
-from conftest import random_smooth_conic
+from conftest import random_smooth_conic, random_smooth_pair
 
 PAIR_F5_TYPE4 = {
     "outer": {"field": "Fp:5",
@@ -750,3 +753,50 @@ def test_a_malformed_fq_spec_names_its_expected_form(tmp_path, capsys, spec):
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": f"bad conic JSON: bad field spec {spec!r}: "
                                         "expected Fq:p^k:c0,...,ck"}
+
+
+@pytest.mark.parametrize("spec, template", [("Fp:5", "{}"), ("Fq:5^2:2,0,1", "{},1"),
+                                            ("Q", "{}/7")])
+def test_check_digits_reads_runs_only_in_strings_past_the_limit(
+        tmp_path, capsys, digit_limit_640, spec, template):
+    def conic(c):  # x^2 + y^2 + c z^2, smooth for each c below
+        return {"field": spec, "coeffs": [1, 1, template.format(c), 0, 0, 0]}
+    inner = {"field": spec, "coeffs": [1, 0, 0, 0, 0, -1]}
+    # a run of exactly the limit, and a string past the limit whose digit
+    # runs are all short, are read
+    short_runs = "1_" * 400 + "1"
+    assert len(short_runs) > 640
+    for c in ("1" * 640, short_runs):
+        text = template.format(c)
+        assert check_digits(text) is text
+        assert read_conic(conic(c)).coeffs[2] == parse_element(
+            parse_field_spec(spec), template.format(c.replace("_", "")))
+    # one digit more is refused, and the command exits 1
+    with pytest.raises(DigitLimitError):
+        check_digits(template.format("1" * 641))
+    path = write_json(tmp_path, "pair.json", {"outer": conic("1" * 641),
+                                              "inner": inner})
+    code, out, err = run_cli(capsys, "classify", path)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == f"bad conic JSON: {DIGITS}"
+
+
+def test_the_front_end_wraps_few_field_elements(monkeypatch):
+    # reading an F_{3^3} pair, finding a point on each conic (three seeded
+    # lines solved between them) and parametrizing both wraps the twelve
+    # coefficients and the two points' coordinates, nothing else
+    import random
+    outer, inner = random_smooth_pair(parse_field_spec("Fq:3^3:1,2,0,1"),
+                                      random.Random(1))
+    obj = {"outer": conic_json(outer), "inner": conic_json(inner)}
+    built = []
+    init = FieldElement.__init__
+
+    def counted(self, field, value):
+        built.append(value)
+        init(self, field, value)
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    pair = read_pair(obj)
+    pars = [parametrize(c, find_point(c, seed)) for seed, c in enumerate(pair)]
+    assert pair == (outer, inner) and len(pars) == 2
+    assert len(built) <= 18  # 135 when each step built and unwrapped elements

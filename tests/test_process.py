@@ -13,7 +13,7 @@ from porism.process import (PonceletConfig, PonceletState, ProcessResult,
                             is_tangency_state, porism_check, run,
                             sample_starts, start, step)
 from porism.projective import (Conic, P1Point, ProjPoint, _point, _span,
-                               _values, find_point, normal_form_conic, parametrize,
+                               find_point, normal_form_conic, parametrize,
                                polar, tangency_points)
 
 from conftest import random_smooth_pair
@@ -21,7 +21,7 @@ from reference import intersect_line_conic, multiplicity_structure, step_inverse
 
 
 def _raw_state(state):
-    return _values(state.c), _values(state.d)
+    return state.c.values, state.d.values
 
 
 def make_config(field, t, a, b, seed=0):
@@ -680,7 +680,7 @@ def fiber_start_cases(cfg, num_starts, seed, monkeypatch):
             cases.add("C = 0")
         lifted_cfg, state, lifted = start_reference(cfg, c1)
         ext, other = lifted_cfg.field, start_reference(cfg, c1, "max")[1].d
-        want_vs = {_values(cfg.inner_par.param_of(d)) for d in (state.d, other)}
+        want_vs = {cfg.inner_par.param_of(d).values for d in (state.d, other)}
         if lifted:
             cases.add("lifted")
             u = tuple((x, zero) for x in u)
@@ -954,7 +954,7 @@ def raw_start_cases(cfg, c1):
     cases met: roots in the field or lifted, a tangency point (a double
     contact), and a contact point at infinity (alpha = 0)."""
     field = cfg.field
-    raw = _values(c1)
+    raw = c1.values
     ds = []
     for branch in ("min", "max"):
         _, state, lifted = assert_start_matches_reference(cfg, c1, branch)

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from porism.cli import conic_json, read_conic
 from porism.errors import DegenerateInputError
 from porism.fields import parse_field_spec
 from porism.projective import (Conic, P1Point, ProjLine, ProjPoint,
@@ -16,7 +17,8 @@ from porism.projective import (Conic, P1Point, ProjLine, ProjPoint,
 
 from conftest import plane_points, random_smooth_conic, random_smooth_pair
 from reference import (intersect_line_conic, is_identity, line_through,
-                       multiplicity_structure)
+                       multiplicity_structure, wrapped_find_point,
+                       wrapped_read_conic, wrapped_sqrt)
 
 
 def test_point_canonicalization(F7):
@@ -487,3 +489,55 @@ def test_a_conic_refuses_coordinates_over_an_extension(F7):
     with pytest.raises(FieldMismatchError):
         conic.gradient(coords)
     assert conic.lift(big).evaluate(coords) == 1 + big.gen * big.gen
+
+
+def smooth_conics(field):
+    """Every smooth conic over a finite field, once each."""
+    for coeffs in product(list(field.elements()), repeat=6):
+        pivot = next((c for c in coeffs if c), None)
+        if pivot == field.one:
+            conic = Conic(field, coeffs)
+            if conic.is_smooth():
+                yield conic
+
+
+FRONT_END_EXHAUSTIVE = ["Fp:3", "Fp:5"]
+FRONT_END_SAMPLED = ["Fp:7", "Fp:13", "Fq:3^2:1,0,1", "Fq:5^2:2,0,1",
+                     "Fq:3^3:1,2,0,1"]
+SQRT_FIELDS = ["Fp:3", "Fp:5", "Fp:7", "Fq:3^2:1,0,1", "Fp:11", "Fp:13",
+               "Fq:5^2:2,0,1", "Fq:3^3:1,2,0,1"]
+
+
+def test_front_end_fast_paths_match_their_wrapped_references():
+    # every smooth conic over F_3 and F_5 (234 and 3,100) and 25 seeded
+    # draws per seed 0-3 over five more fields, whose searches reach the
+    # seeded lines about 4,300 times; about 3 s on one core
+    corpus = [(c, seed) for spec in FRONT_END_EXHAUSTIVE
+              for c in smooth_conics(parse_field_spec(spec)) for seed in range(4)]
+    for spec in FRONT_END_SAMPLED:
+        field = parse_field_spec(spec)
+        for seed in range(4):
+            rng = random.Random(seed)
+            corpus += [(random_smooth_conic(field, rng), seed) for _ in range(25)]
+    for conic, seed in corpus:
+        field, obj = conic.field, conic_json(conic)
+        assert read_conic(obj) == wrapped_read_conic(obj) == conic
+        base = find_point(conic, seed)
+        assert base == wrapped_find_point(conic, seed)
+        if seed:
+            continue
+        # the parametrization's maps against the line through the base and
+        # m = b e_i + a e_j, on the axis x_k = 0, for every (a : b)
+        par = parametrize(conic, base)
+        (i, j), params = par.span_idx, [P1Point.infinity(field)]
+        params += [P1Point.affine(u) for u in field.elements()]
+        for u in params:
+            (a, b), m = u.coords, [field.zero] * 3
+            m[i], m[j] = b, a
+            point = other_intersection(conic, line_through(base, ProjPoint(field, m)),
+                                       base)
+            assert par.point_at(u) == point and par.param_of(point) == u
+    for spec in SQRT_FIELDS:
+        field = parse_field_spec(spec)
+        for a in field.elements():
+            assert field.sqrt(a) == wrapped_sqrt(a)

@@ -13,7 +13,11 @@ one side's set-up look faster.  The before side runs first on even seeds and
 second on odd ones, so that a drift in the machine's speed falls on both
 sides alike.  The record holds the python version, the number of CPUs,
 every run's result line, and per metric the two medians, the before side's
-interquartile range and the number of pairs the after side won.
+interquartile range and the number of pairs the after side won.  Each run
+also keeps the p50 latency of every operation label, read from the
+``benchmark/results/<workload>-seed<S>-trace0.json`` record that run.py
+writes in its tree, and per workload the record holds each label's before
+and after medians of those p50s: where the time went, label by label.
 """
 
 import argparse
@@ -37,7 +41,12 @@ def one_run(tree, workload, seed, seconds):
             cwd=tree, env=env, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
-    return dict(result, seed=seed)
+    path = os.path.join(tree, "benchmark", "results",
+                        f"{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        labels = json.load(fh)["labels"]
+    return dict(result, seed=seed,
+                labels={k: v["p50_ms"] for k, v in labels.items()})
 
 
 def summary(before, after, better):
@@ -51,6 +60,14 @@ def summary(before, after, better):
                      "after_median": statistics.median(a),
                      "before_iqr": q3 - q1, "after_wins": wins}
     return out
+
+
+def label_summary(before, after):
+    """Per operation label, the median over runs of its p50 on each side."""
+    return {label: {side: statistics.median(r["labels"][label] for r in runs)
+                    for side, runs in (("before_p50_ms", before),
+                                       ("after_p50_ms", after))}
+            for label in sorted(before[0]["labels"])}
 
 
 def main(argv=None):
@@ -74,7 +91,8 @@ def main(argv=None):
                 runs[side].append(one_run(tree, workload, seed, seconds))
                 print(workload, seed, side, runs[side][-1]["metrics"], flush=True)
         record["workloads"][workload] = dict(
-            runs, summary=summary(runs["before"], runs["after"], better))
+            runs, summary=summary(runs["before"], runs["after"], better),
+            labels=label_summary(runs["before"], runs["after"]))
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
