@@ -21,9 +21,9 @@ singular points are the tangency parameters, over the multiple roots.
 from .errors import (DegenerateInputError, ExtensionOverflowError,
                      FieldMismatchError, NotOnConicError, TheoremViolation)
 from .fields import FieldElement, lift_to_quadratic_extension
-from .poly import Polynomial, gcd, squarefree_decomposition
+from .poly import Polynomial, _from_values, gcd, squarefree_decomposition
 from .projective import P1Point, find_point, parametrize, _Canonical, \
-    _multiplicities, _p1, _repeated_params
+    _multiplicities, _raw_point, _repeated_params
 
 SHAPE_SMOOTH = "smooth"
 SHAPE_NODE = "node"
@@ -40,7 +40,7 @@ _SHAPES = {(1, 1, 1, 1): (SHAPE_SMOOTH, 0), (2, 1, 1): (SHAPE_NODE, 1),
 
 class _Bihomogeneous(_Canonical):
     """A bihomogeneous form sum c_ij u^i v^j of bidegree (n, n), its
-    coefficients row-major in ``coeffs``, read off as a raw contraction
+    coefficients row-major in ``values``, read off as a raw contraction
     against the P^1 monomials of the form's ``_fibers``."""
 
     __slots__ = ("_maps",)
@@ -50,32 +50,34 @@ class _Bihomogeneous(_Canonical):
         if any(len(row) != self._degree + 1 for row in rows):
             raise ValueError(self._wrong_size)
         super().__init__(field, [c for row in rows for c in row])
-        self._maps = None
+
+    def _split(self, flat):
+        """The rows of the row-major tuple ``flat``."""
+        k = self._degree + 1
+        return tuple(flat[i:i + k] for i in range(0, k * k, k))
 
     @property
     def _rows(self):
-        k = self._degree + 1
-        return tuple(self.coeffs[i:i + k] for i in range(0, k * k, k))
+        return self._split(self.coeffs)
 
     def lift(self, new_field):
         return type(self)(new_field, self._rows)
 
     def _raw(self):
-        """``_fibers`` of the form, built once per form."""
-        if self._maps is None:
-            self._maps = _fibers(self.field, [[c.value for c in row]
-                                              for row in self._rows])
+        """``_fibers`` of the form, built on the first call."""
+        if getattr(self, "_maps", None) is None:
+            self._maps = _fibers(self.field, self._split(self.values))
         return self._maps
 
     def _fiber_at(self, k, p):
         """``_raw()[k]`` at the P^1 point p, coerced into the form's field."""
-        return self._raw()[k]([self.field(c).value for c in p.coords])
+        return self._raw()[k](_raw_point(self.field, p))
 
     def evaluate(self, u, v):
         """Value at P^1 points u, v: the fiber over u against v's monomials."""
         field, mono = self.field, self._raw()[3]
         return FieldElement(field, field._dot(
-            self._fiber_at(0, u), mono([field(c).value for c in v.coords])))
+            self._fiber_at(0, u), mono(_raw_point(field, v))))
 
     def contains(self, u, v):
         return self.evaluate(u, v).is_zero()
@@ -167,10 +169,10 @@ def build_E(outer, inner, outer_par=None, inner_par=None, seed=0):
         outer_par = parametrize(outer, find_point(outer, seed))
     if inner_par is None:
         inner_par = parametrize(inner, find_point(inner, seed + 1))
-    field = outer.field
-    h = [[FieldElement(field, x) for x in row]
-         for row in _incidence_rows(inner, outer_par, inner_par)]
-    return BiquadraticForm(field, h, outer_par, inner_par)
+    H = BiquadraticForm._of(outer.field, [
+        x for row in _incidence_rows(inner, outer_par, inner_par) for x in row])
+    H.outer_par, H.inner_par = outer_par, inner_par
+    return H
 
 
 def _incidence_rows(inner, outer_par, inner_par):
@@ -194,11 +196,16 @@ def _double_root_of_fiber(field, q):
     return P1Point.infinity(field)
 
 
+def _columns(H):
+    """A, B and C of H = A(u) v^2 + B(u) v + C(u), as Polynomials in u."""
+    return (_from_values(H.field, H.values[j::3]) for j in (2, 1, 0))
+
+
 def _branch_quartic(H):
     """The discriminant disc_v = B^2 - 4AC of H in v, a binary quartic in u,
     as (leading coefficient, multiplicity at infinity, squarefree
     decomposition)."""
-    A, B, C = (Polynomial(H.field, [row[j] for row in H.h]) for j in (2, 1, 0))
+    A, B, C = _columns(H)
     f = B * B - A * C * 4
     if f.is_zero():
         raise DegenerateInputError("discriminant vanishes identically: "
@@ -246,18 +253,13 @@ def is_reducible(H, branch=None):
     if lifted:
         field, sq = lift_to_quadratic_extension(lc)
         H, root = H.lift(field), root.map_field(field)
-    g_poly = root * sq
-    # g as a binary quadratic: pad to form degree 2
-    g2 = list(g_poly.coeffs) + [field.zero] * (3 - len(g_poly.coeffs))
-    A, B, C = ([row[j] for row in H.h] for j in (2, 1, 0))
-    if all(c.is_zero() for c in A) or all(c.is_zero() for c in C):
+    g = root * sq
+    A, B, C = _columns(H)
+    if A.is_zero() or C.is_zero():
         raise DegenerateInputError("the curve contains a fiber line")
-    two = field(2)
-    raw = []
-    for sign in (field.one, -field.one):
+    p_v, raw = A * 2, []
+    for p_w in (B + g, B - g):
         # the component 2A v + (B +- g) v' = 0, divided by its content
-        p_v = Polynomial(field, [two * c for c in A])
-        p_w = Polynomial(field, [b + sign * g for b, g in zip(B, g2)])
         content = gcd(p_v, p_w)
         qv, rv = divmod(p_v, content)
         qw, rw = divmod(p_w, content)
@@ -267,7 +269,7 @@ def is_reducible(H, branch=None):
         qw, qv = ([*q.coeffs, field.zero, field.zero][:2] for q in (qw, qv))
         raw.append(BilinearFactor(field, list(zip(qw, qv))))
     f1, f2 = raw
-    if BiquadraticForm(field, f1.product(f2)).h != H.h:
+    if BiquadraticForm(field, f1.product(f2)) != H:
         raise TheoremViolation("the split factors do not multiply back to "
                                "the incidence form")
     return f1, f2, lifted
@@ -379,7 +381,7 @@ def _move(H, p, check, *moved):
     for k in moved:
         p[k], m[k] = other(k, m[1 - k], p[k], m[k], check)
         check = False
-    return _p1(H.field, p[0]), _p1(H.field, p[1])
+    return P1Point._of(H.field, p[0]), P1Point._of(H.field, p[1])
 
 
 def sigma(H, p, check=True):

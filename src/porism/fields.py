@@ -284,9 +284,12 @@ class Field:
 
     def element(self, i):
         """The i-th element of ``elements()``, for 0 <= i < size."""
+        if self.size is not None and not 0 <= i < self.size:
+            raise ValueError(f"element index {i} is not in [0, {self.size})")
         return FieldElement(self, self._element(i))
 
     def _element(self, i):
+        """``element(i)``'s raw value, for 0 <= i < size, unchecked."""
         raise NotImplementedError(f"{self} is not finite")
 
     def elements(self):

@@ -1,7 +1,7 @@
 """Univariate polynomials over any supported field.
 
-Coefficients are stored low degree first with a nonzero leading coefficient;
-the zero polynomial has an empty coefficient tuple.  On top of the ring
+Coefficients are stored as raw values, low degree first with a nonzero
+leading one; the zero polynomial has none.  On top of the ring
 arithmetic this module provides monic gcd, squarefree decomposition (with the
 inseparable char-p cases handled by p-th-root extraction), full factorization
 over finite fields (distinct-degree plus Cantor-Zassenhaus on a fixed random
@@ -24,64 +24,66 @@ MAX_EXTENSION_DEGREE = 4
 
 
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    """A polynomial over ``field``, stored once as its raw ``values``;
+    ``coeffs``, ``lc`` and ``f[i]`` wrap them as elements on each read."""
+
+    __slots__ = ("field", "values")
 
     def __init__(self, field, coeffs):
-        coeffs = [field(c) for c in coeffs]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.values = _trim(field, [field(c).value for c in coeffs])
 
     @classmethod
     def x(cls, field):
         return cls(field, [0, 1])
 
     @property
+    def coeffs(self):
+        return tuple([FieldElement(self.field, v) for v in self.values])
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.values) - 1  # -1 for the zero polynomial
 
     @property
     def lc(self):
-        return self.coeffs[-1]
+        return FieldElement(self.field, self.values[-1])
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.values
 
     def __getitem__(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
+        if i < len(self.values):
+            return FieldElement(self.field, self.values[i])
+        return self.field.zero
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self.values == other.values)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.values))
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field, [self[i] + other[i] for i in range(n)])
+        return _from_values(self.field, _add(self.field, self.values,
+                                             other.values))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field, [self[i] - other[i] for i in range(n)])
+        return self + (-self._coerce(other))
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return _from_values(self.field, list(map(self.field._neg, self.values)))
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, (int, FieldElement)):
-            return Polynomial(self.field, [c * other for c in self.coeffs])
+            b = field.one._raw(other)
+            return _from_values(field, [field._mul(c, b) for c in self.values])
         other = self._coerce(other)
-        return _from_values(self.field, _prod(self.field, self._values(),
-                                              other._values()))
+        return _from_values(field, _prod(field, self.values, other.values))
 
     __rmul__ = __mul__
-
-    def _values(self):
-        return [c.value for c in self.coeffs]
 
     def _coerce(self, other):
         if not isinstance(other, Polynomial):
@@ -94,7 +96,7 @@ class Polynomial:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quot, rem = _poly_divmod(self.field, self._values(), other._values())
+        quot, rem = _poly_divmod(self.field, self.values, other.values)
         return _from_values(self.field, quot), _from_values(self.field, rem)
 
     def __floordiv__(self, other):
@@ -104,26 +106,29 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __pow__(self, n, mod=None):
-        """self ** n; ``pow(self, n, mod)`` reduces after each product."""
-        m = None if mod is None else self._coerce(mod)._values()
-        if m == []:
+        """self ** n, n >= 0; ``pow(self, n, mod)`` reduces each product."""
+        if n < 0:
+            raise ValueError("a polynomial has no negative powers")
+        m = None if mod is None else self._coerce(mod).values
+        if m == ():
             raise ZeroDivisionError("polynomial division by zero")
-        return _from_values(self.field, _power(self.field, self._values(), n, m))
+        return _from_values(self.field, _power(self.field, self.values, n, m))
 
     def __call__(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        field = self.field
+        b, acc = field.one._raw(x), field.zero.value
+        for c in reversed(self.values):
+            acc = field._add(field._mul(acc, b), c)
+        return FieldElement(field, acc)
 
     def monic(self):
-        if self.is_zero() or self.lc == self.field.one:
+        if self.is_zero():
             return self
-        return self * self.lc.inv()
+        return _from_values(self.field, _monic(self.field, self.values))
 
     def map_field(self, new_field):
         """Embed the coefficients into a larger field of the tower."""
-        return Polynomial(new_field, [new_field(c) for c in self.coeffs])
+        return Polynomial(new_field, self.coeffs)
 
     def __repr__(self):
         if self.is_zero():
@@ -133,16 +138,16 @@ class Polynomial:
 
 
 def _from_values(field, values):
-    """The polynomial with the given raw coefficient values, the last one
-    nonzero, built without coercing them again."""
+    """The polynomial with the raw coefficient values ``values``, low degree
+    first, without their trailing zeros; none is coerced."""
     poly = object.__new__(Polynomial)
-    poly.field, poly.coeffs = field, tuple([FieldElement(field, v) for v in values])
+    poly.field, poly.values = field, _trim(field, list(values))
     return poly
 
 
 def gcd(f, g):
     """Monic greatest common divisor; gcd(0, 0) = 0."""
-    return _from_values(f.field, _gcd(f.field, f._values(), f._coerce(g)._values()))
+    return _from_values(f.field, _gcd(f.field, f.values, f._coerce(g).values))
 
 
 # Factoring over a finite field runs on raw coefficient lists, low degree
@@ -167,11 +172,11 @@ def _mod(field, f, g):
 
 
 def _trim(field, f):
-    """The list f without its trailing zeros."""
+    """The list f without its trailing zeros, as a tuple."""
     zero = field.zero.value
     while f and f[-1] == zero:
         f.pop()
-    return f
+    return tuple(f)
 
 
 def _add(field, f, g):
@@ -212,7 +217,7 @@ def squarefree_decomposition(f):
     if f.is_zero():
         raise ValueError("zero polynomial")
     return [(_from_values(f.field, g), m)
-            for g, m in _squarefree(f.field, f._values())]
+            for g, m in _squarefree(f.field, f.values)]
 
 
 def _squarefree(field, f):
@@ -273,7 +278,7 @@ def _edf(field, f, d, rng):
         return [f]
     q, minus_one = field.size, [field._neg(field.one.value)]
     while True:
-        h = _trim(field, [field.element(rng.randrange(q)).value
+        h = _trim(field, [field._element(rng.randrange(q))
                           for _ in range(rng.randrange(1, len(f) - 1) + 1)])
         if len(h) < 2:
             continue
@@ -300,7 +305,7 @@ def factor(f):
         raise ValueError("factor() requires a finite field")
     if f.degree < 1:
         return []
-    raw = _monic(field, f._values())
+    raw = _monic(field, f.values)
     if f.degree == 2 and field.char != 2:
         _, roots = _monic_quadratic_roots(field, raw[0], raw[1], lift=False)
         if not roots:
@@ -383,12 +388,11 @@ def _rational_root(g):
     if isinstance(field, QuadRationalField):
         # search rational candidates only; conjugate-irrational roots of
         # higher-degree factors are out of scope
-        comps = [c.value for c in g.coeffs]
-        if any(v[1] != 0 for v in comps):
+        if any(v[1] != 0 for v in g.values):
             return None
-        fracs = [v[0] for v in comps]
+        fracs = [v[0] for v in g.values]
     else:
-        fracs = [c.value for c in g.coeffs]
+        fracs = g.values
     lcm = 1
     for fr in fracs:
         lcm = lcm * fr.denominator // gcd_int(lcm, fr.denominator)
@@ -452,11 +456,6 @@ def binary_form_roots(field, coeffs, form_degree):
     """Roots of a binary form of degree at most 4 given by its dehomogenized
     coefficients (low-to-high in the affine variable); the degree drop is
     reported as multiplicity at the point at infinity."""
-    f = Polynomial(field, coeffs)
-    if f.is_zero():
-        raise ValueError("zero form")
-    at_inf = form_degree - f.degree
-    if f.degree == 0:
-        return RootsWithMultiplicity((), at_inf)
-    inner = roots_in_closure(f)
-    return RootsWithMultiplicity(inner.entries, at_inf)
+    f = Polynomial(field, coeffs)  # roots_in_closure refuses the zero form
+    return RootsWithMultiplicity(roots_in_closure(f).entries,
+                                 form_degree - f.degree)

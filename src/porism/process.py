@@ -22,9 +22,9 @@ from dataclasses import dataclass, field as dc_field
 from .ecurve import _fibers, _incidence_rows
 from .errors import NotOnConicError, TheoremViolation
 from .poly import _monic_quadratic_roots
-from .projective import (_canonical, _point,
-                         _type_and_tangencies, other_intersection, parametrize,
-                         polar, tangent_at, find_point)
+from .projective import (ProjPoint, _canonical, _type_and_tangencies,
+                         other_intersection, parametrize, polar, tangent_at,
+                         find_point)
 
 DEFAULT_MAX_STEPS_CHAR0 = 10000
 # States of a run kept in its result, and so printed by ``porism run``
@@ -137,8 +137,8 @@ def _fiber_roots(E, u, curves):
 def _state(E, uv, index):
     """The state at E's raw parameters uv = (u, v), as points."""
     (u, v), field = uv, E.field
-    return PonceletState(_point(field, E.outer[0](u)),
-                         _point(field, E.inner[0](v)), index)
+    return PonceletState(ProjPoint._of(field, E.outer[0](u)),
+                         ProjPoint._of(field, E.inner[0](v)), index)
 
 
 def is_tangency_state(cfg, state):
@@ -292,7 +292,7 @@ def sample_starts(cfg, num_starts, seed):
     parameters mapped to points."""
     par, params = _sample_starts(cfg, num_starts, seed)
     point_at = par._maps(cfg.field)[0]
-    return [_point(cfg.field, point_at(u)) for u in params]
+    return [ProjPoint._of(cfg.field, point_at(u)) for u in params]
 
 
 def _sample_starts(cfg, num_starts, seed):
@@ -312,7 +312,7 @@ def _sample_starts(cfg, num_starts, seed):
         # so shuffle the indices and reach only the parameters it visits
         order = list(range(field.size + 1))
         rng.shuffle(order)
-        params = ((field.element(i - 1).value, one) if i else (one, zero)
+        params = ((field._element(i - 1), one) if i else (one, zero)
                   for i in order)
     else:
         # 4 num_starts + 8 distinct draws n/d with |n| <= 50, 1 <= d <= 11,
@@ -323,7 +323,7 @@ def _sample_starts(cfg, num_starts, seed):
         seen = set()
         while len(seen) < 4 * num_starts + 8:
             seen.add(Fraction(rng.randrange(-50, 51), rng.randrange(1, 12)))
-        params = [(one, zero)] + [(field(v).value, one) for v in sorted(seen)]
+        params = [(one, zero)] + [(field._canon(v), one) for v in sorted(seen)]
     out = []
     for t in params:
         t = _canonical(field, t)

@@ -21,8 +21,8 @@ from fractions import Fraction
 from .errors import (DegenerateInputError, FieldMismatchError, NotOnConicError,
                      TheoremViolation)
 from .fields import FieldElement
-from .poly import (Polynomial, _monic_quadratic_roots, binary_form_roots,
-                   roots_in_closure, squarefree_decomposition)
+from .poly import (_from_values, _monic_quadratic_roots, roots_in_closure,
+                   squarefree_decomposition)
 
 
 def _canonical(field, raw, message="all coordinates are zero"):
@@ -38,19 +38,17 @@ def _canonical(field, raw, message="all coordinates are zero"):
     return tuple([mul(v, s) for v in raw])
 
 
-def _point(field, raw):
-    return ProjPoint._of(field, raw)
-
-
-def _p1(field, raw):
-    return P1Point._of(field, raw)
-
-
 def _raw_point(field, p):
-    """The raw coordinates of the point p in ``field``, its field or one
-    above it."""
+    """The raw values of p, a point or line, in ``field``, its field or above."""
     return p.values if p.field == field else tuple(field(x).value
-                                                   for x in p.coords)
+                                                   for x in p.coeffs)
+
+
+def _new(cls, field, raw):
+    """The ``cls`` object set by ``_set`` from raw values of ``field``."""
+    obj = cls.__new__(cls)
+    obj._set(field, raw)
+    return obj
 
 
 def _span(field, line):
@@ -66,13 +64,13 @@ def _span(field, line):
 
 
 class _Canonical:
-    """Coefficients over one field in canonical projective scale, the first
-    nonzero one equal to one, so that equality (same class, field and
-    coefficients) and hashing are structural.  ``coeffs`` holds them as
-    elements and ``values`` as raw values.  A subclass names its length,
-    its two errors and the brackets and separator of its repr."""
+    """Coefficients over one field, stored once as raw ``values`` in
+    canonical projective scale (the first nonzero one is one), so that
+    equality (same class, field and values) and hashing are structural;
+    ``coeffs`` wraps them as elements on each read.  A subclass names its
+    length, its two errors and the brackets and separator of its repr."""
 
-    __slots__ = ("field", "coeffs", "values")
+    __slots__ = ("field", "values")
     _all_zero = "all coordinates are zero"
     _brackets = "[", ":", "]"
 
@@ -81,31 +79,27 @@ class _Canonical:
             raise ValueError(self._wrong_size)
         self._set(field, [field(v).value for v in values])
 
-    @classmethod
-    def _of(cls, field, raw):
-        """The object with the raw values ``raw`` of ``field``, of the right
-        length, scaled but not coerced."""
-        obj = cls.__new__(cls)
-        obj._set(field, raw)
-        return obj
+    _of = classmethod(_new)  # raw values of the right length, scaled
 
     def _set(self, field, raw):
-        self.field = field
-        self.values = raw = _canonical(field, raw, self._all_zero)
-        self.coeffs = tuple([FieldElement(field, v) for v in raw])
+        self.field, self.values = field, _canonical(field, raw, self._all_zero)
+
+    @property
+    def coeffs(self):
+        return tuple([FieldElement(self.field, v) for v in self.values])
 
     def lift(self, new_field):
         return type(self)(new_field, self.coeffs)
 
     def sort_key(self):
-        return tuple(c.sort_key() for c in self.coeffs)
+        return tuple(map(self.field._sort_key, self.values))
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self.values == other.values)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.values))
 
     def __repr__(self):
         left, sep, right = self._brackets
@@ -116,7 +110,7 @@ class ProjPoint(_Canonical):
     """A point of P^2 in canonical homogeneous coordinates."""
 
     __slots__ = ()
-    coords = _Canonical.coeffs  # the same slot, under a point's name
+    coords = _Canonical.coeffs  # the same property, under a point's name
     _size, _wrong_size = 3, "a projective point needs three coordinates"
 
 
@@ -128,14 +122,14 @@ class ProjLine(_Canonical):
     _brackets = "{", ":", "}"
 
     def contains(self, p):
-        return sum((c * x for c, x in zip(self.coeffs, p.coords)),
-                   start=self.field.zero).is_zero()
+        field = self.field
+        return field._dot(self.values, _raw_point(field, p)) == field.zero.value
 
     def span(self):
         """Two distinct points spanning the line."""
         field = self.field
         p0, p1 = _span(field, self.values)
-        return _point(field, p0), _point(field, p1)
+        return ProjPoint._of(field, p0), ProjPoint._of(field, p1)
 
 
 class Conic(_Canonical):
@@ -176,7 +170,8 @@ class Conic(_Canonical):
         return FieldElement(self.field, self._forms()[1](raw))
 
     def contains(self, p):
-        return self.evaluate(p.coords).is_zero()
+        field = self.field
+        return self._forms()[1](_raw_point(field, p)) == field.zero.value
 
     def gradient(self, coords):
         """Formal gradient of the six-coefficient form; valid in any char."""
@@ -248,44 +243,42 @@ def _adjugate(field, m):
              dot((a, neg(b)), (e, d))]]
 
 
-def _wrap(field, m):
-    return [[FieldElement(field, v) for v in row] for row in m]
-
-
-def _raw_matrix(field, m):
-    return [[field(c).value for c in row] for row in m]
-
-
 class ProjTransform:
     """An invertible change of coordinates, acting on points as column vectors.
 
     Points transport by the matrix, conics by substituting the inverse map
-    into the quadratic form; incidence is preserved by construction.
-    """
+    into the quadratic form; incidence is preserved by construction.  The
+    matrix is stored as raw ``rows``; ``matrix`` wraps them on each read."""
 
-    __slots__ = ("field", "matrix")
+    __slots__ = ("field", "rows")
 
     def __init__(self, field, matrix):
-        raw = _raw_matrix(field, matrix)
-        if _det3(field, raw) == field.zero.value:
+        self._set(field, [[field(c).value for c in row] for row in matrix])
+
+    _of = classmethod(_new)  # raw rows
+
+    def _set(self, field, rows):
+        if _det3(field, rows) == field.zero.value:
             raise DegenerateInputError("transform matrix is singular")
-        self.field = field
-        self.matrix = _wrap(field, raw)
+        self.field, self.rows = field, rows
+
+    @property
+    def matrix(self):
+        return [[FieldElement(self.field, v) for v in row] for row in self.rows]
 
     def inverse_matrix(self):
         """The adjugate, a nonzero multiple of the inverse."""
-        field = self.field
-        return _wrap(field, _adjugate(field, _raw_matrix(field, self.matrix)))
+        return self.inverse().matrix
 
     def inverse(self):
-        return ProjTransform(self.field, self.inverse_matrix())
+        return ProjTransform._of(self.field, _adjugate(self.field, self.rows))
 
     def compose(self, other):
         """self after other."""
         field = self.field
-        product = _matmul(field, _raw_matrix(field, self.matrix),
-                          _raw_matrix(field, other.matrix))
-        return ProjTransform(field, _wrap(field, product))
+        if other.field != field:
+            other = ProjTransform(field, other.matrix)
+        return ProjTransform._of(field, _matmul(field, self.rows, other.rows))
 
     def __call__(self, obj):
         return apply_transform(self, obj)
@@ -300,12 +293,12 @@ def apply_transform(m, obj):
     field = m.field
     if isinstance(obj, ProjPoint):
         v = _raw_point(field, obj)
-        return _point(field, [field._dot(row, v)
-                              for row in _raw_matrix(field, m.matrix)])
+        return ProjPoint._of(field, [field._dot(row, v) for row in m.rows])
     if isinstance(obj, Conic):
+        if obj.field != field:
+            return apply_transform(ProjTransform(obj.field, m.matrix), obj)
         # F(N v) for the adjugate N: the polarization of F on N's columns
-        n = _raw_matrix(obj.field, m.inverse_matrix())
-        return Conic._of(obj.field, _polarize(obj, zip(*n)))
+        return Conic._of(field, _polarize(obj, zip(*_adjugate(field, m.rows))))
     raise TypeError(f"cannot transform {obj!r}")
 
 
@@ -314,17 +307,19 @@ def tangent_at(conic, p):
     characteristic two contains the strange point."""
     if not conic.contains(p):
         raise NotOnConicError(f"{p!r} is not on the conic")
-    grad = conic.gradient(p.coords)
-    if all(g.is_zero() for g in grad):
+    field = conic.field
+    grad = conic._forms()[0](_raw_point(field, p))
+    if grad == (field.zero.value,) * 3:
         raise DegenerateInputError("conic is singular at the point")
-    return ProjLine(conic.field, grad)
+    return ProjLine._of(field, grad)
 
 
 def polar(conic, q):
     """Polar line of q; equals the tangent when q is on the conic."""
-    if conic.field.char == 2:
+    field = conic.field
+    if field.char == 2:
         raise ValueError("polars are undefined in characteristic two")
-    return ProjLine(conic.field, conic.gradient(q.coords))
+    return ProjLine._of(field, conic._forms()[0](_raw_point(field, q)))
 
 
 def other_intersection(conic, line, known):
@@ -332,14 +327,15 @@ def other_intersection(conic, line, known):
     in the same field, and equals `known` for a tangent line."""
     if not conic.contains(known) or not line.contains(known):
         raise DegenerateInputError("known point must lie on both the line and the conic")
-    s0, s1 = line.span()
-    other = s1 if s0 == known else s0  # the span's points are distinct
-    gamma = conic.evaluate(other.coords)
-    beta = conic.bilinear(known.coords, other.coords)
-    if beta.is_zero():
+    field = conic.field
+    k, (s0, s1) = _raw_point(field, known), _span(field, _raw_point(field, line))
+    other = s1 if s0 == k else s0  # the span's points are distinct
+    grad, value = conic._forms()
+    beta = field._dot(grad(k), other)
+    if beta == field.zero.value:
         return known
-    coords = [-gamma * a + beta * b for a, b in zip(known.coords, other.coords)]
-    return ProjPoint(known.field, coords)
+    w = (field._neg(value(other)), beta)
+    return ProjPoint._of(field, [field._dot(w, ab) for ab in zip(k, other)])
 
 
 def find_point(conic, seed=0):
@@ -361,7 +357,7 @@ def find_point(conic, seed=0):
                    ((one, one, zero), f110), ((one, zero, one), f101),
                    ((zero, one, one), add(add(a11, a22), a12))):
         if f == zero:
-            return _point(field, raw)
+            return ProjPoint._of(field, raw)
     if field.size is not None:
         rng = random.Random(seed)
         while True:
@@ -397,14 +393,14 @@ def _solve_on_line(conic, y, z):
     _, roots = _monic_quadratic_roots(field, mul(c, a00), b, lift=False)
     if not roots:
         return None
-    return _point(field, (mul(roots[0], field._inv(a00)), y, z))
+    return ProjPoint._of(field, (mul(roots[0], field._inv(a00)), y, z))
 
 
 class P1Point(_Canonical):
     """A point of P^1 as (a : b) with affine value a/b; infinity is (1 : 0)."""
 
     __slots__ = ()
-    coords = _Canonical.coeffs  # the same slot, under a point's name
+    coords = _Canonical.coeffs  # the same property, under a point's name
     _size, _wrong_size = 2, "a point of P^1 needs two coordinates"
     _all_zero = "both coordinates are zero"
     _brackets = "(", ":", ")"
@@ -495,11 +491,11 @@ class ConicParametrization:
 
     def point_at(self, p1):
         """The conic point with parameter p1; exact in any tower extension."""
-        return _point(p1.field, self._maps(p1.field)[0](p1.values))
+        return ProjPoint._of(p1.field, self._maps(p1.field)[0](p1.values))
 
     def param_of(self, point):
         """Inverse map: the parameter of a conic point."""
-        return _p1(point.field, self._maps(point.field)[1](point.values))
+        return P1Point._of(point.field, self._maps(point.field)[1](point.values))
 
 
 def parametrize(conic, base):
@@ -515,10 +511,14 @@ def pullback_quartic(conic, par):
     F_conic(par(u)) in the affine parameter u: with w_j the coefficient
     columns, par(u) = w_0 + u w_1 + u^2 w_2 and the quartic is read off the
     polarization of F on the columns' raw values."""
+    return [FieldElement(conic.field, v) for v in _quartic(conic, par)]
+
+
+def _quartic(conic, par):
+    """``pullback_quartic`` as raw values."""
     field = conic.field
     f0, f1, f2, b01, b02, b12 = _polarize(conic, zip(*par._raw(field)[0]))
-    return [FieldElement(field, v)
-            for v in (f0, b01, field._add(f1, b02), b12, f2)]
+    return [f0, b01, field._add(f1, b02), b12, f2]
 
 
 def _check_pair(c, d):
@@ -533,14 +533,13 @@ def _check_pair(c, d):
 def intersect_conics(c, d, seed=0):
     """All intersection points with multiplicities summing to 4 (Bezout);
     points may live in tower extensions of degree up to 4."""
-    _check_pair(c, d)
-    par = parametrize(d, find_point(d, seed))
-    roots = binary_form_roots(c.field, pullback_quartic(c, par), 4)
-    params = [(t.field, (t.value, t.field.one.value)) for t, _ in roots.entries]
-    mults = [m for _, m in roots.entries]
-    if roots.at_infinity:
+    par, f = _pullback(c, d, seed)
+    roots = roots_in_closure(f).entries
+    params = [(t.field, (t.value, t.field.one.value)) for t, _ in roots]
+    mults = [m for _, m in roots]
+    if f.degree < 4:
         params.append((c.field, (c.field.one.value, c.field.zero.value)))
-        mults.append(roots.at_infinity)
+        mults.append(4 - f.degree)
     if sum(mults) != 4:
         raise TheoremViolation("intersection multiplicities do not sum to 4")
     return list(zip(_points_at(par, params), mults))
@@ -553,17 +552,15 @@ def _points_at(par, params):
     for field, _ in params:
         if field not in maps:
             maps[field] = par._maps(field)[0]
-    return [_point(field, maps[field](u)) for field, u in params]
+    return [ProjPoint._of(field, maps[field](u)) for field, u in params]
 
 
 def _pullback(c, d, seed):
-    """One pullback of c along a parametrization of d: the parametrization,
-    the quartic's multiplicity at infinity and its squarefree
-    decomposition."""
+    """One pullback of c along a parametrization of d: the parametrization
+    and the pullback quartic, as a Polynomial."""
     _check_pair(c, d)
     par = parametrize(d, find_point(d, seed))
-    f = Polynomial(c.field, pullback_quartic(c, par))
-    return par, 4 - f.degree, squarefree_decomposition(f)
+    return par, _from_values(c.field, _quartic(c, par))
 
 
 def _multiplicities(at_inf, parts):
@@ -598,7 +595,8 @@ def _type_and_tangencies(c, d, seed):
     """The sorted intersection multiplicities and ``tangency_points`` of the
     pair from one pullback, and the parametrization of d it pulls back
     along."""
-    par, at_inf, parts = _pullback(c, d, seed)
+    par, f = _pullback(c, d, seed)
+    at_inf, parts = 4 - f.degree, squarefree_decomposition(f)
     pts = _points_at(par, [(t.field, t.values)
                            for t in _repeated_params(c.field, at_inf, parts)])
     return _multiplicities(at_inf, parts), pts, par
@@ -665,7 +663,7 @@ def normalize_tangent_pair(c, d, p):
     m2 = [[one, h, zero], [zero, one, zero],
           [zero, add(neg(a11), mul(h, h)), neg(a12)]]
     raw = _matmul(field, m2, _adjugate(field, list(zip(*cols))))
-    m = ProjTransform(field, _wrap(field, raw))
+    m = ProjTransform._of(field, raw)
     back = list(zip(*_adjugate(field, raw)))  # its columns
     c_new, d_new = (_canonical(field, _polarize(e, back)) for e in (c, d))
     if d_new != (one, zero, zero, zero, zero, neg(one)):

@@ -49,18 +49,15 @@ def _conic_polyline(conic, seed):
     leaves the affine chart.
     """
     par = parametrize(conic, find_point(conic, seed))
-    field = conic.field
+    rows = [[embed_real(c) for c in row] for row in par.c]
     arcs = [[]]
     for k in range(CONIC_SAMPLES + 1):
         theta = math.pi * (k / CONIC_SAMPLES - 0.5)
         u = math.tan(theta) if abs(abs(theta) - math.pi / 2) > 1e-9 else None
         if u is None:
-            xyz = [embed_real(field(c)) for c in
-                   (par.c[r][2] for r in range(3))]
+            x, y, z = (row[2] for row in rows)
         else:
-            xyz = [sum(embed_real(field(par.c[r][j])) * u ** j
-                       for j in range(3)) for r in range(3)]
-        x, y, z = xyz
+            x, y, z = (sum(row[j] * u ** j for j in range(3)) for row in rows)
         if abs(z) < 1e-7 * max(abs(x), abs(y), 1.0):
             if arcs[-1]:
                 arcs.append([])

@@ -7,6 +7,7 @@ import pytest
 
 import porism
 from porism.cli import conic_json, main, read_conic, read_pair
+from porism.ecurve import build_E
 from porism.errors import DigitLimitError
 from porism.fields import (FieldElement, check_digits, parse_element,
                            parse_field_spec)
@@ -783,8 +784,9 @@ def test_check_digits_reads_runs_only_in_strings_past_the_limit(
 
 def test_the_front_end_wraps_few_field_elements(monkeypatch):
     # reading an F_{3^3} pair, finding a point on each conic (three seeded
-    # lines solved between them) and parametrizing both wraps the twelve
-    # coefficients and the two points' coordinates, nothing else
+    # lines solved between them), parametrizing both, building E's fibers,
+    # and comparing, hashing and sorting the conics and points all run on
+    # raw values: none of them builds an element
     import random
     outer, inner = random_smooth_pair(parse_field_spec("Fq:3^3:1,2,0,1"),
                                       random.Random(1))
@@ -797,6 +799,13 @@ def test_the_front_end_wraps_few_field_elements(monkeypatch):
         init(self, field, value)
     monkeypatch.setattr(FieldElement, "__init__", counted)
     pair = read_pair(obj)
-    pars = [parametrize(c, find_point(c, seed)) for seed, c in enumerate(pair)]
-    assert pair == (outer, inner) and len(pars) == 2
-    assert len(built) <= 18  # 135 when each step built and unwrapped elements
+    points = [find_point(c, seed) for seed, c in enumerate(pair)]
+    pars = [parametrize(c, p) for c, p in zip(pair, points)]
+    same = pair == (outer, inner) and points[0] != points[1]
+    hashed = {*pair, *points}
+    keys = [x.sort_key() for x in (*pair, *points)]
+    fibers = build_E(*pair)._raw()
+    assert built == []  # 42 while conics, points and E stored elements too
+    assert same and len(hashed) == 4 and len(pars) == 2 and len(fibers) == 4
+    assert keys == [tuple(c.sort_key() for c in x.coeffs)
+                    for x in (*pair, *points)]

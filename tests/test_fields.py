@@ -430,6 +430,15 @@ def test_element_i_is_the_ith_element(spec):
     assert len(keys) == field.size and keys == sorted(set(keys))
 
 
+@pytest.mark.parametrize("spec", ["Fp:7", "Fq:3^2:1,0,1"])
+def test_element_i_refuses_an_index_outside_the_field(spec):
+    field = parse_field_spec(spec)
+    assert field.element(field.size - 1) == list(field.elements())[-1]
+    for i in (field.size, field.size + 2, -1):
+        with pytest.raises(ValueError):
+            field.element(i)
+
+
 def test_find_point_draws_without_listing_the_field(monkeypatch):
     F = parse_field_spec("Fp:1000003")
 

@@ -32,6 +32,15 @@ def test_degree_and_lc_normalization(F7):
     assert Polynomial(F7, []).is_zero()
 
 
+def test_a_negative_power_raises(F7):
+    f = Polynomial(F7, [1, 1])
+    with pytest.raises(ValueError):
+        f ** -1
+    with pytest.raises(ValueError):
+        pow(f, -2, Polynomial(F7, [0, 0, 1]))
+    assert f ** 0 == Polynomial(F7, [1])
+
+
 def test_gcd_is_monic(F13):
     x = Polynomial.x(F13)
     f = (x - P(F13, 1)) * (x + P(F13, 1))

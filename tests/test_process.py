@@ -12,7 +12,7 @@ from porism.poly import binary_form_roots
 from porism.process import (PonceletConfig, PonceletState, ProcessResult,
                             is_tangency_state, porism_check, run,
                             sample_starts, start, step)
-from porism.projective import (Conic, P1Point, ProjPoint, _point, _span,
+from porism.projective import (Conic, P1Point, ProjPoint, _span,
                                find_point, normal_form_conic, parametrize,
                                polar, tangency_points)
 
@@ -605,8 +605,8 @@ def test_porism_check_walks_no_start_on_an_earlier_closed_cycle(spec, monkeypatc
 
     def counted(E, initial, *args):
         u, v = initial
-        walked.append((E.field, _point(E.field, E.outer[0](u)),
-                       _point(E.field, E.inner[0](v))))
+        walked.append((E.field, ProjPoint._of(E.field, E.outer[0](u)),
+                       ProjPoint._of(E.field, E.inner[0](v))))
         return wrapped(E, initial, *args)
     configs, rng = sharing_configs(spec)
     shared = 0
@@ -675,7 +675,7 @@ def fiber_start_cases(cfg, num_starts, seed, monkeypatch):
     assert len(walked) == len(params)
     cases = set()
     for u, got in zip(params, walked):
-        c1 = _point(cfg.field, base.outer[0](u))
+        c1 = ProjPoint._of(cfg.field, base.outer[0](u))
         if base.fibers[0](u)[0] == zero:
             cases.add("C = 0")
         lifted_cfg, state, lifted = start_reference(cfg, c1)
